@@ -73,8 +73,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     net = _read_network(args.network)
-    cfg, report = solve(net, threads=args.threads,
-                        check_invariants=args.check_invariants,
+    cfg, report = solve(net, check_invariants=args.check_invariants,
                         collect_trace=args.trace is not None)
     _write_text(args.out, config_to_json(net, cfg))
     if args.report is not None:
@@ -165,9 +164,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="solution file (default stdout)")
     p.add_argument("--report", help="write solve statistics JSON here")
     p.add_argument("--trace", help="write per-iteration CSV here")
-    p.add_argument("--threads", type=int, default=None,
-                   help="partition workers (default: one per partition, "
-                        "capped at CPU count)")
     p.add_argument("--check-invariants", action="store_true",
                    help="run internal consistency checks while solving")
     p.set_defaults(func=cmd_solve)

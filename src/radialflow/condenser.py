@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .islander import lowpoint
 from .network_model import GraphView
 
 
@@ -126,50 +127,5 @@ def source_cut_vertices(cond: CondensedView) -> list[int]:
     n = len(cond.super_nodes)
     if n <= 2:
         return []
-    simple = cond.adjacency()
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    artics: set[int] = set()
-    clock = 0
-    for start in range(n):
-        if start in disc:
-            continue
-        disc[start] = low[start] = clock
-        clock += 1
-        root_children = 0
-        stack: list[tuple[int, int, list[int]]] = [(start, -1, sorted(simple[start]))]
-        heads = [0]
-        while stack:
-            v, pv, nbrs = stack[-1]
-            i = heads[-1]
-            advanced = False
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
-                if w == pv:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    heads[-1] = i
-                    stack.append((w, v, sorted(simple[w])))
-                    heads.append(0)
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            heads[-1] = i
-            stack.pop()
-            heads.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if stack[-1][1] == -1:
-                root_children += 1
-            if low[v] >= disc[u] and stack[-1][1] != -1:
-                artics.add(u)
-        if root_children > 1:
-            artics.add(start)
+    artics, _ = lowpoint(range(n), cond.adjacency())
     return sorted(a for a in artics if cond.super_nodes[a].kind == "source")

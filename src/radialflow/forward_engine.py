@@ -15,10 +15,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -84,16 +82,14 @@ class PartitionOutcome:
     splits: int = 0
 
 
-def solve(net: DistributionNetwork, *, threads: int | None = None,
-          check_invariants: bool = False,
+def solve(net: DistributionNetwork, *, check_invariants: bool = False,
           collect_trace: bool = False) -> tuple[RadialConfiguration, SolveReport]:
     """Build a feasible radial configuration for a network.
 
+    Partitions are grown one after another, in partition order.
+
     Args:
         net: Connected, balanced distribution network.
-        threads: Worker count for concurrent partitions; defaults to one
-            worker per partition, capped at the machine's CPU count.  Results
-            are merged in partition order, so output does not depend on it.
         check_invariants: Diagnostics mode.  Verifies the monotone surplus
             drain after every step and the final configuration, raising
             :class:`InvariantViolation` on failure, and counts in
@@ -123,18 +119,9 @@ def solve(net: DistributionNetwork, *, threads: int | None = None,
     t2 = time.perf_counter()
     logger.info("islander produced %d partition(s)", len(parts))
 
-    workers = threads if threads is not None else min(
-        len(parts), os.cpu_count() or 1)
-    if workers > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda part: run_partition(part, check_invariants=check_invariants,
-                                           collect_trace=collect_trace),
-                parts))
-    else:
-        outcomes = [run_partition(part, check_invariants=check_invariants,
-                                  collect_trace=collect_trace)
-                    for part in parts]
+    outcomes = [run_partition(part, check_invariants=check_invariants,
+                              collect_trace=collect_trace)
+                for part in parts]
     t3 = time.perf_counter()
 
     directed: list[tuple[int, int]] = list(pre.presampled)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .exceptions import InvalidSpec
-from .network_model import DistributionNetwork, build_network
+from .network_model import DistributionNetwork, build_network, connected
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,6 @@ def _check(spec: GenSpec) -> None:
             raise InvalidSpec(f"{label} must satisfy 0 < lo <= hi")
 
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
-
-
 def generate(spec: GenSpec) -> DistributionNetwork:
     """Build the network described by ``spec``.
 
@@ -102,7 +86,7 @@ def generate(spec: GenSpec) -> DistributionNetwork:
                     continue
                 edges.remove(old)
                 edges.add(cand)
-                if _connected(n, edges):
+                if connected(n, edges):
                     break
                 edges.remove(cand)
                 edges.add(old)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .exceptions import InfeasibleSplit
-from .network_model import GraphView, balance_tolerance
+from .network_model import GraphView, balance_tolerance, find
 
 
 @dataclass(frozen=True)
@@ -38,65 +38,78 @@ class PartitionView:
     replicated_nodes: dict[int, tuple[int, ...]]
 
 
-def _biconnected(view: GraphView) -> tuple[set[int], list[list[int]]]:
-    """Articulation points and biconnected components (as edge index lists).
+def lowpoint(roots: Iterable[int],
+             adj: Mapping[int, Collection[int]] | Sequence[Collection[int]],
+             ) -> tuple[set[int], list[list[tuple[int, int]]]]:
+    """Articulation points and biconnected components of a simple graph.
 
-    Iterative lowpoint computation; components come out in stack-pop order,
-    deterministic for a fixed view.
+    Iterative Tarjan lowpoint walk from each node of ``roots`` (every node)
+    not yet reached, in order; ``adj`` gives each node's distinct neighbors,
+    visited in ascending order.  Components are lists of ``(node, neighbor)``
+    edges in stack-pop order.
     """
-    adj = view.adjacency()
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     artics: set[int] = set()
-    comps: list[list[int]] = []
+    comps: list[list[tuple[int, int]]] = []
     clock = 0
 
-    for start in sorted(view.nodes):
+    for start in roots:
         if start in disc:
             continue
         disc[start] = low[start] = clock
         clock += 1
-        estack: list[int] = []
+        estack: list[tuple[int, int]] = []
         root_children = 0
         stack = [(start, -1, iter(sorted(adj[start])))]
         while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            for w, eidx in it:
-                if eidx == pe:
+            v, parent, it = stack[-1]
+            for w in it:
+                if w == parent:
                     continue
                 if w not in disc:
-                    estack.append(eidx)
+                    estack.append((v, w))
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, eidx, iter(sorted(adj[w]))))
-                    advanced = True
+                    stack.append((w, v, iter(sorted(adj[w]))))
                     break
                 if disc[w] < disc[v]:
-                    estack.append(eidx)
+                    estack.append((v, w))
                     low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                comp: list[int] = []
-                while estack:
-                    e = estack.pop()
-                    comp.append(e)
-                    if e == pe:
-                        break
-                comps.append(comp)
-                if len(stack) > 1:
-                    artics.add(u)
-                else:
-                    root_children += 1
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    comp: list[tuple[int, int]] = []
+                    while estack:
+                        e = estack.pop()
+                        comp.append(e)
+                        if e == (u, v):
+                            break
+                    comps.append(comp)
+                    if len(stack) > 1:
+                        artics.add(u)
+                    else:
+                        root_children += 1
         if root_children > 1:
             artics.add(start)
     return artics, comps
+
+
+def _biconnected(view: GraphView) -> tuple[set[int], list[list[int]]]:
+    """Articulation points and biconnected components (as edge index lists)."""
+    adj: dict[int, list[int]] = {v: [] for v in view.nodes}
+    index: dict[tuple[int, int], int] = {}
+    for idx in view.edge_indices:
+        u, v, _ = view.net.edges[idx]
+        adj[u].append(v)
+        adj[v].append(u)
+        index[u, v] = index[v, u] = idx
+    artics, comps = lowpoint(sorted(view.nodes), adj)
+    return artics, [[index[e] for e in comp] for comp in comps]
 
 
 def find_articulation_points(view: GraphView) -> frozenset[int]:
@@ -149,12 +162,6 @@ def islander(view: GraphView, injections: Sequence[float]) -> list[PartitionView
 
     parent = list(range(len(comps)))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     containing: dict[int, list[int]] = {}
     for ci, nodes in enumerate(comp_nodes):
         for v in nodes:
@@ -162,13 +169,13 @@ def islander(view: GraphView, injections: Sequence[float]) -> list[PartitionView
     for a in sorted(artics - split_at):
         members = containing[a]
         for ci in members[1:]:
-            ra, rb = find(members[0]), find(ci)
+            ra, rb = find(parent, members[0]), find(parent, ci)
             if ra != rb:
                 parent[rb] = ra
 
     groups: dict[int, list[int]] = {}
     for ci in range(len(comps)):
-        groups.setdefault(find(ci), []).append(ci)
+        groups.setdefault(find(parent, ci), []).append(ci)
     blocks: list[tuple[set[int], list[int]]] = []
     for members in groups.values():
         nodes: set[int] = set()

@@ -23,13 +23,44 @@ NodeId = int
 
 #: Relative tolerance for injection balance checks, scaled by total |p|.
 BALANCE_RTOL = 1e-9
-#: Absolute tolerance for per-node flow conservation residuals.
+#: Floor of the per-node flow conservation tolerance.
 FLOW_ATOL = 1e-8
+#: Per-node flow conservation tolerance as a share of total |p|.
+FLOW_RTOL = 1e-10
+#: Relative tolerance between a declared cost and the recomputed one.
+COST_RTOL = 1e-9
 
 
 def balance_tolerance(values: Iterable[float]) -> float:
     """Absolute balance tolerance for a collection of injections."""
     return BALANCE_RTOL * max(1.0, math.fsum(abs(v) for v in values))
+
+
+def find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def connected(n: int, edges: Iterable[Sequence[int]]) -> bool:
+    """Whether edges ``(u, v, ...)`` join nodes ``0..n-1`` into one component."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        adj[e[0]].append(e[1])
+        adj[e[1]].append(e[0])
+    seen = [False] * n
+    seen[0] = True
+    count = 1
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                stack.append(y)
+    return count == n
 
 
 @dataclass(frozen=True)
@@ -70,19 +101,8 @@ class DistributionNetwork:
         """Nodes with strictly positive injection."""
         return frozenset(i for i, p in enumerate(self.injections) if p > 0)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-node list of ``(neighbor, edge_index)`` pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        return adj
-
     def edge_index_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): idx for idx, (u, v, _) in enumerate(self.edges)}
-
-    def balance_tolerance(self) -> float:
-        return balance_tolerance(self.injections)
 
 
 @dataclass(frozen=True)
@@ -117,17 +137,6 @@ class GraphView:
 def full_view(net: DistributionNetwork) -> GraphView:
     """The whole network as a view over itself."""
     return GraphView(net, tuple(range(net.n)), tuple(range(net.m)))
-
-
-@dataclass
-class InjectionState:
-    """Mutable per-node injection vector tracked across pipeline stages."""
-
-    values: list[float]
-    iteration: int = 0
-
-    def copy(self) -> "InjectionState":
-        return InjectionState(list(self.values), self.iteration)
 
 
 @dataclass(frozen=True)
@@ -192,24 +201,10 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
     if abs(total) > balance_tolerance(injections):
         raise ValidationError(f"injection imbalance: sum(p) = {total!r}")
 
-    net = DistributionNetwork(tuple(names), tuple(normalized),
-                              tuple(float(p) for p in injections), metadata)
-    if n > 1:
-        visited = [False] * n
-        stack = [0]
-        visited[0] = True
-        count = 1
-        adj = net.adjacency()
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if not visited[y]:
-                    visited[y] = True
-                    count += 1
-                    stack.append(y)
-        if count != n:
-            raise ValidationError("disconnected network")
-    return net
+    if not connected(n, normalized):
+        raise ValidationError("disconnected network")
+    return DistributionNetwork(tuple(names), tuple(normalized),
+                               tuple(float(p) for p in injections), metadata)
 
 
 def load_network(source: str | bytes | IO) -> DistributionNetwork:
@@ -377,7 +372,7 @@ def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> Radi
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the six structural and flow checks for a configuration.
+    """Outcome of the eight structural, flow and cost checks for a configuration.
 
     ``zero_flow_edges`` lists positions (into the configuration's edge list)
     that carry exactly zero flow; these are legal but worth surfacing.
@@ -389,6 +384,8 @@ class ValidationReport:
     root_source: bool
     kirchhoff: bool
     nonnegative_flows: bool
+    finite_flows: bool
+    cost_consistent: bool
     max_residual: float
     zero_flow_edges: tuple[int, ...]
     messages: tuple[str, ...]
@@ -397,13 +394,16 @@ class ValidationReport:
     def passed(self) -> bool:
         return (self.acyclic and self.edge_subset and self.spanning
                 and self.root_source and self.kirchhoff
-                and self.nonnegative_flows)
+                and self.nonnegative_flows and self.finite_flows
+                and self.cost_consistent)
 
     def summary(self) -> str:
         checks = [("acyclic", self.acyclic), ("edge-subset", self.edge_subset),
                   ("spanning", self.spanning), ("root-source", self.root_source),
                   ("kirchhoff", self.kirchhoff),
-                  ("nonnegative-flows", self.nonnegative_flows)]
+                  ("nonnegative-flows", self.nonnegative_flows),
+                  ("finite-flows", self.finite_flows),
+                  ("cost", self.cost_consistent)]
         parts = [f"{name}={'ok' if ok else 'FAIL'}" for name, ok in checks]
         return ", ".join(parts)
 
@@ -413,31 +413,35 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
 
     The checks: the undirected skeleton is a forest and a subset of the
     network's edges, every node is covered, every in-degree-zero node has a
-    non-negative injection, per-node conservation holds within ``FLOW_ATOL``,
-    and all flows are non-negative.
+    non-negative injection, per-node conservation holds within
+    ``max(FLOW_ATOL, FLOW_RTOL * sum(|p|))``, all flows are non-negative and
+    finite, and the declared ``total_cost`` matches ``sum(C * x**2)`` within
+    ``COST_RTOL``.
     """
     messages: list[str] = []
     n = net.n
-    edge_set = {(u, v) for u, v, _ in net.edges}
+    cost_of = {(u, v): c for u, v, c in net.edges}
 
     edge_subset = True
     seen: set[tuple[int, int]] = set()
     acyclic = True
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    coeffs: list[float] = []
+    covered: set[int] = set()
+    indeg = [0] * n
 
     for tail, head in cfg.directed_edges:
         if not (0 <= tail < n and 0 <= head < n):
             edge_subset = False
+            coeffs.append(math.nan)
             messages.append(f"edge ({tail}, {head}) references an unknown node")
             continue
+        covered.add(tail)
+        covered.add(head)
+        indeg[head] += 1
         key = (min(tail, head), max(tail, head))
-        if key not in edge_set:
+        coeffs.append(cost_of.get(key, math.nan))
+        if key not in cost_of:
             edge_subset = False
             messages.append(
                 f"edge ({net.names[key[0]]}, {net.names[key[1]]}) is not a network edge")
@@ -447,7 +451,7 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
                 f"duplicate undirected edge ({net.names[key[0]]}, {net.names[key[1]]})")
             continue
         seen.add(key)
-        ru, rv = find(key[0]), find(key[1])
+        ru, rv = find(parent, key[0]), find(parent, key[1])
         if ru == rv:
             acyclic = False
             messages.append(
@@ -455,12 +459,6 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
         else:
             parent[ru] = rv
 
-    covered = set()
-    for tail, head in cfg.directed_edges:
-        if 0 <= tail < n:
-            covered.add(tail)
-        if 0 <= head < n:
-            covered.add(head)
     if n == 1:
         spanning = len(cfg.directed_edges) == 0
     else:
@@ -470,10 +468,6 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
         messages.append(
             "uncovered nodes: " + ", ".join(net.names[v] for v in missing[:5]))
 
-    indeg = [0] * n
-    for _, head in cfg.directed_edges:
-        if 0 <= head < n:
-            indeg[head] += 1
     root_source = True
     for v in covered:
         if indeg[v] == 0 and net.injections[v] < 0:
@@ -486,21 +480,34 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
     except DimensionMismatch as exc:
         messages.append(str(exc))
         return ValidationReport(acyclic, edge_subset, spanning, root_source,
-                                False, False, math.inf, (), tuple(messages))
+                                False, False, False, False, math.inf, (),
+                                tuple(messages))
     max_residual = max((abs(r - p) for r, p in zip(residual, net.injections)),
                        default=0.0)
-    kirchhoff = max_residual <= FLOW_ATOL
+    tol = max(FLOW_ATOL, FLOW_RTOL * math.fsum(abs(p) for p in net.injections))
+    kirchhoff = max_residual <= tol
     if not kirchhoff:
-        messages.append(f"conservation residual {max_residual:.3e} exceeds {FLOW_ATOL}")
+        messages.append(f"conservation residual {max_residual:.3e} exceeds {tol:.3e}")
 
     nonnegative = all(f >= 0 for f in cfg.flows)
     if not nonnegative:
         messages.append("negative flow present")
+    finite = all(math.isfinite(f) for f in cfg.flows)
+    if not finite:
+        messages.append("non-finite flow present")
+    try:
+        cost = math.fsum(c * x ** 2 for c, x in zip(coeffs, cfg.flows))
+    except OverflowError:
+        cost = math.inf
+    cost_consistent = math.isclose(cfg.total_cost, cost, rel_tol=COST_RTOL)
+    if not cost_consistent:
+        messages.append(
+            f"declared cost {cfg.total_cost!r} differs from sum(C x^2) = {cost!r}")
     zero_flow = tuple(i for i, f in enumerate(cfg.flows) if f == 0.0)
 
     return ValidationReport(acyclic, edge_subset, spanning, root_source,
-                            kirchhoff, nonnegative, max_residual, zero_flow,
-                            tuple(messages))
+                            kirchhoff, nonnegative, finite, cost_consistent,
+                            max_residual, zero_flow, tuple(messages))
 
 
 # ---------------------------------------------------------------------------

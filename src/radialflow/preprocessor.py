@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator, Mapping, Sequence
 
 from .network_model import DistributionNetwork, GraphView, full_view
 
@@ -37,29 +37,25 @@ class PreprocessResult:
         return not self.reduced.edge_indices
 
 
-def preprocess(net: DistributionNetwork,
-               p0: Iterable[float] | None = None) -> PreprocessResult:
+def preprocess(net: DistributionNetwork) -> PreprocessResult:
     """Peel degree-one nodes of the whole network."""
-    return preprocess_view(full_view(net),
-                           list(net.injections if p0 is None else p0))
+    return preprocess_view(full_view(net), net.injections)
 
 
-def preprocess_view(view: GraphView, p: list[float]) -> PreprocessResult:
-    """Peel degree-one nodes of a graph view.
+def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
+         ) -> Iterator[tuple[int, int, int, float]]:
+    """Eliminate degree-one nodes, pushing each leaf's injection inward.
 
-    Nodes are processed in ascending id order, with cascade-created leaves
-    appended behind, so results are deterministic.  The final node of a fully
-    peeled component is dropped from the reduced view along with its (empty)
-    edge set.
+    ``adj`` holds every node's ``(neighbor, edge_index)`` pairs and ``p`` the
+    injection per node id, updated in place.  Leaves go in ascending id
+    order, cascade-created leaves queued behind.  Yields ``(leaf, neighbor,
+    edge_index, value)`` in peel order, ``value`` being the leaf's whole
+    accumulated injection: the edge carries ``abs(value)``, from leaf to
+    neighbor when ``value >= 0``.
     """
-    net = view.net
-    p = list(p)
-    adj = view.adjacency()
-    degree = {v: len(adj[v]) for v in view.nodes}
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
     done: set[int] = set()
-    presampled: list[tuple[int, int]] = []
-    pre_idx: list[int] = []
-    queue: deque[int] = deque(v for v in sorted(view.nodes) if degree[v] == 1)
+    queue: deque[int] = deque(v for v in sorted(adj) if degree[v] == 1)
 
     while queue:
         i = queue.popleft()
@@ -73,11 +69,7 @@ def preprocess_view(view: GraphView, p: list[float]) -> PreprocessResult:
                 break
         if eidx < 0:
             continue
-        if p[i] >= 0:
-            presampled.append((i, j))
-        else:
-            presampled.append((j, i))
-        pre_idx.append(eidx)
+        yield i, j, eidx, p[i]
         p[j] += p[i]
         p[i] = 0.0
         done.add(eidx)
@@ -86,6 +78,22 @@ def preprocess_view(view: GraphView, p: list[float]) -> PreprocessResult:
         if degree[j] == 1:
             queue.append(j)
 
+
+def preprocess_view(view: GraphView, p: Sequence[float]) -> PreprocessResult:
+    """Peel degree-one nodes of a graph view (see :func:`peel`).
+
+    The final node of a fully peeled component is dropped from the reduced
+    view along with its (empty) edge set.
+    """
+    net = view.net
+    p = list(p)
+    presampled: list[tuple[int, int]] = []
+    pre_idx: list[int] = []
+    for i, j, eidx, value in peel(view.adjacency(), p):
+        presampled.append((i, j) if value >= 0 else (j, i))
+        pre_idx.append(eidx)
+
+    done = set(pre_idx)
     remaining = tuple(idx for idx in view.edge_indices if idx not in done)
     keep: set[int] = set()
     for idx in remaining:

@@ -60,10 +60,6 @@ class ForestState:
         self.residuals: dict[int, float] = {
             s: float(injections[s]) for s in sources}
 
-    @property
-    def touched(self) -> set[int]:
-        return set(self.membership)
-
     def tree_of(self, node: int) -> int | None:
         return self.membership.get(node)
 
@@ -136,7 +132,7 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
 
     Returns:
         The winning candidate, the edge indices that became internal to a
-        tree and must leave the pool, and the full ranking.
+        tree and must leave the pool, and every scored candidate.
 
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
@@ -179,7 +175,8 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
     candidates = [CandidateEdge(i, j, eidx, w, w / total if total > 0 else w,
                                 balance, pendant, demand)
                   for i, j, eidx, w, demand, balance, pendant in raw]
-    candidates.sort(key=lambda cand: (not cand.pendant_source,
-                                      not cand.balance_ok, -cand.weight,
-                                      cand.tail, cand.head))
-    return SampleResult(candidates[0], tuple(deleted), tuple(candidates))
+    chosen = min(candidates, key=lambda cand: (not cand.pendant_source,
+                                               not cand.balance_ok,
+                                               -cand.weight, cand.tail,
+                                               cand.head))
+    return SampleResult(chosen, tuple(deleted), tuple(candidates))

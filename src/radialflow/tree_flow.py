@@ -9,12 +9,12 @@ sign of that value, so the solved flow is always non-negative.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .exceptions import CycleError, ImbalanceError, UnknownEdge
 from .network_model import DistributionNetwork, balance_tolerance
+from .preprocessor import peel
 
 
 @dataclass(frozen=True)
@@ -60,51 +60,27 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
             raise ImbalanceError(
                 f"injection vector has {len(p)} entries for {net.n} nodes")
 
-    degree: dict[int, int] = {}
     adj: dict[int, list[tuple[int, int]]] = {}
     for idx in edge_list:
         u, v, _ = net.edges[idx]
         adj.setdefault(u, []).append((v, idx))
         adj.setdefault(v, []).append((u, idx))
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
 
     covered = sorted(adj)
     tol = balance_tolerance(p)
 
     oriented: dict[int, tuple[int, int]] = {}
     flow: dict[int, float] = {}
-    done: set[int] = set()
-    queue: deque[int] = deque(v for v in covered if degree[v] == 1)
-
-    while queue:
-        i = queue.popleft()
-        if degree[i] != 1:
-            continue
-        j = -1
-        eidx = -1
-        for nb, k in adj[i]:
-            if k not in done:
-                j, eidx = nb, k
-                break
-        if eidx < 0:
-            continue
-        if p[i] >= 0:
+    for i, j, eidx, value in peel(adj, p):
+        if value >= 0:
             oriented[eidx] = (i, j)
-            flow[eidx] = p[i]
+            flow[eidx] = value
         else:
             oriented[eidx] = (j, i)
-            flow[eidx] = -p[i]
-        p[j] += p[i]
-        p[i] = 0.0
-        done.add(eidx)
-        degree[i] -= 1
-        degree[j] -= 1
-        if degree[j] == 1:
-            queue.append(j)
+            flow[eidx] = -value
 
-    if len(done) != len(edge_list):
-        leftover = [idx for idx in edge_list if idx not in done]
+    if len(flow) != len(edge_list):
+        leftover = [idx for idx in edge_list if idx not in flow]
         u, v, _ = net.edges[leftover[0]]
         raise CycleError(
             f"edge subset is not a forest: cycle through ({net.names[u]}, {net.names[v]})")

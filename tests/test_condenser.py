@@ -1,13 +1,17 @@
 """Same-side condensation into super nodes and the irreducibility check."""
 
 import math
+import random
 
+import networkx as nx
 import pytest
 
 from radialflow import build_network
 from radialflow.condenser import (CondensedView, SuperNode, assert_irreducible,
-                                  net_concad)
+                                  net_concad, source_cut_vertices)
 from radialflow.network_model import balance_tolerance, full_view
+
+from conftest import ws_instance
 
 
 def two_sources_one_sink_chain():
@@ -135,3 +139,47 @@ def test_growth_can_break_irreducibility():
     assert set(grown.members) == {1, 3}
     assert grown.kind == "source"
     assert not assert_irreducible(after)
+
+
+def networkx_source_cuts(cond):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(cond.super_nodes)))
+    g.add_edges_from((su, sv) for su, sv, _ in cond.super_edges)
+    return sorted(a for a in nx.articulation_points(g)
+                  if cond.super_nodes[a].kind == "source")
+
+
+def test_source_cut_vertices_match_networkx_on_chord_ring():
+    net = build_network(["a", "s", "b", "t"],
+                        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0),
+                         (1, 3, 1.0)],
+                        [-1.0, 2.0, -1.0, 0.0])
+    for trees in ({}, {1: 1}, {1: 1, 3: 1}, {1: 1, 0: 1}):
+        cond = net_concad(full_view(net), list(net.injections), trees)
+        assert source_cut_vertices(cond) == networkx_source_cuts(cond)
+
+
+def test_source_cut_vertices_match_networkx_on_grown_states():
+    # grow random polytrees from the supplies, one absorb or merge per step,
+    # and compare every condensation on the way
+    found = 0
+    for seed in range(10):
+        net = ws_instance(40, seed)
+        rng = random.Random(seed)
+        trees = {v: v for v in net.source_set}
+        while True:
+            moves = [(u, v) for a, b, _ in net.edges for u, v in ((a, b), (b, a))
+                     if u in trees and trees[u] != trees.get(v)]
+            if not moves:
+                break
+            u, v = rng.choice(moves)
+            if v in trees:
+                old = trees[v]
+                trees.update((x, trees[u]) for x, t in trees.items() if t == old)
+            else:
+                trees[v] = trees[u]
+            cond = net_concad(full_view(net), list(net.injections), trees)
+            want = networkx_source_cuts(cond)
+            assert source_cut_vertices(cond) == want
+            found += bool(want)
+    assert found

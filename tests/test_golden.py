@@ -10,8 +10,6 @@ purpose records them again and says why.
 
 import hashlib
 
-import pytest
-
 from conftest import DATA_DIR, small_instances, ws_instance
 from radialflow import build_network, config_to_json, load_network, solve
 

@@ -1,6 +1,7 @@
 """Network data model, serialization, and configuration validation."""
 
 import json
+import math
 import random
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
                         ValidationError, build_network, config_from_json,
                         config_to_json, export_dot, load_network,
-                        serialize_network, solve_forest, validate_radial)
+                        serialize_network, solve, solve_forest,
+                        validate_radial)
 from radialflow.network_model import (FLOW_ATOL, balance_tolerance, full_view,
                                       incidence_apply)
 
@@ -178,6 +180,46 @@ def test_validate_flow_checks():
                                    (1.0, 1.0, -1.0), 3.0)
     report = validate_radial(net, negative)
     assert not report.nonnegative_flows
+
+
+def test_validate_rejects_wrong_cost(gap_ring):
+    cfg, _ = solve(gap_ring)
+    assert validate_radial(gap_ring, cfg).cost_consistent
+    wrong = RadialConfiguration(cfg.directed_edges, cfg.flows, -5.0)
+    report = validate_radial(gap_ring, wrong)
+    assert not report.cost_consistent
+    assert not report.passed
+    assert "cost=FAIL" in report.summary()
+
+
+def test_validate_rejects_nonfinite_flow():
+    net = star4()
+    cfg = RadialConfiguration(((0, 1), (0, 2), (0, 3)),
+                              (1.0, 1.0, math.inf), math.inf)
+    report = validate_radial(net, cfg)
+    assert not report.finite_flows
+    assert not report.passed
+
+
+def test_validate_cost_overflow_counts_as_infinite():
+    net = build_network(["a", "b"], [(0, 1, 1.0)], [1e200, -1e200])
+    edges, flows = ((0, 1),), (1e200,)
+    assert validate_radial(net, RadialConfiguration(edges, flows,
+                                                    math.inf)).passed
+    report = validate_radial(net, RadialConfiguration(edges, flows, 5.0))
+    assert not report.cost_consistent
+
+
+def test_conservation_tolerance_scales_with_injections():
+    # injections in watts rather than megawatts: the solver's rounding
+    # residuals grow with sum(|p|), far past the absolute floor
+    for seed in range(20):
+        base = ws_instance(120, seed)
+        net = build_network(base.names, base.edges,
+                            [p * 1e7 for p in base.injections])
+        cfg, _ = solve(net)
+        report = validate_radial(net, cfg)
+        assert report.passed, report.messages
 
 
 def test_validate_foreign_edge():
