@@ -13,9 +13,11 @@ diagnostic output on stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 
 from .exceptions import (Infeasible, InvalidSpec, ParseError, RadialFlowError,
@@ -26,6 +28,9 @@ from .generator import GenSpec, generate
 from .network_model import (config_from_json, config_to_json, export_dot,
                             load_network, serialize_network, validate_radial)
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_NODES, enumerate_optimal
+
+#: Version of the ``bench --json`` document.
+BENCH_SCHEMA_VERSION = 1
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
@@ -126,8 +131,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise InvalidSpec("no sizes given")
+    digest = hashlib.sha256()
     points = complexity_probe(sizes, seeds=args.seeds, k=args.k,
-                              beta=args.beta, n_sources=args.sources)
+                              beta=args.beta, n_sources=args.sources,
+                              digest=digest)
+    exponent = fit_exponent(points) if len(points) >= 2 else None
     rows = ["n,m,median_ms,cost"]
     rows += [f"{n},{m},{t * 1000.0:.3f},{c:.6f}" for n, m, t, c in points]
     _write_text(args.out, "\n".join(rows) + "\n")
@@ -135,8 +143,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         data = ["# n m median_ms cost"]
         data += [f"{n} {m} {t * 1000.0:.3f} {c:.6f}" for n, m, t, c in points]
         _write_text(args.plot, "\n".join(data) + "\n")
-    if len(points) >= 2:
-        print(f"exponent={fit_exponent(points):.3f}", file=sys.stderr)
+    if args.json is not None:
+        doc = {"schema_version": BENCH_SCHEMA_VERSION,
+               "sizes": sizes, "seeds": args.seeds, "k": args.k,
+               "beta": args.beta, "sources": args.sources,
+               "edges": [m for _, m, _, _ in points],
+               "median_s": [t for _, _, t, _ in points],
+               "median_cost": [c for _, _, _, c in points],
+               "exponent": exponent,
+               "solutions_sha256": digest.hexdigest(),
+               "python": platform.python_version(),
+               "nproc": len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count()}
+        _write_text(args.json, json.dumps(doc, indent=2) + "\n")
+    if exponent is not None:
+        print(f"exponent={exponent:.3f}", file=sys.stderr)
     return 0
 
 
@@ -204,6 +225,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", type=int, default=None)
     p.add_argument("-o", "--out", help="CSV output file (default stdout)")
     p.add_argument("--plot", help="also write a gnuplot-ready data file")
+    p.add_argument("--json", help="also write sizes, median seconds, the "
+                                  "exponent and a solutions hash as JSON")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-dot",

@@ -5,16 +5,21 @@ tree sits on the supply side while its residual injection is positive and on
 the demand side once drained.  Same-side connected groups collapse into super
 nodes; only edges crossing sides survive, and parallel crossings are kept as
 distinct entries so the sampler can weigh each one.
+
+:func:`net_concad` builds a condensation from scratch.  The growth loop keeps
+a :class:`Condensation` instead, which it updates where each step changes
+it; invariant mode compares the two on every step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .islander import lowpoint
-from .network_model import GraphView
+from .network_model import ExactSum, GraphView, find
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,9 @@ class CondensedView:
     super_edges: tuple[tuple[int, int, int], ...]
     membership: dict[int, int]
 
-    def adjacency(self) -> list[set[int]]:
+    def adjacency(self) -> dict[int, set[int]]:
         """Distinct neighboring super nodes of each super node, by index."""
-        out: list[set[int]] = [set() for _ in self.super_nodes]
+        out: dict[int, set[int]] = {i: set() for i in range(len(self.super_nodes))}
         for su, sv, _ in self.super_edges:
             out[su].add(sv)
             out[sv].add(su)
@@ -107,25 +112,353 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
     return CondensedView(supers, tuple(super_edges), comp)
 
 
-def assert_irreducible(cond: CondensedView) -> bool:
+class Group:
+    """A super node of a :class:`Condensation`, updated in place."""
+
+    __slots__ = ("members", "kind", "total", "residual")
+
+    def __init__(self, kind: str, members: list[int],
+                 injections: Mapping[int, float] | Sequence[float]) -> None:
+        self.members = set(members)
+        self.kind = kind
+        self.total = ExactSum(injections[v] for v in members)
+        self.residual = self.total.value
+
+
+class Condensation:
+    """The condensation of a growing forest, kept current step by step.
+
+    It holds what :func:`net_concad` computes, under the same rules, but its
+    super nodes are :class:`Group` objects under ids that carry no order:
+    ``super_nodes`` maps id to group, ``membership`` maps node to id, and
+    :meth:`adjacency` maps id to ``{neighbor id: crossing edge count}``.  It is
+    built once per partition, at the cost of one :func:`net_concad`; after
+    that :meth:`move` changes it only where a step moves nodes across sides,
+    and a split hands each side its part (:meth:`restricted`).
+
+    Args:
+        view: Graph being solved; all of its edges participate.
+        injections: Per-node injection, indexable by parent node id.
+        polytrees: Tree id per touched node, as in :func:`net_concad`.
+        tree_residuals: Residual of each tree in ``polytrees``.
+        adjacency: ``view.adjacency()``, kept and read by every update.
+    """
+
+    def __init__(self, view: GraphView,
+                 injections: Mapping[int, float] | Sequence[float],
+                 polytrees: Mapping[int, int],
+                 tree_residuals: Mapping[int, float], *,
+                 adjacency: Mapping[int, list[tuple[int, int]]] | None = None,
+                 ) -> None:
+        adj = adjacency if adjacency is not None else view.adjacency()
+        self.adj = adj
+        self.injections = injections
+        self.source: dict[int, bool] = {}
+        source = self.source
+        for v in view.nodes:
+            t = polytrees.get(v)
+            source[v] = (injections[v] if t is None else tree_residuals[t]) > 0
+        membership: dict[int, int] = {}
+        self.membership = membership
+        self.super_nodes: dict[int, Group] = {}
+        self._ids = itertools.count()
+        for start in view.nodes:
+            if start in membership:
+                continue
+            gid = next(self._ids)
+            side = source[start]
+            membership[start] = gid
+            found = [start]
+            stack = [start]
+            while stack:
+                for y, _ in adj[stack.pop()]:
+                    if y not in membership and source[y] == side:
+                        membership[y] = gid
+                        found.append(y)
+                        stack.append(y)
+            self.super_nodes[gid] = Group(_KIND[side], found, injections)
+        self._nbrs: dict[int, dict[int, int]] = {g: {} for g in self.super_nodes}
+        for v in view.nodes:
+            side = source[v]
+            row = self._nbrs[membership[v]]
+            for y, _ in adj[v]:
+                if source[y] != side:
+                    other = membership[y]
+                    row[other] = row.get(other, 0) + 1
+
+    def adjacency(self) -> dict[int, dict[int, int]]:
+        """Neighboring groups of each group, with their crossing edge counts."""
+        return self._nbrs
+
+    def move(self, nodes: Iterable[int], source: bool) -> None:
+        """Put ``nodes`` on the supply side (``source``) or the demand side.
+
+        Nodes already on that side are left alone.  The groups the others
+        leave are split where they fall apart; the moved nodes then join the
+        groups of their new side that they touch, merged into the largest.
+        A whole group that moves, such as a drained tree, keeps its members
+        and merges with all its neighbors, which are on its new side.
+        """
+        side, member, adj = self.source, self.membership, self.adj
+        moved = [v for v in nodes if side[v] != source]
+        if not moved:
+            return
+        gid = member[moved[0]]
+        if (len(self.super_nodes[gid].members) == len(moved)
+                and all(member[v] == gid for v in moved)):
+            self._turn(gid, moved, source)
+            return
+        self._detach(moved)
+        left = set(moved)
+        seeds: dict[int, list[int]] = {}
+        for v in moved:
+            for y, _ in adj[v]:
+                if y not in left and side[y] != source:
+                    seeds.setdefault(member[y], []).append(y)
+        for gid, ys in seeds.items():
+            if len(ys) > 1:
+                self._split(gid, ys)
+        for v in moved:
+            side[v] = source
+        for v in moved:
+            if v in member:
+                continue
+            piece = [v]
+            left.discard(v)
+            touched: dict[int, None] = {}
+            for x in piece:
+                for y, _ in adj[x]:
+                    if y in left:
+                        left.discard(y)
+                        piece.append(y)
+                    elif y in member and side[y] == source:
+                        touched[member[y]] = None
+            gid = None
+            if touched:
+                gid = max(touched, key=lambda g: len(self.super_nodes[g].members))
+                for other in touched:
+                    if other != gid:
+                        self._union(gid, other)
+            self._place(piece, gid)
+
+    def restricted(self, nodes: Iterable[int],
+                   injections: Mapping[int, float],
+                   adjacency: Mapping[int, list[tuple[int, int]]], cut: int,
+                   hub_source: bool) -> "Condensation":
+        """The condensation of one side of a split at supply group ``cut``.
+
+        ``nodes`` are the side's nodes and the cut group's (the hub), and
+        ``injections`` and ``adjacency`` the side's.  The side's groups are
+        taken over as they are, since none of them touches another side; the
+        hub becomes a new group on the side ``hub_source`` gives, which on the
+        demand side merges with all its neighbors.  This consumes the groups
+        of the side, so each side may be taken only once.
+        """
+        out = Condensation.__new__(Condensation)
+        out.adj = adjacency
+        out.injections = injections
+        out._ids = self._ids
+        out.source = {v: self.source[v] for v in nodes}
+        out.membership = {v: self.membership[v] for v in nodes}
+        hub = list(self.super_nodes[cut].members)
+        taken = set(out.membership.values())
+        taken.discard(cut)
+        out.super_nodes = {g: self.super_nodes[g] for g in taken}
+        out._nbrs = {g: dict(self._nbrs[g]) for g in taken}
+        gid = next(self._ids)
+        out.super_nodes[gid] = Group("source", hub, injections)
+        row = out._nbrs[gid] = {}
+        for g in taken:
+            count = out._nbrs[g].pop(cut, 0)
+            if count:
+                out._nbrs[g][gid] = row[g] = count
+        for v in hub:
+            out.membership[v] = gid
+        if not hub_source:
+            out._turn(gid, hub, False)
+        return out
+
+    def mismatch(self, ref: CondensedView) -> str | None:
+        """The first way this differs from ``ref``, or None if it matches."""
+        ids = {gid: tuple(sorted(g.members))
+               for gid, g in self.super_nodes.items()}
+        have = {ids[gid]: (g.residual, g.kind)
+                for gid, g in self.super_nodes.items()}
+        want = {s.members: (s.residual, s.kind) for s in ref.super_nodes}
+        odd = sorted(have.keys() ^ want.keys())
+        if odd:
+            return (f"super node {list(odd[0])} is "
+                    f"{'extra' if odd[0] in have else 'missing'}")
+        for members, value in sorted(have.items()):
+            if value != want[members]:
+                return (f"super node {list(members)} has residual and kind "
+                        f"{value}, not {want[members]}")
+        if self.membership.keys() != ref.membership.keys():
+            return "membership covers other nodes"
+        for v, gid in sorted(self.membership.items()):
+            if ids[gid] != ref.super_of(v).members:
+                return f"node {v} is in {list(ids[gid])}"
+        crossing = {(ids[a], ids[b]): count
+                    for a, row in self._nbrs.items() for b, count in row.items()}
+        expected: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for a, b, _ in ref.super_edges:
+            pair = (ref.super_nodes[a].members, ref.super_nodes[b].members)
+            for key in (pair, pair[::-1]):
+                expected[key] = expected.get(key, 0) + 1
+        if crossing != expected:
+            return (f"crossing edge counts {sorted(crossing.items())} "
+                    f"differ from {sorted(expected.items())}")
+        return None
+
+    def _cross(self, nodes: list[int], gid: int, delta: int) -> None:
+        """Add ``delta`` to the crossing counts of ``nodes`` as members of ``gid``.
+
+        Only edges to nodes that are in a group count.
+        """
+        row = self._nbrs[gid]
+        for v in nodes:
+            side = self.source[v]
+            for y, _ in self.adj[v]:
+                other = self.membership.get(y)
+                if other is not None and self.source[y] != side:
+                    back = self._nbrs[other]
+                    count = row.get(other, 0) + delta
+                    if count:
+                        row[other] = back[gid] = count
+                    else:
+                        del row[other], back[gid]
+
+    def _place(self, nodes: list[int], gid: int | None = None) -> None:
+        """Put detached ``nodes`` into group ``gid``, or a new group of theirs."""
+        if gid is None:
+            gid = next(self._ids)
+            self.super_nodes[gid] = Group(_KIND[self.source[nodes[0]]], nodes,
+                                          self.injections)
+            self._nbrs[gid] = {}
+        else:
+            group = self.super_nodes[gid]
+            group.members.update(nodes)
+            group.residual = group.total.add(self.injections[v] for v in nodes)
+        self._cross(nodes, gid, 1)
+        for v in nodes:
+            self.membership[v] = gid
+
+    def _detach(self, nodes: list[int]) -> None:
+        """Take ``nodes`` out of their groups; emptied groups are dropped."""
+        by_group: dict[int, list[int]] = {}
+        for v in nodes:
+            by_group.setdefault(self.membership.pop(v), []).append(v)
+        for gid, vs in by_group.items():
+            self._cross(vs, gid, -1)
+            group = self.super_nodes[gid]
+            group.members.difference_update(vs)
+            if group.members:
+                group.residual = group.total.add(-self.injections[v] for v in vs)
+            else:
+                del self.super_nodes[gid], self._nbrs[gid]
+
+    def _union(self, into: int, gid: int) -> None:
+        """Merge group ``gid`` into group ``into`` on the same side."""
+        group = self.super_nodes.pop(gid)
+        target = self.super_nodes[into]
+        for v in group.members:
+            self.membership[v] = into
+        target.members |= group.members
+        target.residual = target.total.add(group.total.terms)
+        row = self._nbrs[into]
+        for other, count in self._nbrs.pop(gid).items():
+            back = self._nbrs[other]
+            del back[gid]
+            row[other] = back[into] = row.get(other, 0) + count
+
+    def _turn(self, gid: int, members: list[int], source: bool) -> None:
+        """Move a whole group across; it merges with all its neighbors."""
+        for v in members:
+            self.source[v] = source
+        self.super_nodes[gid].kind = _KIND[source]
+        row = self._nbrs[gid]
+        merged = [gid, *row]
+        for other in row:
+            del self._nbrs[other][gid]
+        row.clear()
+        target = max(merged, key=lambda g: len(self.super_nodes[g].members))
+        for other in merged:
+            if other != target:
+                self._union(target, other)
+
+    def _split(self, gid: int, seeds: list[int]) -> None:
+        """Split group ``gid`` into its connected pieces after it lost nodes.
+
+        Every piece holds one of ``seeds``, the group's neighbors of the nodes
+        it lost.  One search per seed runs in turn, a node at a time (Even and
+        Shiloach 1981); searches that meet continue as one, and once only one
+        is left unfinished, it is the largest piece and keeps ``gid``, so the
+        work is charged to the smaller pieces.
+        """
+        seeds = list(dict.fromkeys(seeds))
+        if len(seeds) < 2:
+            return
+        owner = {s: k for k, s in enumerate(seeds)}
+        parent = list(range(len(seeds)))
+        stacks = [[s] for s in seeds]
+        found = [[s] for s in seeds]
+        active = list(range(len(seeds)))
+        pieces: list[list[int]] = []
+        while len(active) > 1:
+            running = []
+            for k in active:
+                if parent[k] != k:
+                    continue
+                stack = stacks[k]
+                if not stack:
+                    pieces.append(found[k])
+                    continue
+                for y, _ in self.adj[stack.pop()]:
+                    if self.membership.get(y) != gid:
+                        continue
+                    o = owner.get(y)
+                    if o is None:
+                        owner[y] = k
+                        found[k].append(y)
+                        stack.append(y)
+                    elif (r := find(parent, o)) != k:
+                        parent[r] = k
+                        stack.extend(stacks[r])
+                        found[k].extend(found[r])
+                running.append(k)
+            active = [k for k in running if parent[k] == k]
+        if not active:
+            pieces.remove(max(pieces, key=len))
+        for piece in pieces:
+            self._detach(piece)
+            self._place(piece)
+
+
+_KIND = {True: "source", False: "sink"}
+
+
+def assert_irreducible(cond: CondensedView | Condensation) -> bool:
     """Check that no supply super node is a cut vertex of the condensed graph.
 
     The growth loop splits the subproblem at any such super node before it
-    samples (see :func:`source_cut_vertices`), so every condensation the
-    sampler consults passes; the check exists so tests and debug runs can
-    confirm it.
+    samples (see :func:`source_cut_vertices`); in invariant mode it runs this
+    check on a condensation rebuilt from scratch by :func:`net_concad`.
     """
     return not source_cut_vertices(cond)
 
 
-def source_cut_vertices(cond: CondensedView) -> list[int]:
-    """Indices of the supply super nodes that are cut vertices, ascending.
+def source_cut_vertices(cond: CondensedView | Condensation) -> list[int]:
+    """Ids of the supply super nodes that are cut vertices.
 
-    Such a super node separates the condensed graph, so the remaining
-    subproblem can be split there like an articulation supply.
+    They are ordered by smallest member, which for a :class:`CondensedView`
+    is ascending index.  Such a super node separates the condensed graph, so
+    the remaining subproblem can be split there like an articulation supply.
     """
-    n = len(cond.super_nodes)
-    if n <= 2:
+    adj = cond.adjacency()
+    supers = cond.super_nodes
+    if len(adj) <= 2 or all(len(adj[g]) < 2 for g in adj
+                            if supers[g].kind == "source"):
         return []
-    artics, _ = lowpoint(range(n), cond.adjacency())
-    return sorted(a for a in artics if cond.super_nodes[a].kind == "source")
+    artics, _ = lowpoint(adj, adj)
+    return sorted((a for a in artics if supers[a].kind == "source"),
+                  key=lambda a: min(supers[a].members))

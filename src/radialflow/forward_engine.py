@@ -18,17 +18,17 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from .exceptions import Infeasible, InvariantViolation, NoCandidate
 from .islander import (PartitionView, _check_balance, islander,
                        replica_shares)
-from .condenser import (CondensedView, assert_irreducible, net_concad,
-                        source_cut_vertices)
+from .condenser import (CondensedView, Condensation, assert_irreducible,
+                        net_concad, source_cut_vertices)
 from .network_model import (DistributionNetwork, GraphView,
                             RadialConfiguration, balance_tolerance)
 from .preprocessor import preprocess
-from .sampler import ForestState, PathCostAccumulator, sample
+from .sampler import ForestState, Frontier, PathCostAccumulator, sample
 from .tree_flow import solve_forest
 
 logger = logging.getLogger("radialflow.engine")
@@ -46,9 +46,19 @@ class TraceRow:
     deleted_count: int
 
 
+#: Version of the :meth:`SolveReport.to_json` document.
+REPORT_SCHEMA_VERSION = 1
+
+
 @dataclass
 class SolveReport:
-    """Solve statistics.  ``to_json`` emits the stable public subset."""
+    """Solve statistics.  ``to_json`` emits all but the trace.
+
+    ``timings`` holds the seconds of the four stages (``preprocess``,
+    ``islander``, ``loop``, ``solve_flow``) and, inside the loop, the
+    seconds spent keeping condensations current and searching them for cut
+    vertices (``condense``) and in the sampler (``sample``), summed over steps.
+    """
 
     cost: float
     iterations: int
@@ -65,9 +75,14 @@ class SolveReport:
     trace: tuple[TraceRow, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
-        doc = {"cost": self.cost, "iterations": self.iterations,
+        doc = {"schema_version": REPORT_SCHEMA_VERSION, "n": self.n,
+               "m": self.m, "cost": self.cost, "iterations": self.iterations,
                "partitions": self.partitions, "presampled": self.presampled,
-               "flipped_edges": self.flipped_edges, "timings": self.timings}
+               "merges": self.merges, "splits": self.splits,
+               "flipped_edges": self.flipped_edges,
+               "zero_flow": self.zero_flow,
+               "reducible_condensations": self.reducible_condensations,
+               "timings": self.timings}
         return json.dumps(doc, indent=2) + "\n"
 
 
@@ -80,6 +95,8 @@ class PartitionOutcome:
     trace: list[TraceRow]
     reducible: int = 0
     splits: int = 0
+    condense_s: float = 0.0
+    sample_s: float = 0.0
 
 
 def solve(net: DistributionNetwork, *, check_invariants: bool = False,
@@ -90,13 +107,16 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 
     Args:
         net: Connected, balanced distribution network.
-        check_invariants: Diagnostics mode.  Verifies the monotone surplus
-            drain after every step and the final configuration, raising
-            :class:`InvariantViolation` on failure, and counts in
-            ``report.reducible_condensations`` the condensations the sampler
-            consulted that have an articulation super-source.  Growth splits
-            at every such super node before sampling, so the count is zero
-            unless that split is broken.
+        check_invariants: Diagnostics mode.  Before every sampling step it
+            rebuilds the condensation from scratch with :func:`net_concad`
+            and compares it and the tree residuals with the incremental
+            state; after every step it verifies the monotone surplus drain,
+            and at the end the final configuration.  A failure raises
+            :class:`InvariantViolation`.  ``report.reducible_condensations``
+            counts the rebuilt condensations with an articulation
+            super-source.  Growth splits at every such super node before
+            sampling, so the count is zero unless that split or the
+            incremental condensation is broken.
         collect_trace: Record one :class:`TraceRow` per sampling decision.
 
     Returns:
@@ -104,7 +124,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 
     Raises:
         Infeasible: If the construction gets stuck; carries the partition
-            index and iteration where it happened.
+            index and iteration where it happened.  Also raised, with neither,
+            when the cost of the solved flows overflows.
     """
     t0 = time.perf_counter()
     pre = preprocess(net)
@@ -130,6 +151,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     merges = 0
     reducible = 0
     splits = 0
+    condense_s = 0.0
+    sample_s = 0.0
     trace: list[TraceRow] = []
     for outcome in outcomes:
         directed.extend(outcome.directed)
@@ -138,6 +161,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         merges += outcome.merges
         reducible += outcome.reducible
         splits += outcome.splits
+        condense_s += outcome.condense_s
+        sample_s += outcome.sample_s
         trace.extend(outcome.trace)
     if collect_trace:
         trace = [TraceRow(i + 1, r.edge_index, r.weight, r.balance_ok,
@@ -146,6 +171,9 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 
     solution = solve_forest(net, edge_indices)
     t4 = time.perf_counter()
+    if not math.isfinite(solution.cost):
+        raise Infeasible(f"cost of the solved flows overflows to {solution.cost}",
+                         partition_index=None, iteration=None)
 
     final_edges: list[tuple[int, int]] = []
     flipped = 0
@@ -164,7 +192,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         cost=solution.cost, iterations=iterations, partitions=len(parts),
         presampled=len(pre.presampled), flipped_edges=flipped,
         timings={"preprocess": t1 - t0, "islander": t2 - t1,
-                 "loop": t3 - t2, "solve_flow": t4 - t3},
+                 "loop": t3 - t2, "solve_flow": t4 - t3,
+                 "condense": condense_s, "sample": sample_s},
         n=net.n, m=net.m, zero_flow=len(solution.zero_flow_edges),
         merges=merges, reducible_condensations=reducible, splits=splits,
         trace=tuple(trace))
@@ -186,7 +215,9 @@ class Subproblem:
     A partition starts as one subproblem; :func:`split_at_cut` replaces a
     subproblem by one per side of a supply super node that has become a cut
     vertex of the condensation.  ``replicas`` holds the id nodes of the trees
-    standing in for such super nodes (see :func:`sample`).
+    standing in for such super nodes (see :func:`sample`).  ``adjacency`` is
+    ``graph.adjacency()`` and ``cond`` the condensation, when a split has
+    carried them over; growth builds whichever is missing.
     """
 
     graph: GraphView
@@ -195,6 +226,8 @@ class Subproblem:
     pool: list[tuple[int, int, int, float]]
     uncovered: set[int]
     replicas: frozenset[int] = frozenset()
+    adjacency: dict[int, list[tuple[int, int]]] | None = None
+    cond: Condensation | None = None
 
 
 def run_partition(part: PartitionView, *, check_invariants: bool = False,
@@ -232,10 +265,24 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
 def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
           cap: int, outcome: PartitionOutcome, check_invariants: bool,
           collect_trace: bool) -> list[Subproblem]:
-    """Grow one subproblem until done (returns ``[]``) or split (its sides)."""
+    """Grow one subproblem until done (returns ``[]``) or split (its sides).
+
+    The condensation and the live edges are built once, from adjacency built
+    once, and then updated by each step where it changes them.  A split hands
+    each side its part of the adjacency and the condensation.
+    """
     net = sub.graph.net
     state = sub.state
-    adj = sub.graph.adjacency()
+    if sub.adjacency is None:
+        sub.adjacency = sub.graph.adjacency()
+    adj = sub.adjacency
+    start = time.perf_counter()
+    cond = sub.cond
+    if cond is None:
+        cond = Condensation(sub.graph, sub.injections, state.membership,
+                            state.residuals, adjacency=adj)
+    outcome.condense_s += time.perf_counter() - start
+    frontier = Frontier(sub.pool, state, adj)
     while True:
         drained = all(abs(r) <= tol for r in state.residuals.values())
         if not sub.uncovered and drained:
@@ -246,50 +293,73 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
                 f"{'uncovered' if sub.uncovered else 'imbalanced'} after "
                 f"{outcome.iterations} iterations",
                 partition_index=index, iteration=outcome.iterations)
-        if not sub.uncovered and not sub.pool:
+        if not sub.uncovered and not frontier:
             raise Infeasible(
                 f"partition {index} has imbalanced trees and no edges left",
                 partition_index=index, iteration=outcome.iterations)
 
-        cond = net_concad(sub.graph, sub.injections, state.membership,
-                          adjacency=adj)
+        start = time.perf_counter()
         cuts = source_cut_vertices(cond)
+        outcome.condense_s += time.perf_counter() - start
         if cuts:
-            return split_at_cut(sub, cond, cuts[0], outcome, index=index,
-                                tol=tol)
+            sub.pool = frontier.remaining()
+            sides = split_at_cut(sub, cond, cuts[0], outcome, index=index,
+                                 tol=tol)
+            start = time.perf_counter()
+            hub = cond.super_nodes[cuts[0]].members
+            for side in sides:
+                root = side.state.tree_of(next(iter(hub)))
+                side.cond = cond.restricted(
+                    side.graph.nodes, side.injections, side.adjacency,
+                    cuts[0], side.state.residuals[root] > 0)
+            outcome.condense_s += time.perf_counter() - start
+            return sides
 
         if check_invariants:
             before = math.fsum(max(r, 0.0) for r in state.residuals.values())
-            if not assert_irreducible(cond):
+            if _reference_is_reducible(sub, cond, adj, index,
+                                       outcome.iterations):
                 outcome.reducible += 1
                 logger.debug(
                     "reducible condensation in partition %d at iteration %d",
                     index, outcome.iterations)
 
+        deleted = frontier.flush()
+        start = time.perf_counter()
         try:
-            result = sample(sub.graph, sub.injections, state, h, sub.pool,
-                            cond=cond, replicas=sub.replicas)
+            result = sample(sub.graph, sub.injections, state, h,
+                            frontier.edges(), cond=cond, replicas=sub.replicas)
         except NoCandidate as exc:
             raise Infeasible(
                 f"partition {index} stuck: {exc}",
                 partition_index=index,
                 iteration=outcome.iterations) from exc
+        outcome.sample_s += time.perf_counter() - start
 
         chosen = result.chosen
-        dropped = set(result.deleted)
-        dropped.add(chosen.edge_index)
-        sub.pool = [e for e in sub.pool if e[0] not in dropped]
-
+        frontier.remove(chosen.edge_index)
         i, j = chosen.tail, chosen.head
         ti = state.tree_of(i)
         tj = state.tree_of(j)
+        was_source = cond.source[i]
         if tj is None:
             h.extend(i, j, net.edges[chosen.edge_index][2], chosen.demand)
             state.absorb(ti, j)
             sub.uncovered.discard(j)
+            frontier.grown((j,))
         else:
+            smaller = list(min(state.members[ti], state.members[tj], key=len))
             state.merge(ti, tj)
             outcome.merges += 1
+            frontier.grown(smaller)
+        start = time.perf_counter()
+        source = state.residuals[ti] > 0
+        if tj is None and source == was_source:
+            cond.move((j,), source)
+        else:
+            # a tree changed side, or two trees merged
+            cond.move(state.members[ti], source)
+        outcome.condense_s += time.perf_counter() - start
 
         outcome.directed.append((i, j))
         outcome.edge_indices.append(chosen.edge_index)
@@ -297,7 +367,7 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         if collect_trace:
             outcome.trace.append(TraceRow(
                 outcome.iterations, chosen.edge_index, chosen.weight,
-                chosen.balance_ok, chosen.pendant_source, len(result.deleted)))
+                chosen.balance_ok, chosen.pendant_source, deleted))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "partition %d iter %d: edge %d (%s > %s) w=%.4g bal=%s pend=%s",
@@ -313,7 +383,31 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
                     f"{index} at iteration {outcome.iterations}")
 
 
-def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
+def _reference_is_reducible(sub: Subproblem, cond: Condensation,
+                            adj: dict[int, list[tuple[int, int]]], index: int,
+                            iteration: int) -> bool:
+    """Check the incremental state against a rebuild from scratch.
+
+    Raises :class:`InvariantViolation` if the condensation or a tree residual
+    differs from the one :func:`net_concad` and ``math.fsum`` give; returns
+    whether the rebuilt condensation has a supply cut vertex.
+    """
+    ref = net_concad(sub.graph, sub.injections, sub.state.membership,
+                     adjacency=adj)
+    problem = cond.mismatch(ref)
+    for t, members in sub.state.members.items():
+        exact = math.fsum(sub.injections[v] for v in members)
+        if problem is None and sub.state.residuals[t] != exact:
+            problem = (f"tree {t} has residual {sub.state.residuals[t]!r}, "
+                       f"not {exact!r}")
+    if problem is not None:
+        raise InvariantViolation(
+            f"incremental condensation of partition {index} at iteration "
+            f"{iteration}: {problem}")
+    return not assert_irreducible(ref)
+
+
+def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
                  outcome: PartitionOutcome, *, index: int,
                  tol: float) -> list[Subproblem]:
     """Split a subproblem at a supply super node that is a cut vertex.
@@ -330,7 +424,7 @@ def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
     Args:
         sub: Subproblem to split; its state is consumed.
         cond: Condensation of ``sub`` around its current polytrees.
-        cut: Index in ``cond`` of a supply super node that is a cut vertex.
+        cut: Id in ``cond`` of a supply super node that is a cut vertex.
         outcome: Partition outcome receiving the joining edges.
         index: Partition index, for error messages.
         tol: Partition balance tolerance, the floor for the side checks.
@@ -360,7 +454,7 @@ def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
     adj = cond.adjacency()
     seen = {cut}
     sides: list[list[int]] = []
-    for start in range(len(cond.super_nodes)):
+    for start in adj:
         if start in seen:
             continue
         seen.add(start)
@@ -374,6 +468,7 @@ def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
                     stack.append(y)
         sides.append(sorted(v for si in group
                             for v in cond.super_nodes[si].members))
+    sides.sort()
 
     host_share, shares = replica_shares(
         cond.super_nodes[cut].residual,
@@ -383,6 +478,10 @@ def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
                  index, root, len(sides))
 
     net = sub.graph.net
+    adj = sub.adjacency if sub.adjacency is not None else sub.graph.adjacency()
+    # a side's nodes touch only their side and the hub, and so do the hub
+    # nodes off the rim
+    rim = [v for v in hub if any(y not in hub for y, _ in adj[v])]
     out: list[Subproblem] = []
     for nodes, share in zip(sides, [host_share, *shares]):
         own = set(nodes)
@@ -391,15 +490,18 @@ def split_at_cut(sub: Subproblem, cond: CondensedView, cut: int,
         inj[root] = share
         _check_balance(inj, index, floor=tol)
         keep = own | hub
-        view = GraphView(net, tuple(sorted(keep)), tuple(
-            idx for idx in sub.graph.edge_indices
-            if net.edges[idx][0] in keep and net.edges[idx][1] in keep))
+        side_adj = {v: adj[v] for v in keep}
+        side_adj.update((v, [(y, idx) for y, idx in adj[v] if y in keep])
+                        for v in rim)
+        view = GraphView(net, tuple(sorted(keep)), tuple(sorted(
+            {idx for links in side_adj.values() for _, idx in links})))
         trees = sorted({t for t in map(state.tree_of, nodes) if t is not None})
         out.append(Subproblem(
             view, inj, state.restricted([*trees, root], inj),
             [e for e in sub.pool if e[1] in own or e[2] in own],
             sub.uncovered & own,
-            frozenset(r for r in sub.replicas if r in keep) | {root}))
+            frozenset(r for r in sub.replicas if r in keep) | {root},
+            side_adj))
     return out
 
 
@@ -433,16 +535,18 @@ def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:
 
 def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,
                      beta: float = 0.2, n_sources: int | None = None,
+                     digest: Any = None,
                      ) -> list[tuple[int, int, float, float]]:
     """Time the solver on freshly generated instances of each size.
 
     Returns one ``(n, m, median_seconds, median_cost)`` row per size, the
     medians taken over ``seeds`` generated instances.  Sizes below three
     cannot come from the ring-lattice generator and are probed on fixed
-    trivial networks instead.
+    trivial networks instead.  If ``digest`` is given (a ``hashlib`` hash),
+    every solution's ``config_to_json`` text is fed to it, in probe order.
     """
     from .generator import GenSpec, generate
-    from .network_model import build_network
+    from .network_model import build_network, config_to_json
     points: list[tuple[int, int, float, float]] = []
     for n in sizes:
         ns = n_sources if n_sources is not None else default_source_count(n)
@@ -459,9 +563,11 @@ def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,
                                        seed=seed))
             m = net.m
             start = time.perf_counter()
-            _, report = solve(net)
+            cfg, report = solve(net)
             times.append(time.perf_counter() - start)
             costs.append(report.cost)
+            if digest is not None:
+                digest.update(config_to_json(net, cfg).encode())
         points.append((n, m, statistics.median(times),
                        statistics.median(costs)))
         logger.info("probe n=%d: median %.4fs over %d seeds",

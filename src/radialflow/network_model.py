@@ -44,6 +44,48 @@ def find(parent: list[int], x: int) -> int:
     return x
 
 
+class ExactSum:
+    """A running float sum that never rounds.
+
+    ``value`` always equals ``math.fsum`` of every term added so far, in any
+    order; subtracting is adding the negated term.  The terms are kept as a
+    list whose exact sum is the total.  Once updates have doubled its length
+    it is compacted into Shewchuk partials, non-overlapping floats with the
+    same exact sum (Shewchuk 1997, the algorithm inside ``math.fsum``), so an
+    update costs one ``fsum`` over a list at most about twice as long as the
+    last compacted one.
+    """
+
+    __slots__ = ("terms", "value", "_limit")
+
+    def __init__(self, terms: Iterable[float] = ()) -> None:
+        self.terms = list(terms)
+        self._limit = 2 * len(self.terms) + 16
+        self.value = math.fsum(self.terms)
+
+    def add(self, terms: Iterable[float]) -> float:
+        """Add ``terms``; return the new value."""
+        self.terms.extend(terms)
+        if len(self.terms) > self._limit:
+            partials: list[float] = []
+            for x in self.terms:
+                i = 0
+                for y in partials:
+                    if abs(x) < abs(y):
+                        x, y = y, x
+                    hi = x + y
+                    lo = y - (hi - x)
+                    if lo:
+                        partials[i] = lo
+                        i += 1
+                    x = hi
+                partials[i:] = [x]
+            self.terms = partials
+            self._limit = 2 * len(partials) + 16
+        self.value = math.fsum(self.terms)
+        return self.value
+
+
 def connected(n: int, edges: Iterable[Sequence[int]]) -> bool:
     """Whether edges ``(u, v, ...)`` join nodes ``0..n-1`` into one component."""
     adj: list[list[int]] = [[] for _ in range(n)]

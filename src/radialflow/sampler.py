@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .condenser import CondensedView, net_concad
+from .condenser import CondensedView, Condensation, net_concad
 from .exceptions import NoCandidate
-from .network_model import GraphView
+from .network_model import ExactSum, GraphView
 
 #: Keeps weight denominators strictly positive for free first hops.
 EPS_DEN = 1e-12
@@ -30,7 +30,7 @@ def edge_weight(cost_coeff: float, demand: float, supply: float,
     ``demand`` is the magnitude of the receiving group's deficit and
     ``h_path`` the accumulated quadratic cost estimate of reaching the tail.
     """
-    return supply / (cost_coeff * demand ** 2 + h_path + EPS_DEN)
+    return supply / (cost_coeff * (demand * demand) + h_path + EPS_DEN)
 
 
 class PathCostAccumulator(dict):
@@ -41,15 +41,17 @@ class PathCostAccumulator(dict):
 
     def extend(self, tail: int, head: int, cost_coeff: float,
                demand: float) -> None:
-        self[head] = self.value(tail) + cost_coeff * demand ** 2
+        self[head] = self.value(tail) + cost_coeff * (demand * demand)
 
 
 class ForestState:
     """Mutable record of the polytrees grown so far in one partition.
 
     Tree ids are the node ids of the supplies they grew from; a merge keeps
-    the absorbing tree's id.  Residuals are recomputed by exact summation on
-    every change, so they never drift.
+    the absorbing tree's id.  Each residual is held as an exact running sum
+    (:class:`~radialflow.network_model.ExactSum`): an absorb or a merge adds
+    to it instead of re-summing the whole tree, and it still equals
+    ``math.fsum`` over the tree's members, so it never drifts.
     """
 
     def __init__(self, sources: Sequence[int],
@@ -57,8 +59,9 @@ class ForestState:
         self.injections = injections
         self.membership: dict[int, int] = {s: s for s in sources}
         self.members: dict[int, list[int]] = {s: [s] for s in sources}
+        self._sums = {s: ExactSum((injections[s],)) for s in sources}
         self.residuals: dict[int, float] = {
-            s: float(injections[s]) for s in sources}
+            s: self._sums[s].value for s in sources}
 
     def tree_of(self, node: int) -> int | None:
         return self.membership.get(node)
@@ -66,8 +69,7 @@ class ForestState:
     def absorb(self, tree: int, node: int) -> None:
         self.membership[node] = tree
         self.members[tree].append(node)
-        self.residuals[tree] = math.fsum(
-            self.injections[v] for v in self.members[tree])
+        self.residuals[tree] = self._sums[tree].add((self.injections[node],))
 
     def restricted(self, trees: Iterable[int],
                    injections: Mapping[int, float]) -> "ForestState":
@@ -77,17 +79,87 @@ class ForestState:
             out.members[t] = list(self.members[t])
             for v in out.members[t]:
                 out.membership[v] = t
-            out.residuals[t] = math.fsum(injections[v] for v in out.members[t])
+            out._sums[t] = ExactSum(injections[v] for v in out.members[t])
+            out.residuals[t] = out._sums[t].value
         return out
 
     def merge(self, into: int, other: int) -> None:
         for v in self.members[other]:
             self.membership[v] = into
-        self.members[into].extend(self.members[other])
-        del self.members[other]
+        self.members[into].extend(self.members.pop(other))
         del self.residuals[other]
-        self.residuals[into] = math.fsum(
-            self.injections[v] for v in self.members[into])
+        self.residuals[into] = self._sums[into].add(self._sums.pop(other).terms)
+
+
+class Frontier:
+    """The remaining pool of one subproblem and its live edges.
+
+    The live edges are those :func:`sample` keeps from the pool: an end in a
+    polytree and the ends in different trees.  They are kept current from
+    the adjacency as trees grow, so a step never rescans the whole pool.  An
+    edge that becomes internal to a tree stays in the pool until the next
+    :meth:`flush`, as it would until the sampler's next pass over the pool.
+
+    Args:
+        pool: Remaining edges as ``(edge_index, u, v, cost)``, in pool order.
+        state: Polytrees of the subproblem.
+        adjacency: ``view.adjacency()`` of the subproblem.
+    """
+
+    def __init__(self, pool: Sequence[tuple[int, int, int, float]],
+                 state: ForestState,
+                 adjacency: Mapping[int, list[tuple[int, int]]]) -> None:
+        self.pool = pool
+        self.state = state
+        self.adj = adjacency
+        self.position = {e[0]: k for k, e in enumerate(pool)}
+        self.gone: set[int] = set()
+        self.internal: set[int] = set()
+        self.live: dict[int, tuple[int, int, int, float]] = {}
+        for k in range(len(pool)):
+            self._classify(k)
+
+    def __len__(self) -> int:
+        """Edges still in the pool."""
+        return len(self.pool) - len(self.gone)
+
+    def edges(self) -> list[tuple[int, int, int, float]]:
+        """The live edges, in pool order."""
+        return [self.live[k] for k in sorted(self.live)]
+
+    def remaining(self) -> list[tuple[int, int, int, float]]:
+        """The edges still in the pool, in pool order."""
+        return [e for k, e in enumerate(self.pool) if k not in self.gone]
+
+    def flush(self) -> int:
+        """Drop the edges that became internal to a tree; return their count."""
+        count = len(self.internal)
+        self.gone |= self.internal
+        self.internal.clear()
+        return count
+
+    def remove(self, edge_index: int) -> None:
+        """Drop an edge the growth step used."""
+        k = self.position[edge_index]
+        self.live.pop(k, None)
+        self.gone.add(k)
+
+    def grown(self, nodes: Iterable[int]) -> None:
+        """Update the edges at ``nodes`` after their trees grew or merged."""
+        for v in nodes:
+            for _, idx in self.adj[v]:
+                k = self.position.get(idx)
+                if k is not None and k not in self.gone and k not in self.internal:
+                    self._classify(k)
+
+    def _classify(self, k: int) -> None:
+        _, u, v, _ = self.pool[k]
+        tu, tv = self.state.tree_of(u), self.state.tree_of(v)
+        if tu is not None and tu == tv:
+            self.live.pop(k, None)
+            self.internal.add(k)
+        elif tu is not None or tv is not None:
+            self.live[k] = self.pool[k]
 
 
 @dataclass(frozen=True)
@@ -106,15 +178,37 @@ class CandidateEdge:
 
 @dataclass(frozen=True)
 class SampleResult:
+    """The winning candidate, the deleted edges, and every scored candidate.
+
+    ``scored`` holds each candidate as the raw tuple ``(tail, head,
+    edge_index, raw_weight, demand, balance_ok, pendant_source)`` and
+    ``total`` the sum of raw weights; ``ranked`` turns them into
+    :class:`CandidateEdge` objects when asked, since a growth step reads only
+    ``chosen``.
+    """
+
     chosen: CandidateEdge
     deleted: tuple[int, ...]
-    ranked: tuple[CandidateEdge, ...]
+    scored: tuple[tuple[int, int, int, float, float, bool, bool], ...]
+    total: float
+
+    @property
+    def ranked(self) -> tuple[CandidateEdge, ...]:
+        """Every scored candidate, in scoring order."""
+        return tuple(_candidate(r, self.total) for r in self.scored)
+
+
+def _candidate(r: tuple[int, int, int, float, float, bool, bool],
+               total: float) -> CandidateEdge:
+    i, j, eidx, w, demand, balance, pendant = r
+    return CandidateEdge(i, j, eidx, w, w / total if total > 0 else w,
+                         balance, pendant, demand)
 
 
 def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
            h: PathCostAccumulator,
            edges: Sequence[tuple[int, int, int, float]], *,
-           cond: CondensedView | None = None,
+           cond: CondensedView | Condensation | None = None,
            replicas: Collection[int] = ()) -> SampleResult:
     """Score the remaining edges and pick the next one to orient.
 
@@ -123,7 +217,8 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
         injections: Per-node injection within the partition.
         state: Current polytrees.
         h: Path cost accumulator for nodes reached so far.
-        edges: Remaining pool as ``(edge_index, u, v, cost)`` tuples.
+        edges: Remaining pool as ``(edge_index, u, v, cost)`` tuples; the
+            growth loop passes only its live edges (see :class:`Frontier`).
         cond: Condensation of ``view`` around ``state``, if the caller has
             already built it; otherwise it is built here.
         replicas: Nodes standing in for a supply group that was split
@@ -137,33 +232,33 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
     """
-    deleted: list[int] = []
-    live: list[tuple[int, int, int, float]] = []
-    for eidx, u, v, c in edges:
-        tu, tv = state.tree_of(u), state.tree_of(v)
-        if tu is not None and tu == tv:
-            deleted.append(eidx)
-        else:
-            live.append((eidx, u, v, c))
-
     if cond is None:
         cond = net_concad(view, injections, state.membership)
     neighbor_sets = cond.adjacency()
     split_supers = {cond.membership[r] for r in replicas}
 
+    tree_of = state.membership.get
+    path_cost = h.get
+    supers = cond.super_nodes
+    member = cond.membership
+    deleted: list[int] = []
     raw: list[tuple[int, int, int, float, float, bool, bool]] = []
-    for eidx, u, v, c in live:
-        for i, j in ((u, v), (v, u)):
-            ti = state.tree_of(i)
+    for eidx, u, v, c in edges:
+        tu, tv = tree_of(u), tree_of(v)
+        if tu is not None and tu == tv:
+            deleted.append(eidx)
+            continue
+        for i, ti, j in ((u, tu, v), (v, tv, u)):
             if ti is None:
                 continue
-            si = cond.membership[i]
-            sj = cond.membership[j]
-            supply = max(state.residuals[ti], 0.0)
-            demand = abs(cond.super_nodes[sj].residual)
-            w = edge_weight(c, demand, supply, h.value(i))
-            balance = state.residuals[ti] + cond.super_nodes[sj].residual >= 0.0
-            pendant = (cond.super_nodes[si].kind == "source"
+            si = member[i]
+            residual = state.residuals[ti]
+            receiving = supers[member[j]].residual
+            supply = max(residual, 0.0)
+            demand = abs(receiving)
+            w = edge_weight(c, demand, supply, path_cost(i, 0.0))
+            balance = residual + receiving >= 0.0
+            pendant = (supers[si].kind == "source"
                        and len(neighbor_sets[si]) == 1
                        and si not in split_supers)
             raw.append((i, j, eidx, w, demand, balance, pendant))
@@ -172,11 +267,8 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
         raise NoCandidate("no remaining edge touches a polytree")
 
     total = math.fsum(r[3] for r in raw)
-    candidates = [CandidateEdge(i, j, eidx, w, w / total if total > 0 else w,
-                                balance, pendant, demand)
-                  for i, j, eidx, w, demand, balance, pendant in raw]
-    chosen = min(candidates, key=lambda cand: (not cand.pendant_source,
-                                               not cand.balance_ok,
-                                               -cand.weight, cand.tail,
-                                               cand.head))
-    return SampleResult(chosen, tuple(deleted), tuple(candidates))
+    best = min(raw, key=lambda r: (not r[6], not r[5],
+                                   -(r[3] / total if total > 0 else r[3]),
+                                   r[0], r[1]))
+    return SampleResult(_candidate(best, total), tuple(deleted), tuple(raw),
+                        total)

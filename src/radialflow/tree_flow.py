@@ -25,7 +25,7 @@ class ForestFlowSolution:
         oriented_edges: ``(tail, head)`` per edge, flow runs tail to head.
         flows: Non-negative flow magnitudes, aligned with ``oriented_edges``.
         edge_indices: Parent-network edge index per entry.
-        cost: Total quadratic cost ``sum(C * x**2)``.
+        cost: Total quadratic cost ``sum(C * x**2)``; ``inf`` if it overflows.
         component_roots: Covered nodes with in-degree zero, ascending.
         zero_flow_edges: Positions carrying exactly zero flow.
     """
@@ -98,7 +98,10 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
     roots = tuple(v for v in covered if indeg[v] == 0)
 
     flows = tuple(flow[idx] for idx in edge_list)
-    cost = math.fsum(net.edges[idx][2] * flow[idx] ** 2 for idx in edge_list)
+    # x * x rather than x ** 2: a square too large for a float is inf, where
+    # the power raises OverflowError
+    cost = math.fsum(net.edges[idx][2] * (flow[idx] * flow[idx])
+                     for idx in edge_list)
     zero = tuple(i for i, x in enumerate(flows) if x == 0.0)
     return ForestFlowSolution(tuple(oriented[idx] for idx in edge_list), flows,
                               tuple(edge_list), cost, roots, zero)
@@ -123,5 +126,5 @@ def evaluate_cost(net: DistributionNetwork,
             idx = key
             if not (0 <= idx < net.m):
                 raise UnknownEdge(f"edge index {idx} out of range")
-        total += net.edges[idx][2] * x ** 2
+        total += net.edges[idx][2] * (x * x)
     return total

@@ -1,15 +1,18 @@
 """Exercises the command line surface in-process."""
 
+import hashlib
 import io
 import json
 import logging
+import platform
 import sys
 
 import pytest
 
 from conftest import data_path
-from radialflow import (GenSpec, config_from_json, generate, load_network,
-                        serialize_network, validate_radial)
+from radialflow import (GenSpec, config_from_json, config_to_json, generate,
+                        load_network, serialize_network, solve,
+                        validate_radial)
 from radialflow.cli import LOG_LEVELS, main
 
 GAP_RING = str(data_path("mst_gap_ring.json"))
@@ -58,8 +61,13 @@ def test_solve_report_and_trace(tmp_path):
             "--trace", str(tr)]
     assert main(args) == 0
     report = json.loads(rep.read_text())
-    assert set(report) == {"cost", "iterations", "partitions", "presampled",
-                           "flipped_edges", "timings"}
+    assert set(report) == {"schema_version", "n", "m", "cost", "iterations",
+                           "partitions", "presampled", "merges", "splits",
+                           "flipped_edges", "zero_flow",
+                           "reducible_condensations", "timings"}
+    assert report["schema_version"] == 1
+    assert set(report["timings"]) == {"preprocess", "islander", "loop",
+                                      "solve_flow", "condense", "sample"}
     lines = tr.read_text().splitlines()
     assert lines[0] == "iter,edge,weight,balance_ok,pendant,deleted_count"
     assert len(lines) == 1 + report["iterations"]
@@ -121,6 +129,44 @@ def test_bench_csv_and_plot(tmp_path, capsys):
     assert data[0] == "# n m median_ms cost"
     assert len(data) == 3
     assert "exponent=" in capsys.readouterr().err
+
+
+def test_bench_json(tmp_path):
+    out = tmp_path / "bench.json"
+    args = ["bench", "--sizes", "8,12", "--seeds", "2", "--k", "2",
+            "--sources", "2", "-o", str(tmp_path / "bench.csv"),
+            "--json", str(out)]
+    assert main(args) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"schema_version", "sizes", "seeds", "k", "beta",
+                        "sources", "edges", "median_s", "median_cost",
+                        "exponent", "solutions_sha256", "python", "nproc"}
+    assert doc["schema_version"] == 1
+    assert doc["sizes"] == [8, 12] and doc["edges"] == [8, 12]
+    assert len(doc["median_s"]) == 2 and all(t > 0 for t in doc["median_s"])
+    assert isinstance(doc["exponent"], float)
+    assert doc["python"] == platform.python_version()
+    assert doc["nproc"] >= 1
+    digest = hashlib.sha256()
+    for n in (8, 12):
+        for seed in range(2):
+            net = generate(GenSpec(n=n, k=2, beta=0.2, n_sources=2,
+                                   seed=seed))
+            digest.update(config_to_json(net, solve(net)[0]).encode())
+    assert doc["solutions_sha256"] == digest.hexdigest()
+
+
+def test_overflowing_cost_exit_code(tmp_path, capsys):
+    doc = {"nodes": [{"name": "a", "p": 1e200}, {"name": "b", "p": -1e200}],
+           "edges": [{"u": "a", "v": "b", "c": 1.0}]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible:")
+    assert "overflow" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_export_dot(tmp_path):

@@ -2,16 +2,20 @@
 
 import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
-from radialflow import build_network
-from radialflow.condenser import (CondensedView, SuperNode, assert_irreducible,
-                                  net_concad, source_cut_vertices)
+from radialflow import (Infeasible, InvariantViolation, build_network,
+                        forward_engine, solve)
+from radialflow.condenser import (Condensation, CondensedView, SuperNode,
+                                  assert_irreducible, net_concad,
+                                  source_cut_vertices)
 from radialflow.network_model import balance_tolerance, full_view
 
-from conftest import ws_instance
+from conftest import small_instances, ws_instance
+from test_golden import ring_chain
 
 
 def two_sources_one_sink_chain():
@@ -183,3 +187,101 @@ def test_source_cut_vertices_match_networkx_on_grown_states():
             assert source_cut_vertices(cond) == want
             found += bool(want)
     assert found
+
+
+def canonical(cond):
+    """Super nodes, membership and crossing counts keyed by member tuples."""
+    if isinstance(cond, CondensedView):
+        names = {i: s.members for i, s in enumerate(cond.super_nodes)}
+        supers = {s.members: (s.residual, s.kind) for s in cond.super_nodes}
+        crossing = Counter()
+        for a, b, _ in cond.super_edges:
+            crossing[names[a], names[b]] += 1
+            crossing[names[b], names[a]] += 1
+    else:
+        names = {gid: tuple(sorted(g.members))
+                 for gid, g in cond.super_nodes.items()}
+        supers = {names[gid]: (g.residual, g.kind)
+                  for gid, g in cond.super_nodes.items()}
+        crossing = Counter({(names[a], names[b]): count
+                            for a, row in cond.adjacency().items()
+                            for b, count in row.items()})
+    membership = {v: names[gid] for v, gid in cond.membership.items()}
+    return supers, membership, crossing
+
+
+def test_incremental_condensation_matches_rebuild(monkeypatch):
+    # after every step the incremental condensation must equal a rebuild
+    # from scratch, residuals bit for bit; each step's kind is counted to
+    # show that every kind of update ran
+    seen = Counter()
+    step = {}
+    real_sample = forward_engine.sample
+    real_move = Condensation.move
+
+    def rebuilt():
+        state = step["state"]
+        for t, members in state.members.items():
+            assert state.residuals[t] == math.fsum(
+                step["injections"][v] for v in members)
+        return canonical(net_concad(step["view"], step["injections"],
+                                    state.membership))
+
+    def checked_sample(view, injections, state, h, edges, *, cond, replicas):
+        step.update(view=view, injections=injections, state=state,
+                    trees=len(state.residuals))
+        step["before"] = rebuilt()
+        assert canonical(cond) == step["before"]
+        return real_sample(view, injections, state, h, edges, cond=cond,
+                           replicas=replicas)
+
+    def checked_move(cond, nodes, source):
+        # the whole tree is passed when it merged or changed side
+        nodes = list(nodes)
+        seen["flip"] += len(nodes) > 1 and any(cond.source[v] != source
+                                               for v in nodes)
+        real_move(cond, nodes, source)
+        after = rebuilt()
+        assert canonical(cond) == after
+        merged = len(step["state"].residuals) < step["trees"]
+        seen["merge" if merged else "absorb"] += 1
+        supers, membership, _ = after
+        for members, (_, kind) in step["before"][0].items():
+            if kind == "sink":
+                pieces = {membership[v] for v in members
+                          if supers[membership[v]][1] == "sink"}
+                seen["sink split"] += len(pieces) > 1
+
+    monkeypatch.setattr(forward_engine, "sample", checked_sample)
+    monkeypatch.setattr(Condensation, "move", checked_move)
+    nets = [ws_instance(40, seed) for seed in range(10)]
+    nets += [net for _, net in small_instances(50)]
+    nets.append(ring_chain())
+    for net in nets:
+        _, report = solve(net)
+        seen["growth split"] += report.splits
+    assert all(seen[event] > 0 for event in (
+        "absorb", "merge", "flip", "sink split", "growth split")), seen
+
+
+def test_reference_check_catches_a_stale_condensation(monkeypatch):
+    # an update that does nothing leaves the condensation stale, and
+    # invariant mode must notice on the next step
+    monkeypatch.setattr(Condensation, "move", lambda self, nodes, source: None)
+    with pytest.raises(InvariantViolation, match="incremental condensation"):
+        solve(ws_instance(40, 0), check_invariants=True)
+
+
+def test_reducible_count_reads_the_rebuild(monkeypatch):
+    # with the growth split disabled, the rebuilt condensations show the
+    # supply cut vertices that growth would have split at
+    monkeypatch.setattr(forward_engine, "source_cut_vertices", lambda cond: [])
+    reducible = 0
+    for seed in range(5):
+        net = ws_instance(40, seed)
+        try:
+            _, report = solve(net, check_invariants=True)
+        except (Infeasible, InvariantViolation):
+            continue
+        reducible += report.reducible_condensations
+    assert reducible > 0

@@ -97,10 +97,17 @@ def test_generated_instance_validates():
 def test_report_json_shape(feeder_ring):
     _, report = solve(feeder_ring)
     doc = json.loads(report.to_json())
-    assert set(doc) == {"cost", "iterations", "partitions", "presampled",
-                        "flipped_edges", "timings"}
+    assert set(doc) == {"schema_version", "n", "m", "cost", "iterations",
+                        "partitions", "presampled", "merges", "splits",
+                        "flipped_edges", "zero_flow",
+                        "reducible_condensations", "timings"}
+    assert doc["schema_version"] == 1
+    assert (doc["n"], doc["m"]) == (feeder_ring.n, feeder_ring.m)
+    assert doc["merges"] == report.merges == 1
     assert set(doc["timings"]) == {"preprocess", "islander", "loop",
-                                   "solve_flow"}
+                                   "solve_flow", "condense", "sample"}
+    assert doc["timings"]["condense"] + doc["timings"]["sample"] <= (
+        doc["timings"]["loop"])
 
 
 def test_all_zero_network_spans_for_free():
@@ -137,6 +144,31 @@ def test_trace_rows_are_sequential(gap_ring):
     assert [row.iteration for row in traced.trace] == list(
         range(1, traced.iterations + 1))
     assert all(row.deleted_count >= 0 for row in traced.trace)
+
+
+def test_trace_deleted_counts_match_the_pool_scan():
+    # recorded when every step scanned the whole pool for edges that had
+    # become internal to a tree; the frontier must report the same edges at
+    # the same steps, splits included
+    _, report = solve(ws_instance(30, seed=0), collect_trace=True)
+    assert report.splits == 5
+    assert [row.deleted_count for row in report.trace] == [
+        0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 2, 2, 1, 1, 0, 0, 0,
+        0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("net", [
+    build_network(["a", "b"], [(0, 1, 1.0)], [1e200, -1e200]),
+    build_network(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                  [2e200, -1e200, -1e200]),
+], ids=["forced edge", "grown ring"])
+def test_overflowing_cost_is_infeasible(net):
+    # squares of 1e200 overflow: solve must fail with the typed error, not
+    # the OverflowError that x ** 2 raises
+    with pytest.raises(Infeasible, match="overflow") as info:
+        solve(net)
+    assert info.value.partition_index is None
+    assert info.value.iteration is None
 
 
 def test_probe_handles_trivial_sizes():

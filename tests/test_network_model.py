@@ -11,8 +11,8 @@ from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
                         config_to_json, export_dot, load_network,
                         serialize_network, solve, solve_forest,
                         validate_radial)
-from radialflow.network_model import (FLOW_ATOL, balance_tolerance, full_view,
-                                      incidence_apply)
+from radialflow.network_model import (FLOW_ATOL, ExactSum, balance_tolerance,
+                                      full_view, incidence_apply)
 
 from conftest import random_tree_network, ws_instance
 
@@ -269,3 +269,24 @@ def test_export_dot(gap_ring):
     rendered = export_dot(gap_ring, cfg)
     assert "x=" in rendered and "C=" in rendered
     assert rendered.count("style=dashed") == 1
+
+
+def test_exact_sum_equals_fsum_of_every_term():
+    # adds and removals of terms spread over 40 orders of magnitude, long
+    # enough to compact the terms many times; the value must always be
+    # math.fsum of everything added so far, bit for bit
+    rng = random.Random(11)
+    for _ in range(20):
+        added = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)
+                 for _ in range(rng.randrange(0, 30))]
+        total = ExactSum(added)
+        assert total.value == math.fsum(added)
+        for _ in range(300):
+            if added and rng.random() < 0.3:
+                batch = [-added[rng.randrange(len(added))]]
+            else:
+                batch = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)
+                         for _ in range(rng.randrange(1, 4))]
+            added += batch
+            assert total.add(batch) == total.value == math.fsum(added)
+        assert len(total.terms) < len(added)

@@ -178,3 +178,11 @@ def test_component_sums_must_balance():
     bad[victim] += 1.0
     with pytest.raises(ImbalanceError):
         solve_forest(net, kept, injections=bad)
+
+
+def test_overflowing_cost_is_infinite():
+    net = build_network(["a", "b"], [(0, 1, 2.0)], [1e200, -1e200])
+    sol = solve_forest(net, [0])
+    assert sol.flows == (1e200,)
+    assert sol.cost == math.inf
+    assert evaluate_cost(net, {0: 1e200}) == math.inf
