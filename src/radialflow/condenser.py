@@ -147,11 +147,9 @@ class Condensation:
     def __init__(self, view: GraphView,
                  injections: Mapping[int, float] | Sequence[float],
                  polytrees: Mapping[int, int],
-                 tree_residuals: Mapping[int, float], *,
-                 adjacency: Mapping[int, list[tuple[int, int]]] | None = None,
-                 ) -> None:
-        adj = adjacency if adjacency is not None else view.adjacency()
-        self.adj = adj
+                 tree_residuals: Mapping[int, float],
+                 adjacency: Mapping[int, list[tuple[int, int]]]) -> None:
+        adj = self.adj = adjacency
         self.injections = injections
         self.source: dict[int, bool] = {}
         source = self.source

@@ -280,7 +280,7 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
     cond = sub.cond
     if cond is None:
         cond = Condensation(sub.graph, sub.injections, state.membership,
-                            state.residuals, adjacency=adj)
+                            state.residuals, adj)
     outcome.condense_s += time.perf_counter() - start
     frontier = Frontier(sub.pool, state, adj)
     while True:

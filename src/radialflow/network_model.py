@@ -49,41 +49,50 @@ class ExactSum:
 
     ``value`` always equals ``math.fsum`` of every term added so far, in any
     order; subtracting is adding the negated term.  The terms are kept as a
-    list whose exact sum is the total.  Once updates have doubled its length
-    it is compacted into Shewchuk partials, non-overlapping floats with the
-    same exact sum (Shewchuk 1997, the algorithm inside ``math.fsum``), so an
-    update costs one ``fsum`` over a list at most about twice as long as the
-    last compacted one.
+    list whose exact sum is the total.  Once it holds more than 16 terms, or
+    updates have doubled it since, it is compacted into Shewchuk partials,
+    non-overlapping floats with the same exact sum (Shewchuk 1997, the
+    algorithm inside ``math.fsum``).  So an update costs one ``fsum`` over a
+    list at most about twice as long as the last compacted one, however many
+    terms the sum started with.
     """
 
     __slots__ = ("terms", "value", "_limit")
 
     def __init__(self, terms: Iterable[float] = ()) -> None:
         self.terms = list(terms)
-        self._limit = 2 * len(self.terms) + 16
-        self.value = math.fsum(self.terms)
+        self._limit = 16
+        self._settle()
 
     def add(self, terms: Iterable[float]) -> float:
         """Add ``terms``; return the new value."""
         self.terms.extend(terms)
+        return self._settle()
+
+    def _settle(self) -> float:
         if len(self.terms) > self._limit:
-            partials: list[float] = []
-            for x in self.terms:
-                i = 0
-                for y in partials:
-                    if abs(x) < abs(y):
-                        x, y = y, x
-                    hi = x + y
-                    lo = y - (hi - x)
-                    if lo:
-                        partials[i] = lo
-                        i += 1
-                    x = hi
-                partials[i:] = [x]
-            self.terms = partials
-            self._limit = 2 * len(partials) + 16
+            self.terms = _partials(self.terms)
+            self._limit = 2 * len(self.terms) + 16
         self.value = math.fsum(self.terms)
         return self.value
+
+
+def _partials(terms: list[float]) -> list[float]:
+    """Shewchuk partials: non-overlapping floats with the exact sum of ``terms``."""
+    partials: list[float] = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
 
 
 def connected(n: int, edges: Iterable[Sequence[int]]) -> bool:
@@ -537,10 +546,8 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
     finite = all(math.isfinite(f) for f in cfg.flows)
     if not finite:
         messages.append("non-finite flow present")
-    try:
-        cost = math.fsum(c * x ** 2 for c, x in zip(coeffs, cfg.flows))
-    except OverflowError:
-        cost = math.inf
+    cost = math.fsum(c * (x * x) if c else 0.0
+                     for c, x in zip(coeffs, cfg.flows))
     cost_consistent = math.isclose(cfg.total_cost, cost, rel_tol=COST_RTOL)
     if not cost_consistent:
         messages.append(

@@ -30,7 +30,8 @@ def edge_weight(cost_coeff: float, demand: float, supply: float,
     ``demand`` is the magnitude of the receiving group's deficit and
     ``h_path`` the accumulated quadratic cost estimate of reaching the tail.
     """
-    return supply / (cost_coeff * (demand * demand) + h_path + EPS_DEN)
+    step = cost_coeff * (demand * demand) if cost_coeff else 0.0
+    return supply / (step + h_path + EPS_DEN)
 
 
 class PathCostAccumulator(dict):
@@ -41,7 +42,8 @@ class PathCostAccumulator(dict):
 
     def extend(self, tail: int, head: int, cost_coeff: float,
                demand: float) -> None:
-        self[head] = self.value(tail) + cost_coeff * (demand * demand)
+        step = cost_coeff * (demand * demand) if cost_coeff else 0.0
+        self[head] = self.value(tail) + step
 
 
 class ForestState:
@@ -94,11 +96,11 @@ class ForestState:
 class Frontier:
     """The remaining pool of one subproblem and its live edges.
 
-    The live edges are those :func:`sample` keeps from the pool: an end in a
-    polytree and the ends in different trees.  They are kept current from
-    the adjacency as trees grow, so a step never rescans the whole pool.  An
-    edge that becomes internal to a tree stays in the pool until the next
-    :meth:`flush`, as it would until the sampler's next pass over the pool.
+    The live edges are those :func:`sample` scores: an end in a polytree
+    and the ends not in the same tree.  They are kept current from the
+    adjacency as trees grow, so a step never rescans the whole pool.  An edge
+    that becomes internal to a tree stays in the pool until the next
+    :meth:`flush`, which the growth loop calls before each sampling step.
 
     Args:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in pool order.
@@ -178,7 +180,7 @@ class CandidateEdge:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """The winning candidate, the deleted edges, and every scored candidate.
+    """The winning candidate and every scored candidate.
 
     ``scored`` holds each candidate as the raw tuple ``(tail, head,
     edge_index, raw_weight, demand, balance_ok, pendant_source)`` and
@@ -188,7 +190,6 @@ class SampleResult:
     """
 
     chosen: CandidateEdge
-    deleted: tuple[int, ...]
     scored: tuple[tuple[int, int, int, float, float, bool, bool], ...]
     total: float
 
@@ -210,15 +211,16 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
            edges: Sequence[tuple[int, int, int, float]], *,
            cond: CondensedView | Condensation | None = None,
            replicas: Collection[int] = ()) -> SampleResult:
-    """Score the remaining edges and pick the next one to orient.
+    """Score the live edges and pick the next one to orient.
 
     Args:
         view: Partition graph (used for condensation connectivity).
         injections: Per-node injection within the partition.
         state: Current polytrees.
         h: Path cost accumulator for nodes reached so far.
-        edges: Remaining pool as ``(edge_index, u, v, cost)`` tuples; the
-            growth loop passes only its live edges (see :class:`Frontier`).
+        edges: Live edges as ``(edge_index, u, v, cost)`` tuples: an end in
+            a polytree and the ends not in the same tree.  :class:`Frontier`
+            keeps them and drops the edges that became internal to a tree.
         cond: Condensation of ``view`` around ``state``, if the caller has
             already built it; otherwise it is built here.
         replicas: Nodes standing in for a supply group that was split
@@ -226,8 +228,7 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
             a super node holding one never takes the single-way-out priority.
 
     Returns:
-        The winning candidate, the edge indices that became internal to a
-        tree and must leave the pool, and every scored candidate.
+        The winning candidate and every scored candidate.
 
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
@@ -241,14 +242,9 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
     path_cost = h.get
     supers = cond.super_nodes
     member = cond.membership
-    deleted: list[int] = []
     raw: list[tuple[int, int, int, float, float, bool, bool]] = []
     for eidx, u, v, c in edges:
-        tu, tv = tree_of(u), tree_of(v)
-        if tu is not None and tu == tv:
-            deleted.append(eidx)
-            continue
-        for i, ti, j in ((u, tu, v), (v, tv, u)):
+        for i, ti, j in ((u, tree_of(u), v), (v, tree_of(v), u)):
             if ti is None:
                 continue
             si = member[i]
@@ -270,5 +266,4 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
     best = min(raw, key=lambda r: (not r[6], not r[5],
                                    -(r[3] / total if total > 0 else r[3]),
                                    r[0], r[1]))
-    return SampleResult(_candidate(best, total), tuple(deleted), tuple(raw),
-                        total)
+    return SampleResult(_candidate(best, total), tuple(raw), total)

@@ -99,9 +99,10 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
 
     flows = tuple(flow[idx] for idx in edge_list)
     # x * x rather than x ** 2: a square too large for a float is inf, where
-    # the power raises OverflowError
-    cost = math.fsum(net.edges[idx][2] * (flow[idx] * flow[idx])
-                     for idx in edge_list)
+    # the power raises OverflowError; a zero coefficient skips the square, as
+    # 0 * inf is nan
+    coeffs = (net.edges[idx][2] for idx in edge_list)
+    cost = math.fsum(c * (x * x) if c else 0.0 for c, x in zip(coeffs, flows))
     zero = tuple(i for i, x in enumerate(flows) if x == 0.0)
     return ForestFlowSolution(tuple(oriented[idx] for idx in edge_list), flows,
                               tuple(edge_list), cost, roots, zero)
@@ -126,5 +127,6 @@ def evaluate_cost(net: DistributionNetwork,
             idx = key
             if not (0 <= idx < net.m):
                 raise UnknownEdge(f"edge index {idx} out of range")
-        total += net.edges[idx][2] * (x * x)
+        c = net.edges[idx][2]
+        total += c * (x * x) if c else 0.0
     return total

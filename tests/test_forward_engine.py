@@ -171,6 +171,20 @@ def test_overflowing_cost_is_infeasible(net):
     assert info.value.iteration is None
 
 
+@pytest.mark.parametrize("net", [
+    build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200]),
+    build_network(["a", "b", "c"], [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)],
+                  [2e200, -1e200, -1e200]),
+], ids=["forced edge", "grown ring"])
+def test_zero_cost_edges_skip_the_overflowing_square(net):
+    # C = 0 costs nothing however large the flow: 0 * inf must not turn the
+    # cost or a sampling weight into nan
+    config, report = solve(net, check_invariants=True)
+    assert config.total_cost == 0.0
+    assert report.cost == 0.0
+    assert validate_radial(net, config).passed
+
+
 def test_probe_handles_trivial_sizes():
     rows = complexity_probe([1, 2], seeds=2)
     assert [(r[0], r[1]) for r in rows] == [(1, 0), (2, 1)]

@@ -208,6 +208,8 @@ def test_validate_cost_overflow_counts_as_infinite():
                                                     math.inf)).passed
     report = validate_radial(net, RadialConfiguration(edges, flows, 5.0))
     assert not report.cost_consistent
+    free = build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200])
+    assert validate_radial(free, RadialConfiguration(edges, flows, 0.0)).passed
 
 
 def test_conservation_tolerance_scales_with_injections():
@@ -290,3 +292,14 @@ def test_exact_sum_equals_fsum_of_every_term():
             added += batch
             assert total.add(batch) == total.value == math.fsum(added)
         assert len(total.terms) < len(added)
+
+
+def test_exact_sum_compacts_its_starting_terms():
+    # a large starting sum is compacted at once, so the first update does
+    # not re-sum every starting term
+    terms = [0.1 * k for k in range(1000)]
+    total = ExactSum(terms)
+    assert total.value == math.fsum(terms)
+    assert len(total.terms) < 50
+    assert total.add([-0.1]) == math.fsum(terms + [-0.1])
+

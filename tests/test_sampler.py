@@ -4,8 +4,8 @@ import pytest
 
 from radialflow import NoCandidate, build_network
 from radialflow.network_model import full_view
-from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
-                                edge_weight, sample)
+from radialflow.sampler import (EPS_DEN, ForestState, Frontier,
+                                PathCostAccumulator, edge_weight, sample)
 
 
 def pool_of(net, view=None):
@@ -22,6 +22,12 @@ def test_edge_weight_zero_denominator():
     w = edge_weight(0.0, 0.0, 1.0, 0.0)
     assert w == pytest.approx(1.0 / EPS_DEN, rel=1e-9)
     assert w > edge_weight(0.001, 1.0, 1.0, 0.0)
+    # a free edge skips the square, which would overflow to inf and 0 * inf
+    # would be nan
+    assert edge_weight(0.0, 1e200, 1.0, 0.0) == w
+    h = PathCostAccumulator()
+    h.extend(0, 1, 0.0, 1e200)
+    assert h.value(1) == 0.0
 
 
 def test_weight_decreases_with_cost_and_path():
@@ -81,21 +87,26 @@ def test_balance_outranks_weight():
 
 
 def test_interior_edges_are_deleted():
-    # after a and b join the tree, the a-b edge closes a loop and must be
-    # expelled from the pool before scoring
+    # after a and b join the tree, the a-b edge closes a loop: the frontier
+    # must expel it from the pool and keep it from the sampler
     names = ["s", "a", "b", "c"]
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
     injections = [3.0, -1.0, -1.0, -1.0]
     net = build_network(names, edges, injections)
     state = ForestState([0], dict(enumerate(injections)))
+    frontier = Frontier([(2, 1, 2, 1.0), (3, 2, 3, 1.0)], state,
+                        full_view(net).adjacency())
+    assert frontier.edges() == []
     state.absorb(0, 1)
     state.absorb(0, 2)
+    frontier.grown((1, 2))
     h = PathCostAccumulator()
     h.extend(0, 1, 1.0, 2.0)
     h.extend(0, 2, 1.0, 2.0)
+    assert frontier.flush() == 1
+    assert [e[0] for e in frontier.remaining()] == [3]
     result = sample(full_view(net), dict(enumerate(injections)), state,
-                    h, [(2, 1, 2, 1.0), (3, 2, 3, 1.0)])
-    assert result.deleted == (2,)
+                    h, frontier.edges())
     assert (result.chosen.tail, result.chosen.head) == (2, 3)
     assert result.chosen.balance_ok
     assert all(c.edge_index != 2 for c in result.ranked)

@@ -186,3 +186,6 @@ def test_overflowing_cost_is_infinite():
     assert sol.flows == (1e200,)
     assert sol.cost == math.inf
     assert evaluate_cost(net, {0: 1e200}) == math.inf
+    free = build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200])
+    assert solve_forest(free, [0]).cost == 0.0
+    assert evaluate_cost(free, {0: 1e200}) == 0.0
