@@ -3,113 +3,76 @@
 Every node belongs to a polytree (untouched nodes count as singletons).  A
 tree sits on the supply side while its residual injection is positive and on
 the demand side once drained.  Same-side connected groups collapse into super
-nodes; only edges crossing sides survive, and parallel crossings are kept as
-distinct entries so the sampler can weigh each one.
+nodes; only edges crossing sides survive, counted per pair of super nodes.
 
-:func:`net_concad` builds a condensation from scratch.  The growth loop keeps
-a :class:`Condensation` instead, which it updates where each step changes
-it; invariant mode compares the two on every step.
+:func:`net_concad` builds a :class:`Condensation` from scratch, once per
+partition; the growth loop then updates it where each step changes it.
+Invariant mode rebuilds it with :func:`net_concad` before every step and
+compares the two; the updates share none of its grouping code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .islander import lowpoint
 from .network_model import ExactSum, GraphView, find
 
 
-@dataclass(frozen=True)
-class SuperNode:
-    """A maximal same-side group of polytrees.
-
-    ``residual`` is the exact sum of member injections, positive for supply
-    (``kind == "source"``) and non-positive for demand (``kind == "sink"``).
-    """
-
-    members: tuple[int, ...]
-    residual: float
-    kind: str
-
-
-@dataclass(frozen=True)
-class CondensedView:
-    """Super nodes, the crossing edges between them, and node membership."""
-
-    super_nodes: tuple[SuperNode, ...]
-    super_edges: tuple[tuple[int, int, int], ...]
-    membership: dict[int, int]
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Distinct neighboring super nodes of each super node, by index."""
-        out: dict[int, set[int]] = {i: set() for i in range(len(self.super_nodes))}
-        for su, sv, _ in self.super_edges:
-            out[su].add(sv)
-            out[sv].add(su)
-        return out
-
-    def super_of(self, node: int) -> SuperNode:
-        return self.super_nodes[self.membership[node]]
-
-
 def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float],
                polytrees: Mapping[int, int], *,
                adjacency: Mapping[int, list[tuple[int, int]]] | None = None,
-               ) -> CondensedView:
-    """Condense a graph around its current polytrees.
+               ) -> Condensation:
+    """Condense a graph around its current polytrees, from scratch.
 
     Args:
         view: Graph being solved; all of its edges participate.
         injections: Per-node injection, indexable by parent node id.
         polytrees: Tree id per touched node; nodes missing from the mapping
             are treated as singleton trees of themselves.
-        adjacency: ``view.adjacency()``, if the caller keeps it across calls.
+        adjacency: ``view.adjacency()``, if the caller already has it; the
+            condensation keeps it and reads it on every update.
 
     Returns:
-        A :class:`CondensedView` with super nodes ordered by smallest member
-        id, so output is deterministic for a fixed input.
+        A :class:`Condensation` whose group ids follow ``view.nodes`` order,
+        so for a sorted view they follow each group's smallest member.
     """
-    tree_of = {v: polytrees.get(v, v) for v in view.nodes}
-    members_of: dict[int, list[int]] = {}
-    for v in sorted(view.nodes):
-        members_of.setdefault(tree_of[v], []).append(v)
-    tree_residual = {t: math.fsum(injections[v] for v in vs)
-                     for t, vs in members_of.items()}
-    side = {v: tree_residual[tree_of[v]] > 0 for v in view.nodes}
-
-    adj = adjacency if adjacency is not None else view.adjacency()
-    comp: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for start in sorted(view.nodes):
-        if start in comp:
+    adj = adjacency or view.adjacency()
+    trees: dict[int, list[float]] = {}
+    for v in view.nodes:
+        if v in polytrees:
+            trees.setdefault(polytrees[v], []).append(injections[v])
+    residual = {t: math.fsum(terms) for t, terms in trees.items()}
+    out = Condensation(adj, injections)
+    source, membership = out.source, out.membership
+    for v in view.nodes:
+        source[v] = residual.get(polytrees.get(v), injections[v]) > 0
+    for start in view.nodes:
+        if start in membership:
             continue
-        ci = len(groups)
-        comp[start] = ci
-        group = [start]
+        gid = next(out._ids)
+        side = source[start]
+        membership[start] = gid
+        found = [start]
         stack = [start]
         while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in comp and side[y] == side[x]:
-                    comp[y] = ci
-                    group.append(y)
+            for y, _ in adj[stack.pop()]:
+                if y not in membership and source[y] == side:
+                    membership[y] = gid
+                    found.append(y)
                     stack.append(y)
-        groups.append(sorted(group))
-
-    supers = tuple(
-        SuperNode(tuple(g), math.fsum(injections[v] for v in g),
-                  "source" if side[g[0]] else "sink")
-        for g in groups)
-
-    super_edges: list[tuple[int, int, int]] = []
-    for idx in view.edge_indices:
-        u, v, _ = view.net.edges[idx]
-        if side[u] != side[v]:
-            super_edges.append((comp[u], comp[v], idx))
-    return CondensedView(supers, tuple(super_edges), comp)
+        out.super_nodes[gid] = Group(_KIND[side], found, injections)
+        out._nbrs[gid] = {}
+    for v in view.nodes:
+        side = source[v]
+        row = out._nbrs[membership[v]]
+        for y, _ in adj[v]:
+            if source[y] != side:
+                other = membership[y]
+                row[other] = row.get(other, 0) + 1
+    return out
 
 
 class Group:
@@ -128,61 +91,28 @@ class Group:
 class Condensation:
     """The condensation of a growing forest, kept current step by step.
 
-    It holds what :func:`net_concad` computes, under the same rules, but its
-    super nodes are :class:`Group` objects under ids that carry no order:
-    ``super_nodes`` maps id to group, ``membership`` maps node to id, and
-    :meth:`adjacency` maps id to ``{neighbor id: crossing edge count}``.  It is
-    built once per partition, at the cost of one :func:`net_concad`; after
-    that :meth:`move` changes it only where a step moves nodes across sides,
-    and a split hands each side its part (:meth:`restricted`).
+    Its super nodes are :class:`Group` objects under ids that carry no order:
+    ``super_nodes`` maps id to group, ``membership`` maps node to id,
+    ``source`` maps node to its side, and :meth:`adjacency` maps id to
+    ``{neighbor id: crossing edge count}``.  :func:`net_concad` builds it once
+    per partition; after that :meth:`move` changes it only where a step moves
+    nodes across sides, and a split hands each side its part
+    (:meth:`restricted`).
 
     Args:
-        view: Graph being solved; all of its edges participate.
+        adjacency: Adjacency of the graph, kept and read by every update.
         injections: Per-node injection, indexable by parent node id.
-        polytrees: Tree id per touched node, as in :func:`net_concad`.
-        tree_residuals: Residual of each tree in ``polytrees``.
-        adjacency: ``view.adjacency()``, kept and read by every update.
     """
 
-    def __init__(self, view: GraphView,
-                 injections: Mapping[int, float] | Sequence[float],
-                 polytrees: Mapping[int, int],
-                 tree_residuals: Mapping[int, float],
-                 adjacency: Mapping[int, list[tuple[int, int]]]) -> None:
-        adj = self.adj = adjacency
+    def __init__(self, adjacency: Mapping[int, list[tuple[int, int]]],
+                 injections: Mapping[int, float] | Sequence[float]) -> None:
+        self.adj = adjacency
         self.injections = injections
         self.source: dict[int, bool] = {}
-        source = self.source
-        for v in view.nodes:
-            t = polytrees.get(v)
-            source[v] = (injections[v] if t is None else tree_residuals[t]) > 0
-        membership: dict[int, int] = {}
-        self.membership = membership
+        self.membership: dict[int, int] = {}
         self.super_nodes: dict[int, Group] = {}
+        self._nbrs: dict[int, dict[int, int]] = {}
         self._ids = itertools.count()
-        for start in view.nodes:
-            if start in membership:
-                continue
-            gid = next(self._ids)
-            side = source[start]
-            membership[start] = gid
-            found = [start]
-            stack = [start]
-            while stack:
-                for y, _ in adj[stack.pop()]:
-                    if y not in membership and source[y] == side:
-                        membership[y] = gid
-                        found.append(y)
-                        stack.append(y)
-            self.super_nodes[gid] = Group(_KIND[side], found, injections)
-        self._nbrs: dict[int, dict[int, int]] = {g: {} for g in self.super_nodes}
-        for v in view.nodes:
-            side = source[v]
-            row = self._nbrs[membership[v]]
-            for y, _ in adj[v]:
-                if source[y] != side:
-                    other = membership[y]
-                    row[other] = row.get(other, 0) + 1
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         """Neighboring groups of each group, with their crossing edge counts."""
@@ -252,10 +182,8 @@ class Condensation:
         demand side merges with all its neighbors.  This consumes the groups
         of the side, so each side may be taken only once.
         """
-        out = Condensation.__new__(Condensation)
-        out.adj = adjacency
-        out.injections = injections
-        out._ids = self._ids
+        out = Condensation(adjacency, injections)
+        out._ids = self._ids  # group ids stay distinct across the split
         out.source = {v: self.source[v] for v in nodes}
         out.membership = {v: self.membership[v] for v in nodes}
         hub = list(self.super_nodes[cut].members)
@@ -276,37 +204,38 @@ class Condensation:
             out._turn(gid, hub, False)
         return out
 
-    def mismatch(self, ref: CondensedView) -> str | None:
+    def mismatch(self, ref: Condensation) -> str | None:
         """The first way this differs from ``ref``, or None if it matches."""
-        ids = {gid: tuple(sorted(g.members))
-               for gid, g in self.super_nodes.items()}
-        have = {ids[gid]: (g.residual, g.kind)
-                for gid, g in self.super_nodes.items()}
-        want = {s.members: (s.residual, s.kind) for s in ref.super_nodes}
-        odd = sorted(have.keys() ^ want.keys())
+        groups, membership, crossing = self._keyed()
+        want, want_membership, want_crossing = ref._keyed()
+        odd = sorted(groups.keys() ^ want.keys())
         if odd:
             return (f"super node {list(odd[0])} is "
-                    f"{'extra' if odd[0] in have else 'missing'}")
-        for members, value in sorted(have.items()):
+                    f"{'extra' if odd[0] in groups else 'missing'}")
+        for members, value in sorted(groups.items()):
             if value != want[members]:
                 return (f"super node {list(members)} has residual and kind "
                         f"{value}, not {want[members]}")
-        if self.membership.keys() != ref.membership.keys():
+        if membership.keys() != want_membership.keys():
             return "membership covers other nodes"
-        for v, gid in sorted(self.membership.items()):
-            if ids[gid] != ref.super_of(v).members:
-                return f"node {v} is in {list(ids[gid])}"
-        crossing = {(ids[a], ids[b]): count
-                    for a, row in self._nbrs.items() for b, count in row.items()}
-        expected: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for a, b, _ in ref.super_edges:
-            pair = (ref.super_nodes[a].members, ref.super_nodes[b].members)
-            for key in (pair, pair[::-1]):
-                expected[key] = expected.get(key, 0) + 1
-        if crossing != expected:
+        for v, members in sorted(membership.items()):
+            if members != want_membership[v]:
+                return f"node {v} is in {list(members)}"
+        if crossing != want_crossing:
             return (f"crossing edge counts {sorted(crossing.items())} "
-                    f"differ from {sorted(expected.items())}")
+                    f"differ from {sorted(want_crossing.items())}")
         return None
+
+    def _keyed(self) -> tuple[dict, dict, dict]:
+        """Groups, membership and crossing counts, keyed by sorted members."""
+        names = {gid: tuple(sorted(g.members))
+                 for gid, g in self.super_nodes.items()}
+        groups = {names[gid]: (g.residual, g.kind)
+                  for gid, g in self.super_nodes.items()}
+        membership = {v: names[gid] for v, gid in self.membership.items()}
+        crossing = {(names[a], names[b]): count
+                    for a, row in self._nbrs.items() for b, count in row.items()}
+        return groups, membership, crossing
 
     def _cross(self, nodes: list[int], gid: int, delta: int) -> None:
         """Add ``delta`` to the crossing counts of ``nodes`` as members of ``gid``.
@@ -435,22 +364,12 @@ class Condensation:
 _KIND = {True: "source", False: "sink"}
 
 
-def assert_irreducible(cond: CondensedView | Condensation) -> bool:
-    """Check that no supply super node is a cut vertex of the condensed graph.
-
-    The growth loop splits the subproblem at any such super node before it
-    samples (see :func:`source_cut_vertices`); in invariant mode it runs this
-    check on a condensation rebuilt from scratch by :func:`net_concad`.
-    """
-    return not source_cut_vertices(cond)
-
-
-def source_cut_vertices(cond: CondensedView | Condensation) -> list[int]:
+def source_cut_vertices(cond: Condensation) -> list[int]:
     """Ids of the supply super nodes that are cut vertices.
 
-    They are ordered by smallest member, which for a :class:`CondensedView`
-    is ascending index.  Such a super node separates the condensed graph, so
-    the remaining subproblem can be split there like an articulation supply.
+    They are ordered by smallest member.  Such a super node separates the
+    condensed graph, so the remaining subproblem can be split there like an
+    articulation supply.
     """
     adj = cond.adjacency()
     supers = cond.super_nodes

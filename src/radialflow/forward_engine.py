@@ -12,6 +12,7 @@ solved flow are flipped and counted.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -23,8 +24,8 @@ from typing import Any, Sequence
 from .exceptions import Infeasible, InvariantViolation, NoCandidate
 from .islander import (PartitionView, _check_balance, islander,
                        replica_shares)
-from .condenser import (CondensedView, Condensation, assert_irreducible,
-                        net_concad, source_cut_vertices)
+from . import condenser
+from .condenser import Condensation, net_concad, source_cut_vertices
 from .network_model import (DistributionNetwork, GraphView,
                             RadialConfiguration, balance_tolerance)
 from .preprocessor import preprocess
@@ -56,8 +57,8 @@ class SolveReport:
 
     ``timings`` holds the seconds of the four stages (``preprocess``,
     ``islander``, ``loop``, ``solve_flow``) and, inside the loop, the
-    seconds spent keeping condensations current and searching them for cut
-    vertices (``condense``) and in the sampler (``sample``), summed over steps.
+    seconds spent building condensations, keeping them current and searching
+    them for cut vertices (``condense``) and in the sampler (``sample``).
     """
 
     cost: float
@@ -103,15 +104,17 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
           collect_trace: bool = False) -> tuple[RadialConfiguration, SolveReport]:
     """Build a feasible radial configuration for a network.
 
-    Partitions are grown one after another, in partition order.
+    Partitions are grown one after another, in partition order.  Each
+    partition's condensation is built once by :func:`net_concad` and then
+    updated by every step.
 
     Args:
         net: Connected, balanced distribution network.
         check_invariants: Diagnostics mode.  Before every sampling step it
-            rebuilds the condensation from scratch with :func:`net_concad`
-            and compares it and the tree residuals with the incremental
-            state; after every step it verifies the monotone surplus drain,
-            and at the end the final configuration.  A failure raises
+            rebuilds the condensation with :func:`net_concad`, compares it
+            with the updated one, and compares each tree residual with
+            ``math.fsum``; after every step it verifies the monotone surplus
+            drain, and at the end the final configuration.  A failure raises
             :class:`InvariantViolation`.  ``report.reducible_condensations``
             counts the rebuilt condensations with an articulation
             super-source.  Growth splits at every such super node before
@@ -214,10 +217,11 @@ class Subproblem:
 
     A partition starts as one subproblem; :func:`split_at_cut` replaces a
     subproblem by one per side of a supply super node that has become a cut
-    vertex of the condensation.  ``replicas`` holds the id nodes of the trees
-    standing in for such super nodes (see :func:`sample`).  ``adjacency`` is
-    ``graph.adjacency()`` and ``cond`` the condensation, when a split has
-    carried them over; growth builds whichever is missing.
+    vertex of the condensation.  ``adjacency`` is ``graph.adjacency()`` and
+    ``cond`` the condensation around ``state``: :func:`run_partition` builds
+    both for a partition, and a split hands each side its part.  ``replicas``
+    holds the id nodes of the trees standing in for such super nodes (see
+    :func:`sample`).
     """
 
     graph: GraphView
@@ -225,9 +229,9 @@ class Subproblem:
     state: ForestState
     pool: list[tuple[int, int, int, float]]
     uncovered: set[int]
+    adjacency: dict[int, list[tuple[int, int]]]
+    cond: Condensation
     replicas: frozenset[int] = frozenset()
-    adjacency: dict[int, list[tuple[int, int]]] | None = None
-    cond: Condensation | None = None
 
 
 def run_partition(part: PartitionView, *, check_invariants: bool = False,
@@ -253,8 +257,13 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
     h = PathCostAccumulator()
     cap = max(len(part.graph.nodes) - 1, 0)
     outcome = PartitionOutcome([], [], 0, 0, [])
-    todo = [Subproblem(part.graph, inj, ForestState(sources, inj), pool,
-                       set(part.graph.nodes) - set(sources))]
+    state = ForestState(sources, inj)
+    adj = part.graph.adjacency()
+    start = time.perf_counter()
+    cond = net_concad(part.graph, inj, state.membership, adjacency=adj)
+    outcome.condense_s += time.perf_counter() - start
+    todo = [Subproblem(part.graph, inj, state, pool,
+                       set(part.graph.nodes) - set(sources), adj, cond)]
     while todo:
         sub = todo.pop()
         todo.extend(reversed(_grow(part.index, sub, h, tol, cap, outcome,
@@ -267,21 +276,11 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
           collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
-    The condensation and the live edges are built once, from adjacency built
-    once, and then updated by each step where it changes them.  A split hands
-    each side its part of the adjacency and the condensation.
+    The live edges are built once per subproblem; they and the condensation
+    are then updated by each step where it changes them.
     """
     net = sub.graph.net
-    state = sub.state
-    if sub.adjacency is None:
-        sub.adjacency = sub.graph.adjacency()
-    adj = sub.adjacency
-    start = time.perf_counter()
-    cond = sub.cond
-    if cond is None:
-        cond = Condensation(sub.graph, sub.injections, state.membership,
-                            state.residuals, adj)
-    outcome.condense_s += time.perf_counter() - start
+    state, adj, cond = sub.state, sub.adjacency, sub.cond
     frontier = Frontier(sub.pool, state, adj)
     while True:
         drained = all(abs(r) <= tol for r in state.residuals.values())
@@ -303,22 +302,11 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         outcome.condense_s += time.perf_counter() - start
         if cuts:
             sub.pool = frontier.remaining()
-            sides = split_at_cut(sub, cond, cuts[0], outcome, index=index,
-                                 tol=tol)
-            start = time.perf_counter()
-            hub = cond.super_nodes[cuts[0]].members
-            for side in sides:
-                root = side.state.tree_of(next(iter(hub)))
-                side.cond = cond.restricted(
-                    side.graph.nodes, side.injections, side.adjacency,
-                    cuts[0], side.state.residuals[root] > 0)
-            outcome.condense_s += time.perf_counter() - start
-            return sides
+            return split_at_cut(sub, cuts[0], outcome, index=index, tol=tol)
 
         if check_invariants:
             before = math.fsum(max(r, 0.0) for r in state.residuals.values())
-            if _reference_is_reducible(sub, cond, adj, index,
-                                       outcome.iterations):
+            if _reference_is_reducible(sub, index, outcome.iterations):
                 outcome.reducible += 1
                 logger.debug(
                     "reducible condensation in partition %d at iteration %d",
@@ -383,18 +371,19 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
                     f"{index} at iteration {outcome.iterations}")
 
 
-def _reference_is_reducible(sub: Subproblem, cond: Condensation,
-                            adj: dict[int, list[tuple[int, int]]], index: int,
+def _reference_is_reducible(sub: Subproblem, index: int,
                             iteration: int) -> bool:
     """Check the incremental state against a rebuild from scratch.
 
     Raises :class:`InvariantViolation` if the condensation or a tree residual
     differs from the one :func:`net_concad` and ``math.fsum`` give; returns
-    whether the rebuilt condensation has a supply cut vertex.
+    whether the rebuilt condensation has a supply cut vertex.  That search
+    goes through the condenser module, not this module's name, so replacing
+    the latter to switch the growth split off leaves the count intact.
     """
     ref = net_concad(sub.graph, sub.injections, sub.state.membership,
-                     adjacency=adj)
-    problem = cond.mismatch(ref)
+                     adjacency=sub.adjacency)
+    problem = sub.cond.mismatch(ref)
     for t, members in sub.state.members.items():
         exact = math.fsum(sub.injections[v] for v in members)
         if problem is None and sub.state.residuals[t] != exact:
@@ -404,12 +393,11 @@ def _reference_is_reducible(sub: Subproblem, cond: Condensation,
         raise InvariantViolation(
             f"incremental condensation of partition {index} at iteration "
             f"{iteration}: {problem}")
-    return not assert_irreducible(ref)
+    return bool(condenser.source_cut_vertices(ref))
 
 
-def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
-                 outcome: PartitionOutcome, *, index: int,
-                 tol: float) -> list[Subproblem]:
+def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
+                 index: int, tol: float) -> list[Subproblem]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
     This is the islander's split, applied to the condensation during growth.
@@ -420,12 +408,13 @@ def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
     injection, held by the tree's id node, is the side's net need as given by
     :func:`~radialflow.islander.replica_shares`, with the first side as the
     host.  A side with net surplus therefore sees its replica as a demand.
+    Each side takes its part of ``sub.cond`` (:meth:`Condensation.restricted`).
 
     Args:
-        sub: Subproblem to split; its state is consumed.
-        cond: Condensation of ``sub`` around its current polytrees.
-        cut: Id in ``cond`` of a supply super node that is a cut vertex.
-        outcome: Partition outcome receiving the joining edges.
+        sub: Subproblem to split; its state and condensation are consumed.
+        cut: Id in ``sub.cond`` of a supply super node that is a cut vertex.
+        outcome: Partition outcome receiving the joining edges and the
+            seconds spent restricting the condensation.
         index: Partition index, for error messages.
         tol: Partition balance tolerance, the floor for the side checks.
 
@@ -435,7 +424,7 @@ def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
     Raises:
         InfeasibleSplit: If a side's injections fail to balance.
     """
-    state = sub.state
+    state, cond = sub.state, sub.cond
     hub = set(cond.super_nodes[cut].members)
     links = sorted((c, idx, u, v) for idx, u, v, c in sub.pool
                    if u in hub and v in hub)
@@ -478,7 +467,7 @@ def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
                  index, root, len(sides))
 
     net = sub.graph.net
-    adj = sub.adjacency if sub.adjacency is not None else sub.graph.adjacency()
+    adj = sub.adjacency
     # a side's nodes touch only their side and the hub, and so do the hub
     # nodes off the rim
     rim = [v for v in hub if any(y not in hub for y, _ in adj[v])]
@@ -496,12 +485,16 @@ def split_at_cut(sub: Subproblem, cond: CondensedView | Condensation, cut: int,
         view = GraphView(net, tuple(sorted(keep)), tuple(sorted(
             {idx for links in side_adj.values() for _, idx in links})))
         trees = sorted({t for t in map(state.tree_of, nodes) if t is not None})
+        side_state = state.restricted([*trees, root], inj)
+        start = time.perf_counter()
+        side_cond = cond.restricted(view.nodes, inj, side_adj, cut,
+                                    side_state.residuals[root] > 0)
+        outcome.condense_s += time.perf_counter() - start
         out.append(Subproblem(
-            view, inj, state.restricted([*trees, root], inj),
+            view, inj, side_state,
             [e for e in sub.pool if e[1] in own or e[2] in own],
-            sub.uncovered & own,
-            frozenset(r for r in sub.replicas if r in keep) | {root},
-            side_adj))
+            sub.uncovered & own, side_adj, side_cond,
+            frozenset(r for r in sub.replicas if r in keep) | {root}))
     return out
 
 
@@ -521,12 +514,11 @@ def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:
     outcome = PartitionOutcome([], [], 0, 0, [])
     frontier = [start]
     while frontier:
-        x = min(frontier)
-        frontier.remove(x)
+        x = heapq.heappop(frontier)
         for y, eidx in sorted(adj[x]):
             if y not in seen:
                 seen.add(y)
-                frontier.append(y)
+                heapq.heappush(frontier, y)
                 outcome.directed.append((x, y))
                 outcome.edge_indices.append(eidx)
                 outcome.iterations += 1

@@ -92,6 +92,9 @@ def _partials(terms: list[float]) -> list[float]:
                 i += 1
             x = hi
         partials[i:] = [x]
+    # the terms are finite, and every later term passes an overflowed partial
+    if partials and not math.isfinite(partials[-1]):
+        raise OverflowError("intermediate overflow in fsum")
     return partials
 
 
@@ -248,8 +251,12 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
         seen.add(key)
         normalized.append((key[0], key[1], float(c)))
 
-    total = math.fsum(injections)
-    if abs(total) > balance_tolerance(injections):
+    try:
+        total, tol = math.fsum(injections), balance_tolerance(injections)
+    except OverflowError:
+        raise ValidationError("injections overflow: their sum exceeds the "
+                              "float range") from None
+    if abs(total) > tol:
         raise ValidationError(f"injection imbalance: sum(p) = {total!r}")
 
     if not connected(n, normalized):

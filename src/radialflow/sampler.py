@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .condenser import CondensedView, Condensation, net_concad
+from .condenser import Condensation, net_concad
 from .exceptions import NoCandidate
 from .network_model import ExactSum, GraphView
 
@@ -209,20 +209,20 @@ def _candidate(r: tuple[int, int, int, float, float, bool, bool],
 def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
            h: PathCostAccumulator,
            edges: Sequence[tuple[int, int, int, float]], *,
-           cond: CondensedView | Condensation | None = None,
+           cond: Condensation | None = None,
            replicas: Collection[int] = ()) -> SampleResult:
     """Score the live edges and pick the next one to orient.
 
     Args:
-        view: Partition graph (used for condensation connectivity).
+        view: Partition graph, condensed here when ``cond`` is not given.
         injections: Per-node injection within the partition.
         state: Current polytrees.
         h: Path cost accumulator for nodes reached so far.
         edges: Live edges as ``(edge_index, u, v, cost)`` tuples: an end in
             a polytree and the ends not in the same tree.  :class:`Frontier`
             keeps them and drops the edges that became internal to a tree.
-        cond: Condensation of ``view`` around ``state``, if the caller has
-            already built it; otherwise it is built here.
+        cond: Condensation of ``view`` around ``state``, if the caller keeps
+            it; otherwise :func:`net_concad` builds it here.
         replicas: Nodes standing in for a supply group that was split
             during growth.  That group has other ways out in the network, so
             a super node holding one never takes the single-way-out priority.
@@ -233,8 +233,7 @@ def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
     """
-    if cond is None:
-        cond = net_concad(view, injections, state.membership)
+    cond = cond or net_concad(view, injections, state.membership)
     neighbor_sets = cond.adjacency()
     split_supers = {cond.membership[r] for r in replicas}
 

@@ -9,8 +9,7 @@ import pytest
 
 from radialflow import (Infeasible, InvariantViolation, build_network,
                         forward_engine, solve)
-from radialflow.condenser import (Condensation, CondensedView, SuperNode,
-                                  assert_irreducible, net_concad,
+from radialflow.condenser import (Condensation, net_concad,
                                   source_cut_vertices)
 from radialflow.network_model import balance_tolerance, full_view
 
@@ -26,28 +25,33 @@ def two_sources_one_sink_chain():
     return build_network(names, edges, injections)
 
 
+def condense(net, trees):
+    return net_concad(full_view(net), list(net.injections), trees)
+
+
+def super_of(cond, node):
+    return cond.super_nodes[cond.membership[node]]
+
+
 def test_initial_condensation():
-    net = two_sources_one_sink_chain()
-    cond = net_concad(full_view(net), list(net.injections), {})
-    kinds = [s.kind for s in cond.super_nodes]
+    cond = condense(two_sources_one_sink_chain(), {})
+    kinds = [g.kind for g in cond.super_nodes.values()]
     assert kinds.count("source") == 2
     assert kinds.count("sink") == 1
-    members = sorted(tuple(sorted(s.members)) for s in cond.super_nodes)
+    members = sorted(tuple(sorted(g.members)) for g in cond.super_nodes.values())
     assert members == [(0,), (1, 2, 3), (4,)]
-    sink = cond.super_of(2)
-    assert sink.residual == pytest.approx(-4.0)
-    assert cond.super_of(0).residual == pytest.approx(2.0)
+    assert super_of(cond, 2).residual == pytest.approx(-4.0)
+    assert super_of(cond, 0).residual == pytest.approx(2.0)
 
 
 def test_polytree_grouping_and_residual():
-    net = two_sources_one_sink_chain()
     # x joined s1's tree: tree residual 2 - 1 = 1 keeps the super a source
-    cond = net_concad(full_view(net), list(net.injections), {0: 0, 1: 0})
-    grown = cond.super_of(0)
-    assert set(grown.members) == {0, 1}
+    cond = condense(two_sources_one_sink_chain(), {0: 0, 1: 0})
+    grown = super_of(cond, 0)
+    assert grown.members == {0, 1}
     assert grown.kind == "source"
     assert grown.residual == pytest.approx(1.0)
-    assert set(cond.super_of(2).members) == {2, 3}
+    assert super_of(cond, 2).members == {2, 3}
 
 
 def test_drained_tree_counts_as_sink():
@@ -56,74 +60,67 @@ def test_drained_tree_counts_as_sink():
     names = ["s", "a", "s2", "b"]
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
     net = build_network(names, edges, [2.0, -2.0, 1.0, -1.0])
-    cond = net_concad(full_view(net), list(net.injections), {0: 0, 1: 0})
-    grown = cond.super_of(0)
-    assert set(grown.members) == {0, 1}
+    grown = super_of(condense(net, {0: 0, 1: 0}), 0)
+    assert grown.members == {0, 1}
     assert grown.residual == pytest.approx(0.0)
     assert grown.kind == "sink"
 
 
 def test_cross_edges_only_and_conserved():
+    # edges 0 and 3 cross sides; the sink's internal edges 1 and 2 are gone
     net = two_sources_one_sink_chain()
-    cond = net_concad(full_view(net), list(net.injections), {})
-    crossing = {e[2] for e in cond.super_edges}
-    assert crossing == {0, 3}
-    internal = set(range(net.m)) - crossing
-    assert internal == {1, 2}
-    total = math.fsum(s.residual for s in cond.super_nodes)
+    cond = condense(net, {})
+    s1, sink, s2 = (cond.membership[v] for v in (0, 2, 4))
+    assert cond.adjacency() == {s1: {sink: 1}, sink: {s1: 1, s2: 1},
+                                s2: {sink: 1}}
+    total = math.fsum(g.residual for g in cond.super_nodes.values())
     assert abs(total) <= balance_tolerance(net.injections)
 
 
 def test_parallel_super_edges_kept():
-    # both rim edges cross between the same two supers and stay distinct
+    # both rim edges cross between the same two supers and both count
     names = ["s", "a", "b"]
     edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.0)]
-    injections = [2.0, -1.0, -1.0]
-    net = build_network(names, edges, injections)
-    cond = net_concad(full_view(net), list(net.injections), {})
+    net = build_network(names, edges, [2.0, -1.0, -1.0])
+    cond = condense(net, {})
+    source, sink = cond.membership[0], cond.membership[1]
     assert len(cond.super_nodes) == 2
-    pairs = [(min(e[0], e[1]), max(e[0], e[1])) for e in cond.super_edges]
-    assert pairs == [(0, 1), (0, 1)]
-    assert sorted(e[2] for e in cond.super_edges) == [0, 1]
+    assert cond.adjacency() == {source: {sink: 2}, sink: {source: 2}}
 
 
 def test_membership_partitions_nodes():
-    net = two_sources_one_sink_chain()
-    cond = net_concad(full_view(net), list(net.injections), {0: 0, 1: 0})
-    seen = sorted(v for s in cond.super_nodes for v in s.members)
+    cond = condense(two_sources_one_sink_chain(), {0: 0, 1: 0})
+    seen = sorted(v for g in cond.super_nodes.values() for v in g.members)
     assert seen == [0, 1, 2, 3, 4]
-    for si, sup in enumerate(cond.super_nodes):
-        for v in sup.members:
-            assert cond.membership[v] == si
+    for gid, group in cond.super_nodes.items():
+        for v in group.members:
+            assert cond.membership[v] == gid
 
 
 def test_supers_ordered_by_smallest_member():
-    net = two_sources_one_sink_chain()
-    cond = net_concad(full_view(net), list(net.injections), {})
-    mins = [min(s.members) for s in cond.super_nodes]
+    cond = condense(two_sources_one_sink_chain(), {})
+    mins = [min(g.members) for _, g in sorted(cond.super_nodes.items())]
     assert mins == sorted(mins)
 
 
 def test_irreducible_on_ring(gap_ring):
-    cond = net_concad(full_view(gap_ring), list(gap_ring.injections), {})
-    assert assert_irreducible(cond)
+    assert not source_cut_vertices(condense(gap_ring, {}))
 
 
 def test_reducible_handbuilt():
     # a source super sitting between two sink supers is an articulation
-    supers = (SuperNode((0,), -1.0, "sink"),
-              SuperNode((1,), 2.0, "source"),
-              SuperNode((2,), -1.0, "sink"))
-    view = CondensedView(supers, ((0, 1, 0), (1, 2, 1)), {0: 0, 1: 1, 2: 2})
-    assert not assert_irreducible(view)
+    net = build_network(["a", "s", "b"], [(0, 1, 1.0), (1, 2, 1.0)],
+                        [-1.0, 2.0, -1.0])
+    cond = condense(net, {})
+    assert source_cut_vertices(cond) == [cond.membership[1]]
 
 
 def test_cut_sink_does_not_count():
-    supers = (SuperNode((0,), 1.0, "source"),
-              SuperNode((1,), -2.0, "sink"),
-              SuperNode((2,), 1.0, "source"))
-    view = CondensedView(supers, ((0, 1, 0), (1, 2, 1)), {0: 0, 1: 1, 2: 2})
-    assert assert_irreducible(view)
+    net = build_network(["s", "a", "t"], [(0, 1, 1.0), (1, 2, 1.0)],
+                        [1.0, -2.0, 1.0])
+    cond = condense(net, {})
+    assert len(cond.super_nodes) == 3
+    assert source_cut_vertices(cond) == []
 
 
 def test_growth_can_break_irreducibility():
@@ -133,41 +130,52 @@ def test_growth_can_break_irreducibility():
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (1, 3, 1.0)]
     injections = [-1.0, 2.0, -1.0, 0.0]
     net = build_network(names, edges, injections)
-    view = full_view(net)
 
-    before = net_concad(view, list(net.injections), {})
-    assert assert_irreducible(before)
+    assert not source_cut_vertices(condense(net, {}))
 
-    after = net_concad(view, list(net.injections), {1: 1, 3: 1})
-    grown = after.super_of(1)
-    assert set(grown.members) == {1, 3}
+    after = condense(net, {1: 1, 3: 1})
+    grown = super_of(after, 1)
+    assert grown.members == {1, 3}
     assert grown.kind == "source"
-    assert not assert_irreducible(after)
+    assert source_cut_vertices(after) == [after.membership[1]]
 
 
 def networkx_source_cuts(cond):
     g = nx.Graph()
-    g.add_nodes_from(range(len(cond.super_nodes)))
-    g.add_edges_from((su, sv) for su, sv, _ in cond.super_edges)
-    return sorted(a for a in nx.articulation_points(g)
-                  if cond.super_nodes[a].kind == "source")
+    g.add_nodes_from(cond.super_nodes)
+    g.add_edges_from((a, b) for a, row in cond.adjacency().items() for b in row)
+    return sorted((a for a in nx.articulation_points(g)
+                   if cond.super_nodes[a].kind == "source"),
+                  key=lambda a: min(cond.super_nodes[a].members))
 
 
-def test_source_cut_vertices_match_networkx_on_chord_ring():
-    net = build_network(["a", "s", "b", "t"],
-                        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0),
-                         (1, 3, 1.0)],
-                        [-1.0, 2.0, -1.0, 0.0])
-    for trees in ({}, {1: 1}, {1: 1, 3: 1}, {1: 1, 0: 1}):
-        cond = net_concad(full_view(net), list(net.injections), trees)
-        assert source_cut_vertices(cond) == networkx_source_cuts(cond)
+def networkx_condensation(net, trees):
+    """Groups, membership and crossing counts as :func:`canonical` gives
+    them, from networkx components of the same-side subgraph."""
+    terms = {}
+    for v, t in trees.items():
+        terms.setdefault(t, []).append(net.injections[v])
+    source = {v: (math.fsum(terms[trees[v]]) if v in trees
+                  else net.injections[v]) > 0 for v in range(net.n)}
+    same = nx.Graph()
+    same.add_nodes_from(range(net.n))
+    same.add_edges_from((u, v) for u, v, _ in net.edges if source[u] == source[v])
+    groups = {tuple(sorted(c)): (math.fsum(net.injections[v] for v in c),
+                                 "source" if source[min(c)] else "sink")
+              for c in nx.connected_components(same)}
+    membership = {v: members for members in groups for v in members}
+    crossing = Counter()
+    for u, v, _ in net.edges:
+        if source[u] != source[v]:
+            crossing[membership[u], membership[v]] += 1
+            crossing[membership[v], membership[u]] += 1
+    return groups, membership, crossing
 
 
-def test_source_cut_vertices_match_networkx_on_grown_states():
-    # grow random polytrees from the supplies, one absorb or merge per step,
-    # and compare every condensation on the way
-    found = 0
-    for seed in range(10):
+def grown_states(seeds=range(10)):
+    """Random polytrees grown from the supplies of ``ws_instance(40, seed)``,
+    one absorb or merge per step: every step's network and trees."""
+    for seed in seeds:
         net = ws_instance(40, seed)
         rng = random.Random(seed)
         trees = {v: v for v in net.source_set}
@@ -182,30 +190,52 @@ def test_source_cut_vertices_match_networkx_on_grown_states():
                 trees.update((x, trees[u]) for x, t in trees.items() if t == old)
             else:
                 trees[v] = trees[u]
-            cond = net_concad(full_view(net), list(net.injections), trees)
-            want = networkx_source_cuts(cond)
-            assert source_cut_vertices(cond) == want
-            found += bool(want)
+            yield net, trees
+
+
+def test_source_cut_vertices_match_networkx_on_chord_ring():
+    net = build_network(["a", "s", "b", "t"],
+                        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0),
+                         (1, 3, 1.0)],
+                        [-1.0, 2.0, -1.0, 0.0])
+    for trees in ({}, {1: 1}, {1: 1, 3: 1}, {1: 1, 0: 1}):
+        cond = net_concad(full_view(net), list(net.injections), trees)
+        assert source_cut_vertices(cond) == networkx_source_cuts(cond)
+
+
+def test_source_cut_vertices_match_networkx_on_grown_states():
+    found = 0
+    for net, trees in grown_states():
+        cond = condense(net, trees)
+        want = networkx_source_cuts(cond)
+        assert source_cut_vertices(cond) == want
+        found += bool(want)
     assert found
+
+
+def test_net_concad_matches_networkx_on_grown_states():
+    # groups are the components of same-side nodes, with their kinds, exact
+    # residuals and crossing counts; ids follow each group's smallest member
+    kinds = Counter()
+    for net, trees in grown_states():
+        cond = condense(net, trees)
+        assert canonical(cond) == networkx_condensation(net, trees)
+        mins = [min(g.members) for _, g in sorted(cond.super_nodes.items())]
+        assert mins == sorted(mins)
+        kinds.update(g.kind for g in cond.super_nodes.values()
+                     if len(g.members) > 1)
+    assert kinds["source"] and kinds["sink"]
 
 
 def canonical(cond):
     """Super nodes, membership and crossing counts keyed by member tuples."""
-    if isinstance(cond, CondensedView):
-        names = {i: s.members for i, s in enumerate(cond.super_nodes)}
-        supers = {s.members: (s.residual, s.kind) for s in cond.super_nodes}
-        crossing = Counter()
-        for a, b, _ in cond.super_edges:
-            crossing[names[a], names[b]] += 1
-            crossing[names[b], names[a]] += 1
-    else:
-        names = {gid: tuple(sorted(g.members))
-                 for gid, g in cond.super_nodes.items()}
-        supers = {names[gid]: (g.residual, g.kind)
-                  for gid, g in cond.super_nodes.items()}
-        crossing = Counter({(names[a], names[b]): count
-                            for a, row in cond.adjacency().items()
-                            for b, count in row.items()})
+    names = {gid: tuple(sorted(g.members))
+             for gid, g in cond.super_nodes.items()}
+    supers = {names[gid]: (g.residual, g.kind)
+              for gid, g in cond.super_nodes.items()}
+    crossing = Counter({(names[a], names[b]): count
+                        for a, row in cond.adjacency().items()
+                        for b, count in row.items()})
     membership = {v: names[gid] for v, gid in cond.membership.items()}
     return supers, membership, crossing
 

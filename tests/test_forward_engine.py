@@ -129,6 +129,30 @@ def test_fallback_rejects_unserved_demand():
         _spanning_fallback(part, balance_tolerance([2.0, -2.0]))
 
 
+def test_fallback_visits_the_smallest_frontier_node_first():
+    # an all-zero mesh; the reference scans the frontier for its minimum
+    mesh = ws_instance(300, seed=2)
+    net = build_network(mesh.names, mesh.edges, [0.0] * mesh.n)
+    view = full_view(net)
+    part = PartitionView(0, view, dict.fromkeys(view.nodes, 0.0),
+                         frozenset(), {})
+    adj = view.adjacency()
+    seen, frontier, want = {0}, [0], []
+    while frontier:
+        x = min(frontier)
+        frontier.remove(x)
+        for y, idx in sorted(adj[x]):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+                want.append((x, y, idx))
+    outcome = _spanning_fallback(part, 1e-9)
+    assert len(want) == net.n - 1
+    assert [(*e, idx) for e, idx in zip(outcome.directed,
+                                        outcome.edge_indices)] == want
+    assert outcome.iterations == len(want)
+
+
 def test_invariant_mode_counts_and_completes():
     net = ws_instance(30, seed=3)
     cfg, report = solve(net, check_invariants=True)
@@ -230,17 +254,24 @@ def subproblem_of(net, sources, absorbed=()):
             if state.tree_of(net.edges[idx][0]) is None
             or state.tree_of(net.edges[idx][0])
             != state.tree_of(net.edges[idx][1])]
-    return Subproblem(view, inj, state, pool, set(view.nodes) - covered)
+    adj = view.adjacency()
+    return Subproblem(view, inj, state, pool, set(view.nodes) - covered, adj,
+                      net_concad(view, inj, state.membership, adjacency=adj))
 
 
 def split_once(sub):
-    cond = net_concad(sub.graph, sub.injections, sub.state.membership)
-    cuts = source_cut_vertices(cond)
+    cuts = source_cut_vertices(sub.cond)
     assert len(cuts) == 1
+    hub = sub.cond.super_nodes[cuts[0]]
     outcome = PartitionOutcome([], [], 0, 0, [])
-    sides = split_at_cut(sub, cond, cuts[0], outcome, index=0,
+    sides = split_at_cut(sub, cuts[0], outcome, index=0,
                          tol=balance_tolerance(sub.injections.values()))
-    return cond.super_nodes[cuts[0]], sides, outcome
+    for side in sides:
+        # each side's part of the condensation equals a rebuild of the side
+        rebuilt = net_concad(side.graph, side.injections,
+                             side.state.membership, adjacency=side.adjacency)
+        assert side.cond.mismatch(rebuilt) is None
+    return hub, sides, outcome
 
 
 def test_ring_with_chord_solves_irreducibly():
@@ -262,7 +293,7 @@ def test_growth_splits_ring_with_chord():
 def test_split_gives_each_side_its_need():
     hub, sides, outcome = split_once(
         subproblem_of(ring_with_chord(), [1], [(1, 3)]))
-    assert hub.members == (1, 3)
+    assert hub.members == {1, 3}
     assert [side.graph.nodes for side in sides] == [(0, 1, 3), (1, 2, 3)]
     assert [side.injections[1] for side in sides] == [1.0, 1.0]
     assert [side.uncovered for side in sides] == [{0}, {2}]
@@ -286,9 +317,7 @@ def test_surplus_side_replica_is_a_demand():
     surplus = sides[1]
     assert set(surplus.graph.nodes) == {1, 2, 3, 4}
     assert surplus.state.residuals[1] < 0.0
-    cond = net_concad(surplus.graph, surplus.injections,
-                      surplus.state.membership)
-    assert cond.super_of(1).kind == "sink"
+    assert surplus.cond.super_nodes[surplus.cond.membership[1]].kind == "sink"
 
 
 def test_split_joins_a_multi_tree_hub():
@@ -298,7 +327,7 @@ def test_split_joins_a_multi_tree_hub():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]
     net = build_network(names, edges, [-1.0, 1.0, 1.0, -1.0])
     hub, sides, outcome = split_once(subproblem_of(net, [1, 2]))
-    assert hub.members == (1, 2)
+    assert hub.members == {1, 2}
     assert outcome.directed == [(1, 2)]
     assert outcome.edge_indices == [2] and outcome.merges == 1
     for side in sides:
@@ -312,6 +341,8 @@ def test_unbalanced_split_raises():
     net = ring_with_chord()
     sub = subproblem_of(net, [1], [(1, 3)])
     sub.injections[1] = 2.5
+    sub.cond = net_concad(sub.graph, sub.injections, sub.state.membership,
+                          adjacency=sub.adjacency)
     with pytest.raises(InfeasibleSplit):
         split_once(sub)
 

@@ -303,3 +303,22 @@ def test_exact_sum_compacts_its_starting_terms():
     assert len(total.terms) < 50
     assert total.add([-0.1]) == math.fsum(terms + [-0.1])
 
+
+
+def test_build_names_an_overflowing_injection_sum():
+    # the sum of |p| overflows although the injections balance exactly
+    ring = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
+    with pytest.raises(ValidationError, match="overflow"):
+        build_network(["a", "b", "c", "d"], ring, [1e308, 1e308, -1e308, -1e308])
+
+
+def test_exact_sum_overflows_where_fsum_does():
+    # more than 16 terms, so the sum is compacted into partials at once
+    terms = [1e308, 1e308, -1e308] + [0.0] * 20
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    with pytest.raises(OverflowError):
+        ExactSum(terms)
+    total = ExactSum([1e308] + [0.0] * 20)
+    with pytest.raises(OverflowError):
+        total.add([1e308] * 20)
