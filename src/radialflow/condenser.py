@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .islander import lowpoint
 from .network_model import ExactSum, GraphView, find
@@ -40,16 +40,17 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
         so for a sorted view they follow each group's smallest member.
     """
     adj = adjacency or view.adjacency()
+    nodes = view.nodes
     trees: dict[int, list[float]] = {}
-    for v in view.nodes:
+    for v in nodes:
         if v in polytrees:
             trees.setdefault(polytrees[v], []).append(injections[v])
     residual = {t: math.fsum(terms) for t, terms in trees.items()}
     out = Condensation(adj, injections)
     source, membership = out.source, out.membership
-    for v in view.nodes:
+    for v in nodes:
         source[v] = residual.get(polytrees.get(v), injections[v]) > 0
-    for start in view.nodes:
+    for start in nodes:
         if start in membership:
             continue
         gid = next(out._ids)
@@ -65,7 +66,7 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
                     stack.append(y)
         out.super_nodes[gid] = Group(_KIND[side], found, injections)
         out._nbrs[gid] = {}
-    for v in view.nodes:
+    for v in nodes:
         side = source[v]
         row = out._nbrs[membership[v]]
         for y, _ in adj[v]:
@@ -96,8 +97,8 @@ class Condensation:
     ``source`` maps node to its side, and :meth:`adjacency` maps id to
     ``{neighbor id: crossing edge count}``.  :func:`net_concad` builds it once
     per partition; after that :meth:`move` changes it only where a step moves
-    nodes across sides, and a split hands each side its part
-    (:meth:`restricted`).
+    nodes across sides, and a growth split cuts it down to the side it keeps
+    (:meth:`drop`, :meth:`cut_down`).
 
     Args:
         adjacency: Adjacency of the graph, kept and read by every update.
@@ -169,40 +170,30 @@ class Condensation:
                         self._union(gid, other)
             self._place(piece, gid)
 
-    def restricted(self, nodes: Iterable[int],
-                   injections: Mapping[int, float],
-                   adjacency: Mapping[int, list[tuple[int, int]]], cut: int,
-                   hub_source: bool) -> "Condensation":
-        """The condensation of one side of a split at supply group ``cut``.
+    def drop(self, groups: Iterable[int]) -> None:
+        """Remove whole groups, with their members, from the condensation."""
+        for gid in groups:
+            for v in self.super_nodes.pop(gid).members:
+                del self.membership[v], self.source[v]
+            for other in self._nbrs.pop(gid):
+                self._nbrs.get(other, {}).pop(gid, None)
 
-        ``nodes`` are the side's nodes and the cut group's (the hub), and
-        ``injections`` and ``adjacency`` the side's.  The side's groups are
-        taken over as they are, since none of them touches another side; the
-        hub becomes a new group on the side ``hub_source`` gives, which on the
-        demand side merges with all its neighbors.  This consumes the groups
-        of the side, so each side may be taken only once.
+    def cut_down(self, gid: int, nodes: Collection[int],
+                 residual: float) -> None:
+        """Drop ``nodes``, which have no edge out of group ``gid``, from it.
+
+        The group's injections now sum to ``residual``; if that puts it on
+        the other side, it turns (see :meth:`move`).
         """
-        out = Condensation(adjacency, injections)
-        out._ids = self._ids  # group ids stay distinct across the split
-        out.source = {v: self.source[v] for v in nodes}
-        out.membership = {v: self.membership[v] for v in nodes}
-        hub = list(self.super_nodes[cut].members)
-        taken = set(out.membership.values())
-        taken.discard(cut)
-        out.super_nodes = {g: self.super_nodes[g] for g in taken}
-        out._nbrs = {g: dict(self._nbrs[g]) for g in taken}
-        gid = next(self._ids)
-        out.super_nodes[gid] = Group("source", hub, injections)
-        row = out._nbrs[gid] = {}
-        for g in taken:
-            count = out._nbrs[g].pop(cut, 0)
-            if count:
-                out._nbrs[g][gid] = row[g] = count
-        for v in hub:
-            out.membership[v] = gid
-        if not hub_source:
-            out._turn(gid, hub, False)
-        return out
+        group = self.super_nodes[gid]
+        for v in nodes:
+            del self.membership[v], self.source[v]
+        group.members.difference_update(nodes)
+        group.total = ExactSum((residual,))
+        group.residual = group.total.value
+        source = group.residual > 0
+        if source != (group.kind == "source"):
+            self._turn(gid, list(group.members), source)
 
     def mismatch(self, ref: Condensation) -> str | None:
         """The first way this differs from ``ref``, or None if it matches."""

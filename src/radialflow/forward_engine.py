@@ -26,8 +26,8 @@ from .islander import (PartitionView, _check_balance, islander,
                        replica_shares)
 from . import condenser
 from .condenser import Condensation, net_concad, source_cut_vertices
-from .network_model import (DistributionNetwork, GraphView,
-                            RadialConfiguration, balance_tolerance)
+from .network_model import (DistributionNetwork, RadialConfiguration,
+                            balance_tolerance)
 from .preprocessor import preprocess
 from .sampler import ForestState, Frontier, PathCostAccumulator, sample
 from .tree_flow import solve_forest
@@ -211,27 +211,58 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     return cfg, report
 
 
+#: Edge id of the links that hold a cut-down hub together (see
+#: :func:`split_at_cut`); no pool, frontier or crossing count holds one.
+HUB_LINK = -1
+
+
+@dataclass(frozen=True)
+class AdjacencyView:
+    """A subproblem's graph, read off its live adjacency, hub links included.
+
+    It stands in for a ``GraphView``; ``nodes`` is built when read,
+    which only invariant mode and the tests do.
+    """
+
+    net: DistributionNetwork
+    adj: dict[int, list[tuple[int, int]]]
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(sorted(self.adj))
+
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        return self.adj
+
+
 @dataclass
 class Subproblem:
     """A connected piece of a partition whose polytrees are still growing.
 
-    A partition starts as one subproblem; :func:`split_at_cut` replaces a
-    subproblem by one per side of a supply super node that has become a cut
-    vertex of the condensation.  ``adjacency`` is ``graph.adjacency()`` and
-    ``cond`` the condensation around ``state``: :func:`run_partition` builds
-    both for a partition, and a split hands each side its part.  ``replicas``
-    holds the id nodes of the trees standing in for such super nodes (see
-    :func:`sample`).
+    :func:`split_at_cut` replaces a subproblem by one per side of a supply
+    super node that has become a cut vertex of the condensation.
+    ``adjacency`` maps each node to its ``(neighbor, edge index)`` pairs and
+    :data:`HUB_LINK` links, ``cond`` is the condensation around ``state``,
+    ``order`` a heap of the nodes where dropped ones linger, and ``replicas``
+    the id nodes of trees standing in for split supply super nodes (see
+    :func:`sample`).  ``linked`` holds the root, kept hub nodes and smallest
+    hub node of the last split; no edge lies between those nodes.
     """
 
-    graph: GraphView
+    net: DistributionNetwork
     injections: dict[int, float]
     state: ForestState
-    pool: list[tuple[int, int, int, float]]
+    frontier: Frontier
     uncovered: set[int]
     adjacency: dict[int, list[tuple[int, int]]]
     cond: Condensation
+    order: list[int]
     replicas: frozenset[int] = frozenset()
+    linked: tuple[int, set[int], int] | None = None
+
+    @property
+    def graph(self) -> AdjacencyView:
+        return AdjacencyView(self.net, self.adjacency)
 
 
 def run_partition(part: PartitionView, *, check_invariants: bool = False,
@@ -245,7 +276,7 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
     consults irreducible condensations.
     """
     net = part.graph.net
-    inj = part.injections
+    inj = dict(part.injections)
     tol = balance_tolerance(inj.values())
     sources = sorted(part.sources)
 
@@ -262,8 +293,9 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
     start = time.perf_counter()
     cond = net_concad(part.graph, inj, state.membership, adjacency=adj)
     outcome.condense_s += time.perf_counter() - start
-    todo = [Subproblem(part.graph, inj, state, pool,
-                       set(part.graph.nodes) - set(sources), adj, cond)]
+    todo = [Subproblem(net, inj, state, Frontier(pool, state, adj),
+                       set(part.graph.nodes) - set(sources), adj, cond,
+                       sorted(part.graph.nodes))]
     while todo:
         sub = todo.pop()
         todo.extend(reversed(_grow(part.index, sub, h, tol, cap, outcome,
@@ -276,12 +308,11 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
           collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
-    The live edges are built once per subproblem; they and the condensation
-    are then updated by each step where it changes them.
+    The frontier and the condensation are updated by each step where it
+    changes them.
     """
-    net = sub.graph.net
-    state, adj, cond = sub.state, sub.adjacency, sub.cond
-    frontier = Frontier(sub.pool, state, adj)
+    net, view = sub.net, sub.graph
+    state, cond, frontier = sub.state, sub.cond, sub.frontier
     while True:
         drained = all(abs(r) <= tol for r in state.residuals.values())
         if not sub.uncovered and drained:
@@ -301,7 +332,6 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         cuts = source_cut_vertices(cond)
         outcome.condense_s += time.perf_counter() - start
         if cuts:
-            sub.pool = frontier.remaining()
             return split_at_cut(sub, cuts[0], outcome, index=index, tol=tol)
 
         if check_invariants:
@@ -315,7 +345,7 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         deleted = frontier.flush()
         start = time.perf_counter()
         try:
-            result = sample(sub.graph, sub.injections, state, h,
+            result = sample(view, sub.injections, state, h,
                             frontier.edges(), cond=cond, replicas=sub.replicas)
         except NoCandidate as exc:
             raise Infeasible(
@@ -401,101 +431,184 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     """Split a subproblem at a supply super node that is a cut vertex.
 
     This is the islander's split, applied to the condensation during growth.
-    The super node's polytrees are first joined into one tree over the
-    remaining edges between them, cheapest coefficient first (ties by edge
-    index); the joining edges are recorded in ``outcome`` as merges, not as
-    sampling iterations.  Every side then gets that tree as a replica whose
-    injection, held by the tree's id node, is the side's net need as given by
-    :func:`~radialflow.islander.replica_shares`, with the first side as the
-    host.  A side with net surplus therefore sees its replica as a demand.
-    Each side takes its part of ``sub.cond`` (:meth:`Condensation.restricted`).
+    The super node's polytrees (the hub) are first joined into one tree over
+    the remaining edges between them, cheapest coefficient first (ties by
+    edge index), recorded in ``outcome`` as merges.  Every side gets that
+    tree as a replica whose root (its id node) holds the side's net need from
+    :func:`~radialflow.islander.replica_shares`, the first side as host, so
+    a side with net surplus sees it as a demand.  Side sums come from the
+    groups' exact totals.
+
+    A side keeps of the hub its rim (the nodes with an edge into it), the
+    root and the hub's smallest node, which keeps cuts and sides in order;
+    :data:`HUB_LINK` links from the root hold them together.  The side with
+    the most nodes of its own keeps ``sub`` and drops the rest in place; the
+    others are built afresh.  Of a hub the last split cut down
+    (``sub.linked``), only the nodes added since and those next to them or to
+    a small side are looked at.  So a split costs a search over the groups,
+    the small sides and the new hub nodes (Even and Shiloach 1981).
 
     Args:
-        sub: Subproblem to split; its state and condensation are consumed.
+        sub: Subproblem to split; it becomes its largest side.
         cut: Id in ``sub.cond`` of a supply super node that is a cut vertex.
         outcome: Partition outcome receiving the joining edges and the
-            seconds spent restricting the condensation.
+            seconds spent condensing the sides.
         index: Partition index, for error messages.
         tol: Partition balance tolerance, the floor for the side checks.
 
     Returns:
-        One subproblem per side, ordered by smallest node id.
+        One subproblem per side, ordered by smallest node of its own.
 
     Raises:
         InfeasibleSplit: If a side's injections fail to balance.
     """
-    state, cond = sub.state, sub.cond
-    hub = set(cond.super_nodes[cut].members)
-    links = sorted((c, idx, u, v) for idx, u, v, c in sub.pool
-                   if u in hub and v in hub)
-    for _, idx, u, v in links:
+    state, cond, adj, inj = sub.state, sub.cond, sub.adjacency, sub.injections
+    supers, nbrs = cond.super_nodes, cond.adjacency()
+    hub = supers[cut].members
+    seen, sides = {cut}, []
+    for first in nbrs[cut]:
+        if first not in seen:
+            seen.add(first)
+            groups = [first]
+            for g in groups:
+                groups.extend(y for y in nbrs[g] if y not in seen)
+                seen.update(nbrs[g])
+            sides.append(groups)
+    sizes = [sum(len(supers[g].members) for g in groups) for groups in sides]
+    big = sizes.index(max(sizes))
+    small = {k: [v for g in groups for v in supers[g].members]
+             for k, groups in enumerate(sides) if k != big}
+    dropped = set().union(*small.values())
+
+    # no edge lies between the hub nodes the last split kept, so every edge
+    # inside the hub has an end among the new ones
+    old: set[int] = set()
+    if sub.linked is not None:
+        last_root, last_kept, last_top = sub.linked
+        if (last_top in hub and state.tree_of(last_top) == last_root
+                and len(state.members[last_root]) == len(hub)):
+            old = last_kept
+    new = hub - old
+    top = min(min(new, default=last_top), last_top) if old else min(hub)
+    links = sub.frontier.take({i for v in new for y, i in adj[v] if y in hub})
+    for _, idx, u, v in sorted((c, idx, u, v) for idx, u, v, c in links):
         tu, tv = state.tree_of(u), state.tree_of(v)
-        if tu == tv:
-            continue
-        if tv < tu:
-            u, v, tu, tv = v, u, tv, tu
-        state.merge(tu, tv)
-        outcome.directed.append((u, v))
-        outcome.edge_indices.append(idx)
-        outcome.merges += 1
-    root = state.tree_of(min(hub))
-
-    adj = cond.adjacency()
-    seen = {cut}
-    sides: list[list[int]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        group = [start]
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    group.append(y)
-                    stack.append(y)
-        sides.append(sorted(v for si in group
-                            for v in cond.super_nodes[si].members))
-    sides.sort()
-
-    host_share, shares = replica_shares(
-        cond.super_nodes[cut].residual,
-        [math.fsum(sub.injections[v] for v in nodes) for nodes in sides[1:]])
+        if tu != tv:
+            if tv < tu:
+                u, v, tu, tv = v, u, tv, tu
+            state.merge(tu, tv)
+            outcome.directed.append((u, v))
+            outcome.edge_indices.append(idx)
+            outcome.merges += 1
+    root = state.tree_of(top)
     outcome.splits += 1
     logger.debug("partition %d: split at tree %d into %d sides",
                  index, root, len(sides))
 
-    net = sub.graph.net
-    adj = sub.adjacency
-    # a side's nodes touch only their side and the hub, and so do the hub
-    # nodes off the rim
-    rim = [v for v in hub if any(y not in hub for y, _ in adj[v])]
-    out: list[Subproblem] = []
-    for nodes, share in zip(sides, [host_share, *shares]):
-        own = set(nodes)
-        inj = {v: sub.injections[v] for v in nodes}
-        inj.update((v, 0.0) for v in hub)
-        inj[root] = share
-        _check_balance(inj, index, floor=tol)
-        keep = own | hub
-        side_adj = {v: adj[v] for v in keep}
-        side_adj.update((v, [(y, idx) for y, idx in adj[v] if y in keep])
-                        for v in rim)
-        view = GraphView(net, tuple(sorted(keep)), tuple(sorted(
-            {idx for links in side_adj.values() for _, idx in links})))
-        trees = sorted({t for t in map(state.tree_of, nodes) if t is not None})
-        side_state = state.restricted([*trees, root], inj)
+    # a small side takes its nodes' edge lists and new ones for its rim; the
+    # kept side's old hub nodes next to no new node or small side keep
+    # their edges into it, and the old smallest node stays if still smallest
+    side_adj, side_inj, hubs, touched = {}, {big: inj}, {}, set()
+    for k, own in small.items():
+        side_adj[k] = {v: adj[v] for v in own}
+        side_inj[k] = {v: inj[v] for v in own}
+        rim: dict[int, list[tuple[int, int]]] = {}
+        for v in own:
+            for y, idx in adj[v]:
+                if y in hub:
+                    rim.setdefault(y, []).append((v, idx))
+        touched.update(rim)
+        hubs[k] = [*rim, *{root, top}.difference(rim)]
+        side_adj[k].update((v, rim.get(v, [])) for v in hubs[k])
+        side_inj[k].update(dict.fromkeys(hubs[k], 0.0))
+    redo = set(new)
+    if old:
+        redo.add(last_top)
+        redo.update(y for v in new for y, _ in adj[v] if y in old)
+        redo.update(touched & old)
+    outward = {v: [e for e in adj[v] if e[0] not in hub and e[0] not in dropped]
+               for v in redo}
+    keep = old
+    keep.difference_update(redo)
+    keep.update(v for v, edges in outward.items() if edges)
+    keep.update((root, top))
+    gone = redo - keep
+
+    for v in (*dropped, *gone):
+        del adj[v], inj[v]
+    inj.update((v, 0.0) for v in new if v in keep)
+    lows = {k: min(own) for k, own in small.items()}
+    lows[big] = _smallest_own(sub.order, adj, hub)
+    ordered = sorted(lows, key=lows.__getitem__)
+    terms = {k: [t for g in sides[k] for t in supers[g].total.terms]
+             for k in ordered}
+    host_share, shares = replica_shares(
+        supers[cut].residual, [math.fsum(terms[k]) for k in ordered[1:]])
+    share = dict(zip(ordered, [host_share, *shares]))
+    for k in ordered:
+        side_inj[k][root] = share[k]
+        _check_balance(side_inj[k], index, floor=tol,
+                       total=math.fsum([share[k], *terms[k]]))
+
+    built = {big: sub}
+    for k, own in small.items():
+        sadj = side_adj[k]
+        for v in hubs[k]:
+            if v != root:
+                sadj[root].append((v, HUB_LINK))
+                sadj[v].append((root, HUB_LINK))
+        side_state = state.take(
+            sorted({t for t in map(state.tree_of, own) if t is not None}),
+            side_inj[k])
+        side_state.plant(root, hubs[k], share[k])
         start = time.perf_counter()
-        side_cond = cond.restricted(view.nodes, inj, side_adj, cut,
-                                    side_state.residuals[root] > 0)
+        side_cond = net_concad(AdjacencyView(sub.net, sadj), side_inj[k],
+                               side_state.membership, adjacency=sadj)
         outcome.condense_s += time.perf_counter() - start
-        out.append(Subproblem(
-            view, inj, side_state,
-            [e for e in sub.pool if e[1] in own or e[2] in own],
-            sub.uncovered & own, side_adj, side_cond,
-            frozenset(r for r in sub.replicas if r in keep) | {root}))
-    return out
+        pool = sub.frontier.take(i for v in own for _, i in sadj[v])
+        built[k] = Subproblem(
+            sub.net, side_inj[k], side_state, Frontier(pool, side_state, sadj),
+            sub.uncovered & set(own), sadj, side_cond, sorted(sadj),
+            frozenset(r for r in sub.replicas if r in sadj) | {root},
+            (root, set(hubs[k]), top))
+        sub.uncovered.difference_update(own)
+
+    # the kept side is the subproblem, cut down in place; its hub nodes other
+    # than the root hold no injection
+    start = time.perf_counter()
+    cond.drop(g for k in small for g in sides[k])
+    for v in redo & keep:
+        adj[v] = outward[v]
+        if v != root:
+            adj[v].append((root, HUB_LINK))
+    if root in redo:
+        adj[root].extend((v, HUB_LINK) for v in keep if v != root)
+    else:
+        if gone:
+            adj[root] = [e for e in adj[root] if e[0] not in gone]
+        adj[root].extend((v, HUB_LINK) for v in new & keep)
+    state.cut_down(root, gone, share[big])
+    cond.cut_down(cut, gone, share[big])
+    outcome.condense_s += time.perf_counter() - start
+    sub.replicas = frozenset(r for r in sub.replicas if r in adj) | {root}
+    sub.linked = (root, keep, top)
+    return [built[k] for k in ordered]
+
+
+def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
+    """The smallest entry of heap ``order`` in ``adj`` but not in ``hub``.
+
+    Entries no longer in ``adj`` are popped for good, hub nodes put back.
+    """
+    held = []
+    while order[0] not in adj or order[0] in hub:
+        v = heapq.heappop(order)
+        if v in adj:
+            held.append(v)
+    low = order[0]
+    for v in held:
+        heapq.heappush(order, v)
+    return low
 
 
 def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .exceptions import InvalidSpec
-from .network_model import DistributionNetwork, build_network, connected
+from .network_model import DistributionNetwork, build_network
 
 
 @dataclass(frozen=True)
@@ -70,26 +70,36 @@ def generate(spec: GenSpec) -> DistributionNetwork:
     # One rewiring sweep per lattice offset.  A proposed target is scanned
     # from a random starting point; targets that self-loop, duplicate an
     # existing edge, or disconnect the graph are skipped, and the original
-    # edge stays if every target fails.
+    # edge stays if every target fails.  Swapping (i, x) for (i, w) keeps the
+    # graph connected exactly when, without (i, x), x reaches i or w.
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     for j in range(1, k // 2 + 1):
         for i in range(n):
             if rng.random() >= spec.beta:
                 continue
-            old = (min(i, (i + j) % n), max(i, (i + j) % n))
+            x = (i + j) % n
+            old = (min(i, x), max(i, x))
             if old not in edges:
                 continue
             offset = rng.randrange(n)
+            reach = None
             for step in range(n):
                 w = (offset + step) % n
                 cand = (min(i, w), max(i, w))
                 if w == i or cand in edges:
                     continue
-                edges.remove(old)
-                edges.add(cand)
-                if connected(n, edges):
+                reach = reach or _reach(nbrs, x, i)
+                if i in reach or w in reach:
+                    edges.remove(old)
+                    edges.add(cand)
+                    nbrs[x].remove(i)
+                    nbrs[i].remove(x)
+                    nbrs[i].add(w)
+                    nbrs[w].add(i)
                     break
-                edges.remove(cand)
-                edges.add(old)
 
     sources = sorted(rng.sample(range(n), spec.n_sources))
     source_set = set(sources)
@@ -124,3 +134,19 @@ def generate(spec: GenSpec) -> DistributionNetwork:
         "demand_range": list(spec.demand_range),
         "resistance_range": list(spec.resistance_range), "seed": spec.seed}}
     return build_network(names, edge_list, p, meta)
+
+
+def _reach(nbrs: list[set[int]], start: int, goal: int) -> set[int]:
+    """Nodes a breadth-first search from ``start`` reaches without its edge
+    to ``goal``, stopping at ``goal``.  Short of ``goal`` it holds the whole
+    component of ``start``, so one search serves every target of a swap."""
+    seen = {start}
+    queue = [start]
+    for u in queue:
+        for y in nbrs[u]:
+            if y not in seen and (u != start or y != goal):
+                seen.add(y)
+                if y == goal:
+                    return seen
+                queue.append(y)
+    return seen

@@ -276,9 +276,14 @@ def replica_shares(own: float, subtotals: Sequence[float],
     return own + math.fsum(subtotals), [-s for s in subtotals]
 
 
-def _check_balance(inj: dict[int, float], index: int,
-                   floor: float = 0.0) -> None:
-    total = math.fsum(inj.values())
-    if abs(total) > max(floor, balance_tolerance(inj.values())):
+def _check_balance(inj: dict[int, float], index: int, floor: float = 0.0,
+                   total: float | None = None) -> None:
+    """Raise unless the injections, summing to ``total`` if given, balance.
+
+    The tolerance, a sum over every injection, is taken only past ``floor``.
+    """
+    if total is None:
+        total = math.fsum(inj.values())
+    if abs(total) > floor and abs(total) > balance_tolerance(inj.values()):
         raise InfeasibleSplit(
             f"partition {index} injections sum to {total!r}, expected zero")

@@ -73,17 +73,34 @@ class ForestState:
         self.members[tree].append(node)
         self.residuals[tree] = self._sums[tree].add((self.injections[node],))
 
-    def restricted(self, trees: Iterable[int],
-                   injections: Mapping[int, float]) -> "ForestState":
-        """A new state holding only ``trees``, re-summed under ``injections``."""
+    def take(self, trees: Iterable[int],
+             injections: Mapping[int, float]) -> "ForestState":
+        """Move ``trees``, with their exact sums, into a new state over
+        ``injections``, which must give their members the same values."""
         out = ForestState((), injections)
         for t in trees:
-            out.members[t] = list(self.members[t])
-            for v in out.members[t]:
-                out.membership[v] = t
-            out._sums[t] = ExactSum(injections[v] for v in out.members[t])
-            out.residuals[t] = out._sums[t].value
+            out.members[t] = members = self.members.pop(t)
+            for v in members:
+                out.membership[v] = self.membership.pop(v)
+            out._sums[t] = self._sums.pop(t)
+            out.residuals[t] = self.residuals.pop(t)
         return out
+
+    def plant(self, tree: int, members: list[int], residual: float) -> None:
+        """Add ``tree`` over ``members``, whose injections sum to ``residual``."""
+        self.members[tree] = members
+        self.membership.update(dict.fromkeys(members, tree))
+        self._sums[tree] = ExactSum((residual,))
+        self.residuals[tree] = self._sums[tree].value
+
+    def cut_down(self, tree: int, nodes: Collection[int],
+                 residual: float) -> None:
+        """Drop ``nodes`` from ``tree``, whose injections now sum to ``residual``."""
+        for v in nodes:
+            del self.membership[v]
+        self.members[tree] = [v for v in self.members[tree] if v not in nodes]
+        self._sums[tree] = ExactSum((residual,))
+        self.residuals[tree] = self._sums[tree].value
 
     def merge(self, into: int, other: int) -> None:
         for v in self.members[other]:
@@ -129,10 +146,6 @@ class Frontier:
         """The live edges, in pool order."""
         return [self.live[k] for k in sorted(self.live)]
 
-    def remaining(self) -> list[tuple[int, int, int, float]]:
-        """The edges still in the pool, in pool order."""
-        return [e for k, e in enumerate(self.pool) if k not in self.gone]
-
     def flush(self) -> int:
         """Drop the edges that became internal to a tree; return their count."""
         count = len(self.internal)
@@ -145,6 +158,18 @@ class Frontier:
         k = self.position[edge_index]
         self.live.pop(k, None)
         self.gone.add(k)
+
+    def take(self, edge_indices: Iterable[int],
+             ) -> list[tuple[int, int, int, float]]:
+        """Take edges out of the pool; return those it held, in pool order."""
+        taken = sorted({k for idx in edge_indices
+                        if (k := self.position.get(idx)) is not None
+                        and k not in self.gone})
+        self.gone.update(taken)
+        for k in taken:
+            self.live.pop(k, None)
+            self.internal.discard(k)
+        return [self.pool[k] for k in taken]
 
     def grown(self, nodes: Iterable[int]) -> None:
         """Update the edges at ``nodes`` after their trees grew or merged."""

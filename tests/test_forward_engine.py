@@ -3,23 +3,27 @@
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_tree_network, ws_instance
+from conftest import random_tree_network, small_instances, ws_instance
 from radialflow import (Infeasible, InfeasibleSplit, NoCandidate,
                         build_network, config_to_json, solve, solve_forest,
                         validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
-from radialflow.forward_engine import (PartitionOutcome, Subproblem,
+from radialflow.forward_engine import (HUB_LINK, AdjacencyView,
+                                       PartitionOutcome, Subproblem,
                                        _spanning_fallback, complexity_probe,
                                        default_source_count, fit_exponent,
                                        split_at_cut)
 from radialflow.islander import PartitionView
 from radialflow.network_model import balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
-from radialflow.sampler import ForestState
+from radialflow.sampler import ForestState, Frontier
+
+from test_golden import ring_chain
 
 
 def test_tree_input_needs_no_sampling():
@@ -255,23 +259,124 @@ def subproblem_of(net, sources, absorbed=()):
             or state.tree_of(net.edges[idx][0])
             != state.tree_of(net.edges[idx][1])]
     adj = view.adjacency()
-    return Subproblem(view, inj, state, pool, set(view.nodes) - covered, adj,
-                      net_concad(view, inj, state.membership, adjacency=adj))
+    return Subproblem(net, inj, state, Frontier(pool, state, adj),
+                      set(view.nodes) - covered, adj,
+                      net_concad(view, inj, state.membership, adjacency=adj),
+                      sorted(view.nodes))
+
+
+def pool_of(frontier):
+    """The edges still in a frontier's pool, in pool order."""
+    return [e for k, e in enumerate(frontier.pool) if k not in frontier.gone]
+
+
+class SplitRecord:
+    """What a subproblem looked like just before :func:`split_at_cut`."""
+
+    def __init__(self, sub, cut):
+        self.sub = sub
+        self.hub = set(sub.cond.super_nodes[cut].members)
+        self.pool = pool_of(sub.frontier)
+        self.uncovered = set(sub.uncovered)
+        self.adjacency = {v: list(links) for v, links in sub.adjacency.items()}
+        self.objects = (sub.state, sub.cond, sub.frontier, sub.adjacency,
+                        sub.injections)
+
+
+def check_sides(record, sides):
+    """Check every side of a split against a build from scratch.
+
+    Each side holds its own nodes and, of the hub, the nodes with an edge
+    into them, the root and the hub's smallest node.  Its edges are the
+    parent's edges inside that set but not inside the hub, plus links from
+    the root to the other hub nodes; its condensation, tree residuals,
+    live edges, pool and uncovered nodes equal what a fresh build gives.
+    Returns the own node count of each side.
+    """
+    hub, parent = record.hub, record.adjacency
+    owns = [set(side.adjacency) - hub for side in sides]
+    lows = [min(own) for own in owns]
+    assert lows == sorted(lows)
+    assert set().union(*owns) == set(parent) - hub
+    kept = [side for side in sides if side is record.sub]
+    assert len(kept) == 1
+    assert max(map(len, owns)) == len(owns[sides.index(kept[0])])
+    assert all(a is b for a, b in zip(
+        (kept[0].state, kept[0].cond, kept[0].frontier, kept[0].adjacency,
+         kept[0].injections), record.objects))
+    for side, own in zip(sides, owns):
+        root = side.state.tree_of(min(hub))
+        rim = {y for v in own for y, _ in parent[v] if y in hub}
+        assert set(side.adjacency) == own | rim | {root, min(hub)}
+        assert set(side.state.members[root]) == rim | {root, min(hub)}
+        want = {v: sorted(parent[v]) for v in own}
+        for h in rim | {root, min(hub)}:
+            want[h] = sorted([(y, idx) for y, idx in parent[h] if y in own]
+                             + [(root, HUB_LINK)] * (h != root))
+        want[root] += [(h, HUB_LINK) for h in rim | {min(hub)} if h != root]
+        assert {v: sorted(links) for v, links in side.adjacency.items()} == {
+            v: sorted(links) for v, links in want.items()}
+        assert math.fsum(side.injections.values()) == pytest.approx(
+            0.0, abs=1e-9 * max(1.0, math.fsum(map(abs, side.injections.values()))))
+        assert side.injections.keys() == side.adjacency.keys()
+        assert all(side.injections[h] == 0.0 for h in side.adjacency
+                   if h in hub and h != root)
+        rebuilt = net_concad(AdjacencyView(side.net, want), side.injections,
+                             side.state.membership)
+        assert side.cond.mismatch(rebuilt) is None
+        for t, members in side.state.members.items():
+            assert side.state.residuals[t] == math.fsum(
+                side.injections[v] for v in members)
+        assert side.state.membership.keys() <= side.adjacency.keys()
+        pool = [e for e in record.pool if e[1] in own or e[2] in own]
+        assert pool_of(side.frontier) == pool
+        fresh = Frontier(pool, side.state, side.adjacency)
+        assert side.frontier.edges() == fresh.edges()
+        assert sorted(side.frontier.pool[k] for k in side.frontier.internal) == [
+            fresh.pool[k] for k in sorted(fresh.internal)]
+        assert side.uncovered == record.uncovered & own
+        assert side.replicas <= side.adjacency.keys() and root in side.replicas
+    return [len(own) for own in owns]
 
 
 def split_once(sub):
     cuts = source_cut_vertices(sub.cond)
     assert len(cuts) == 1
-    hub = sub.cond.super_nodes[cuts[0]]
+    group = sub.cond.super_nodes[cuts[0]]
+    # the kept side updates the hub's group in place
+    hub = SimpleNamespace(members=set(group.members), residual=group.residual)
+    record = SplitRecord(sub, cuts[0])
     outcome = PartitionOutcome([], [], 0, 0, [])
     sides = split_at_cut(sub, cuts[0], outcome, index=0,
                          tol=balance_tolerance(sub.injections.values()))
-    for side in sides:
-        # each side's part of the condensation equals a rebuild of the side
-        rebuilt = net_concad(side.graph, side.injections,
-                             side.state.membership, adjacency=side.adjacency)
-        assert side.cond.mismatch(rebuilt) is None
+    check_sides(record, sides)
     return hub, sides, outcome
+
+
+def test_every_growth_split_matches_a_fresh_build(monkeypatch):
+    # each side of every split during growth, the side kept in place
+    # included, equals a side built from scratch out of the parent
+    real_split = forward_engine.split_at_cut
+    seen = {"splits": 0, "one-node sides": 0}
+
+    def checked_split(sub, cut, outcome, **kwargs):
+        record = SplitRecord(sub, cut)
+        sides = real_split(sub, cut, outcome, **kwargs)
+        owns = check_sides(record, sides)
+        seen["splits"] += 1
+        seen["one-node sides"] += owns.count(1)
+        return sides
+
+    monkeypatch.setattr(forward_engine, "split_at_cut", checked_split)
+    nets = [ws_instance(40, seed) for seed in range(10)]
+    nets += [net for _, net in small_instances(50)]
+    # on ws_instance(60, 32) a new hub node takes over as the smallest, and
+    # the old smallest one is left without an edge out of the hub
+    nets += [ring_chain(), ws_instance(60, 32), ws_instance(400, 0)]
+    for net in nets:
+        cfg, _ = solve(net)
+        assert validate_radial(net, cfg).passed
+    assert all(seen.values()), seen
 
 
 def test_ring_with_chord_solves_irreducibly():
@@ -334,7 +439,7 @@ def test_split_joins_a_multi_tree_hub():
         assert side.state.members[1] == [1, 2]
         assert side.injections[1] == pytest.approx(1.0)
         assert side.injections[2] == 0.0
-        assert all(e[0] != 2 for e in side.pool)
+        assert all(e[0] != 2 for e in pool_of(side.frontier))
 
 
 def test_unbalanced_split_raises():

@@ -1,10 +1,92 @@
 """Seeded instance generator: determinism, balance, and spec validation."""
 
 import math
+import random
 
 import pytest
 
-from radialflow import GenSpec, InvalidSpec, generate, serialize_network
+from radialflow import (GenSpec, InvalidSpec, build_network, generate,
+                        serialize_network)
+from radialflow.network_model import connected
+
+
+def quadratic_generate(spec):
+    """The generator with its former rewiring check, a whole-graph
+    connectivity search for every tried target; also returns how many
+    targets that check refused."""
+    n, k = spec.n, spec.k
+    refused = 0
+    rng = random.Random(spec.seed)
+    edges = set()
+    for i in range(n):
+        for j in range(1, k // 2 + 1):
+            u, v = i, (i + j) % n
+            edges.add((min(u, v), max(u, v)))
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            if rng.random() >= spec.beta:
+                continue
+            old = (min(i, (i + j) % n), max(i, (i + j) % n))
+            if old not in edges:
+                continue
+            offset = rng.randrange(n)
+            for step in range(n):
+                w = (offset + step) % n
+                cand = (min(i, w), max(i, w))
+                if w == i or cand in edges:
+                    continue
+                edges.remove(old)
+                edges.add(cand)
+                if connected(n, edges):
+                    break
+                refused += 1
+                edges.remove(cand)
+                edges.add(old)
+    sources = sorted(rng.sample(range(n), spec.n_sources))
+    source_set = set(sources)
+    p = [0.0] * n
+    lo, hi = spec.demand_range
+    for i in range(n):
+        if i not in source_set:
+            p[i] = -rng.uniform(lo, hi)
+    share = -math.fsum(p) / spec.n_sources
+    for s in sources:
+        p[s] = share
+    p[sources[0]] = 0.0
+    p[sources[0]] = -math.fsum(p)
+    for _ in range(8):
+        drift = math.fsum(p)
+        if drift == 0.0:
+            break
+        j = min(range(n), key=lambda v: (abs(p[v]), v))
+        p[j] -= drift
+    rlo, rhi = spec.resistance_range
+    edge_list = [(u, v, rng.uniform(rlo, rhi)) for u, v in sorted(edges)]
+    width = len(str(n - 1))
+    names = [f"v{i:0{width}d}" for i in range(n)]
+    meta = {"generator": {
+        "n": n, "k": k, "beta": spec.beta, "n_sources": spec.n_sources,
+        "demand_range": list(spec.demand_range),
+        "resistance_range": list(spec.resistance_range), "seed": spec.seed}}
+    return build_network(names, edge_list, p, meta), refused
+
+
+def test_rewiring_matches_the_whole_graph_check():
+    # the breadth-first check accepts and refuses the same targets, so every
+    # network is byte for byte the same; k=2 with beta=1 refuses some
+    refused = {}
+    for n in (5, 8, 30, 120):
+        for k in (2, 4, 6):
+            for beta in (0.0, 0.2, 0.5, 1.0):
+                for seed in range(3):
+                    if k >= n:
+                        continue
+                    spec = GenSpec(n=n, k=k, beta=beta, n_sources=2, seed=seed)
+                    want, count = quadratic_generate(spec)
+                    assert serialize_network(generate(spec)) == \
+                        serialize_network(want)
+                    refused[k, beta] = refused.get((k, beta), 0) + count
+    assert refused[2, 1.0] > 0
 
 
 def test_edge_count_and_connectivity():

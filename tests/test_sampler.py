@@ -104,7 +104,8 @@ def test_interior_edges_are_deleted():
     h.extend(0, 1, 1.0, 2.0)
     h.extend(0, 2, 1.0, 2.0)
     assert frontier.flush() == 1
-    assert [e[0] for e in frontier.remaining()] == [3]
+    assert [e[0] for k, e in enumerate(frontier.pool)
+            if k not in frontier.gone] == [3]
     result = sample(full_view(net), dict(enumerate(injections)), state,
                     h, frontier.edges())
     assert (result.chosen.tail, result.chosen.head) == (2, 3)
