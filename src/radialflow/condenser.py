@@ -114,12 +114,13 @@ class Condensation:
         self.super_nodes: dict[int, Group] = {}
         self._nbrs: dict[int, dict[int, int]] = {}
         self._ids = itertools.count()
+        self._relabelled: list[int] = []
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         """Neighboring groups of each group, with their crossing edge counts."""
         return self._nbrs
 
-    def move(self, nodes: Iterable[int], source: bool) -> None:
+    def move(self, nodes: Iterable[int], source: bool) -> list[int]:
         """Put ``nodes`` on the supply side (``source``) or the demand side.
 
         Nodes already on that side are left alone.  The groups the others
@@ -127,16 +128,20 @@ class Condensation:
         groups of their new side that they touch, merged into the largest.
         A whole group that moves, such as a drained tree, keeps its members
         and merges with all its neighbors, which are on its new side.
+
+        Returns the nodes whose group id changed, with repeats: the moved
+        ones and the smaller side of every split and merge.
         """
         side, member, adj = self.source, self.membership, self.adj
+        self._relabelled = []
         moved = [v for v in nodes if side[v] != source]
         if not moved:
-            return
+            return self._relabelled
         gid = member[moved[0]]
         if (len(self.super_nodes[gid].members) == len(moved)
                 and all(member[v] == gid for v in moved)):
             self._turn(gid, moved, source)
-            return
+            return self._relabelled
         self._detach(moved)
         left = set(moved)
         seeds: dict[int, list[int]] = {}
@@ -169,6 +174,7 @@ class Condensation:
                     if other != gid:
                         self._union(gid, other)
             self._place(piece, gid)
+        return self._relabelled
 
     def drop(self, groups: Iterable[int]) -> None:
         """Remove whole groups, with their members, from the condensation."""
@@ -179,12 +185,14 @@ class Condensation:
                 self._nbrs.get(other, {}).pop(gid, None)
 
     def cut_down(self, gid: int, nodes: Collection[int],
-                 residual: float) -> None:
+                 residual: float) -> list[int]:
         """Drop ``nodes``, which have no edge out of group ``gid``, from it.
 
         The group's injections now sum to ``residual``; if that puts it on
-        the other side, it turns (see :meth:`move`).
+        the other side, it turns (see :meth:`move`).  Returns the nodes whose
+        group id changed.
         """
+        self._relabelled = []
         group = self.super_nodes[gid]
         for v in nodes:
             del self.membership[v], self.source[v]
@@ -194,6 +202,7 @@ class Condensation:
         source = group.residual > 0
         if source != (group.kind == "source"):
             self._turn(gid, list(group.members), source)
+        return self._relabelled
 
     def mismatch(self, ref: Condensation) -> str | None:
         """The first way this differs from ``ref``, or None if it matches."""
@@ -260,6 +269,7 @@ class Condensation:
         self._cross(nodes, gid, 1)
         for v in nodes:
             self.membership[v] = gid
+        self._relabelled.extend(nodes)
 
     def _detach(self, nodes: list[int]) -> None:
         """Take ``nodes`` out of their groups; emptied groups are dropped."""
@@ -281,6 +291,7 @@ class Condensation:
         target = self.super_nodes[into]
         for v in group.members:
             self.membership[v] = into
+        self._relabelled.extend(group.members)
         target.members |= group.members
         target.residual = target.total.add(group.total.terms)
         row = self._nbrs[into]

@@ -29,7 +29,7 @@ from .condenser import Condensation, net_concad, source_cut_vertices
 from .network_model import (DistributionNetwork, RadialConfiguration,
                             balance_tolerance)
 from .preprocessor import preprocess
-from .sampler import ForestState, Frontier, PathCostAccumulator, sample
+from .sampler import ForestState, Frontier, PathCostAccumulator, sample, score
 from .tree_flow import solve_forest
 
 logger = logging.getLogger("radialflow.engine")
@@ -58,7 +58,10 @@ class SolveReport:
     ``timings`` holds the seconds of the four stages (``preprocess``,
     ``islander``, ``loop``, ``solve_flow``) and, inside the loop, the
     seconds spent building condensations, keeping them current and searching
-    them for cut vertices (``condense``) and in the sampler (``sample``).
+    them for cut vertices (``condense``) and in the sampler's selection
+    (``sample``; keeping the frontier's classes current counts as loop
+    time).  ``candidates`` counts the orientations whose weight the sampler
+    computed; it is not in the JSON document yet.
     """
 
     cost: float
@@ -73,6 +76,7 @@ class SolveReport:
     merges: int = 0
     reducible_condensations: int = 0
     splits: int = 0
+    candidates: int = 0
     trace: tuple[TraceRow, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
@@ -98,6 +102,7 @@ class PartitionOutcome:
     splits: int = 0
     condense_s: float = 0.0
     sample_s: float = 0.0
+    candidates: int = 0
 
 
 def solve(net: DistributionNetwork, *, check_invariants: bool = False,
@@ -113,8 +118,10 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         check_invariants: Diagnostics mode.  Before every sampling step it
             rebuilds the condensation with :func:`net_concad`, compares it
             with the updated one, and compares each tree residual with
-            ``math.fsum``; after every step it verifies the monotone surplus
-            drain, and at the end the final configuration.  A failure raises
+            ``math.fsum``, and holds every step's pick to a full scan of the
+            remaining pool (:func:`~radialflow.sampler.score`); after every
+            step it verifies the monotone surplus drain, and at the end the
+            final configuration.  A failure raises
             :class:`InvariantViolation`.  ``report.reducible_condensations``
             counts the rebuilt condensations with an articulation
             super-source.  Growth splits at every such super node before
@@ -156,6 +163,7 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     splits = 0
     condense_s = 0.0
     sample_s = 0.0
+    candidates = 0
     trace: list[TraceRow] = []
     for outcome in outcomes:
         directed.extend(outcome.directed)
@@ -166,6 +174,7 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         splits += outcome.splits
         condense_s += outcome.condense_s
         sample_s += outcome.sample_s
+        candidates += outcome.candidates
         trace.extend(outcome.trace)
     if collect_trace:
         trace = [TraceRow(i + 1, r.edge_index, r.weight, r.balance_ok,
@@ -199,7 +208,7 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
                  "condense": condense_s, "sample": sample_s},
         n=net.n, m=net.m, zero_flow=len(solution.zero_flow_edges),
         merges=merges, reducible_condensations=reducible, splits=splits,
-        trace=tuple(trace))
+        candidates=candidates, trace=tuple(trace))
     logger.info("solved: cost %.6g, %d iterations, %d flips",
                 report.cost, report.iterations, report.flipped_edges)
     if check_invariants:
@@ -293,7 +302,7 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
     start = time.perf_counter()
     cond = net_concad(part.graph, inj, state.membership, adjacency=adj)
     outcome.condense_s += time.perf_counter() - start
-    todo = [Subproblem(net, inj, state, Frontier(pool, state, adj),
+    todo = [Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
                        set(part.graph.nodes) - set(sources), adj, cond,
                        sorted(part.graph.nodes))]
     while todo:
@@ -341,27 +350,38 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
                 logger.debug(
                     "reducible condensation in partition %d at iteration %d",
                     index, outcome.iterations)
+            expected = _reference_pick(sub, h, index, outcome.iterations)
 
         deleted = frontier.flush()
         start = time.perf_counter()
         try:
-            result = sample(view, sub.injections, state, h,
-                            frontier.edges(), cond=cond, replicas=sub.replicas)
+            result = sample(view, sub.injections, state, h, frontier,
+                            cond=cond, replicas=sub.replicas)
         except NoCandidate as exc:
             raise Infeasible(
                 f"partition {index} stuck: {exc}",
                 partition_index=index,
                 iteration=outcome.iterations) from exc
         outcome.sample_s += time.perf_counter() - start
+        outcome.candidates += result.evaluated
+        if check_invariants and expected != result.best[:3]:
+            raise InvariantViolation(
+                f"selection in partition {index} at iteration "
+                f"{outcome.iterations} picked edge {result.best[2]} "
+                f"({result.best[0]} > {result.best[1]}), the full scan edge "
+                f"{expected[2]} ({expected[0]} > {expected[1]})")
+        i, j, eidx, w, demand, balance, pendant = result.best
+        if collect_trace:
+            outcome.trace.append(TraceRow(outcome.iterations + 1, eidx,
+                                          result.chosen.weight, balance,
+                                          pendant, deleted))
 
-        chosen = result.chosen
-        frontier.remove(chosen.edge_index)
-        i, j = chosen.tail, chosen.head
+        frontier.remove(eidx)
         ti = state.tree_of(i)
         tj = state.tree_of(j)
         was_source = cond.source[i]
         if tj is None:
-            h.extend(i, j, net.edges[chosen.edge_index][2], chosen.demand)
+            h.extend(i, j, net.edges[eidx][2], demand)
             state.absorb(ti, j)
             sub.uncovered.discard(j)
             frontier.grown((j,))
@@ -369,29 +389,25 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
             smaller = list(min(state.members[ti], state.members[tj], key=len))
             state.merge(ti, tj)
             outcome.merges += 1
-            frontier.grown(smaller)
+            frontier.grown(smaller, merged=tj)
         start = time.perf_counter()
         source = state.residuals[ti] > 0
         if tj is None and source == was_source:
-            cond.move((j,), source)
+            relabelled = cond.move((j,), source)
         else:
             # a tree changed side, or two trees merged
-            cond.move(state.members[ti], source)
+            relabelled = cond.move(state.members[ti], source)
         outcome.condense_s += time.perf_counter() - start
+        frontier.regroup(relabelled)
 
         outcome.directed.append((i, j))
-        outcome.edge_indices.append(chosen.edge_index)
+        outcome.edge_indices.append(eidx)
         outcome.iterations += 1
-        if collect_trace:
-            outcome.trace.append(TraceRow(
-                outcome.iterations, chosen.edge_index, chosen.weight,
-                chosen.balance_ok, chosen.pendant_source, deleted))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "partition %d iter %d: edge %d (%s > %s) w=%.4g bal=%s pend=%s",
-                index, outcome.iterations, chosen.edge_index,
-                net.names[i], net.names[j], chosen.weight, chosen.balance_ok,
-                chosen.pendant_source)
+                "partition %d iter %d: edge %d (%s > %s) raw w=%.4g bal=%s "
+                "pend=%s", index, outcome.iterations, eidx, net.names[i],
+                net.names[j], w, balance, pendant)
 
         if check_invariants:
             after = math.fsum(max(r, 0.0) for r in state.residuals.values())
@@ -399,6 +415,33 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
                 raise InvariantViolation(
                     f"surplus grew from {before!r} to {after!r} in partition "
                     f"{index} at iteration {outcome.iterations}")
+
+
+def _reference_pick(sub: Subproblem, h: PathCostAccumulator, index: int,
+                    iteration: int) -> tuple:
+    """``(tail, head, edge index)`` a full scan of the remaining pool picks,
+    all None when no orientation is live.
+
+    Raises :class:`InvariantViolation` unless the frontier's classes hold
+    exactly the live orientations the scan finds, by tail tree and head group.
+    """
+    f, member = sub.frontier, sub.cond.membership
+    raw = score((e for k, e in enumerate(f.pool) if k not in f.gone),
+                sub.state, h, sub.cond, sub.replicas)
+    want = {(f.position[r[2]], r[0]): (sub.state.tree_of(r[0]), member[r[1]])
+            for r in raw}
+    have = {key: (t, g) for t, row in f.classes.items()
+            for g, cls in row.items() for key in cls.members
+            if f.where.get(key) is cls}
+    if have != want or len(f.where) != len(want):
+        key = min(k for k in f.where.keys() | want.keys()
+                  if have.get(k) != want.get(k))
+        raise InvariantViolation(
+            f"frontier of partition {index} at iteration {iteration}: the "
+            f"orientation (pool position, tail) {key} is in class "
+            f"{have.get(key)}, not {want.get(key)}")
+    return min(raw, key=lambda r: (not r[6], not r[5], -r[3], r[0], r[1]),
+               default=(None, None, None))[:3]
 
 
 def _reference_is_reducible(sub: Subproblem, index: int,
@@ -497,6 +540,7 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             if tv < tu:
                 u, v, tu, tv = v, u, tv, tu
             state.merge(tu, tv)
+            sub.frontier.grown((), merged=tv)
             outcome.directed.append((u, v))
             outcome.edge_indices.append(idx)
             outcome.merges += 1
@@ -567,7 +611,8 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
         outcome.condense_s += time.perf_counter() - start
         pool = sub.frontier.take(i for v in own for _, i in sadj[v])
         built[k] = Subproblem(
-            sub.net, side_inj[k], side_state, Frontier(pool, side_state, sadj),
+            sub.net, side_inj[k], side_state,
+            Frontier(pool, side_state, sadj, side_cond, sub.frontier.h),
             sub.uncovered & set(own), sadj, side_cond, sorted(sadj),
             frozenset(r for r in sub.replicas if r in sadj) | {root},
             (root, set(hubs[k]), top))
@@ -588,7 +633,7 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             adj[root] = [e for e in adj[root] if e[0] not in gone]
         adj[root].extend((v, HUB_LINK) for v in new & keep)
     state.cut_down(root, gone, share[big])
-    cond.cut_down(cut, gone, share[big])
+    sub.frontier.regroup(cond.cut_down(cut, gone, share[big]))
     outcome.condense_s += time.perf_counter() - start
     sub.replicas = frozenset(r for r in sub.replicas if r in adj) | {root}
     sub.linked = (root, keep, top)

@@ -1,18 +1,27 @@
-"""Candidate scoring and selection for one construction step.
+"""Selection of the edge that extends or merges the polytrees next.
 
-Each step scores every way of extending or merging the current polytrees by a
-single edge.  The score favors supplying from trees with large remaining
-surplus into heavy demand groups reachable cheaply, with two hard priorities
-ranked above the score itself: supply groups with a single way out must use
-it, and extensions that keep the receiving side coverable are preferred.
+A live orientation ``i > j`` of a remaining edge has its tail ``i`` in a
+polytree and its head ``j`` outside that tree.  Its raw weight favors
+supplying from trees with large remaining surplus into heavy demand groups
+reachable cheaply.  Two hard priorities rank above the weight: supply groups
+with a single way out must use it, and extensions that keep the receiving
+side coverable are preferred.  Ties fall back to node ids, then pool order,
+so selection is fully deterministic.
 
-Selection is fully deterministic; ties fall back to node id order.
+The :class:`Frontier` keeps the live orientations in classes by tail tree
+and receiving condensation group.  A class shares supply, demand and both
+priorities; only ``c·d² + h[tail]`` differs inside it.  So a step rescores
+only the classes whose tree residual, group residual or members changed and
+takes the best of the class winners.  :func:`score` is the full scan, kept
+for :attr:`SampleResult.ranked`, the normalized trace weight and invariant
+mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .condenser import Condensation, net_concad
@@ -111,40 +120,47 @@ class ForestState:
 
 
 class Frontier:
-    """The remaining pool of one subproblem and its live edges.
+    """The remaining pool of one subproblem, its live orientations by class.
 
-    The live edges are those :func:`sample` scores: an end in a polytree
-    and the ends not in the same tree.  They are kept current from the
-    adjacency as trees grow, so a step never rescans the whole pool.  An edge
-    that becomes internal to a tree stays in the pool until the next
-    :meth:`flush`, which the growth loop calls before each sampling step.
+    Each live orientation is stored once, as ``(i, j, pool position, cost,
+    h[i], edge index)``: the cost and ``h[i]`` never change while it is
+    live.  The growth loop keeps the classes current through :meth:`grown`
+    after an absorb or a tree merge, :meth:`regroup` with the nodes a
+    condensation update relabelled, and :meth:`remove` and :meth:`take`.  An
+    edge that becomes internal to a tree leaves its classes at once and the
+    pool at the next :meth:`flush`.
 
     Args:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in pool order.
         state: Polytrees of the subproblem.
         adjacency: ``view.adjacency()`` of the subproblem.
+        cond: Condensation of the subproblem around ``state``.
+        h: Path cost accumulator of the partition.
     """
 
     def __init__(self, pool: Sequence[tuple[int, int, int, float]],
                  state: ForestState,
-                 adjacency: Mapping[int, list[tuple[int, int]]]) -> None:
+                 adjacency: Mapping[int, list[tuple[int, int]]],
+                 cond: Condensation, h: PathCostAccumulator) -> None:
         self.pool = pool
         self.state = state
         self.adj = adjacency
+        self.cond = cond
+        self.h = h
         self.position = {e[0]: k for k, e in enumerate(pool)}
         self.gone: set[int] = set()
         self.internal: set[int] = set()
-        self.live: dict[int, tuple[int, int, int, float]] = {}
+        #: tail tree -> receiving group -> class
+        self.classes: dict[int, dict[int, _Class]] = {}
+        #: (pool position, tail) -> class of that orientation
+        self.where: dict[tuple[int, int], _Class] = {}
+        self.scored = 0
         for k in range(len(pool)):
             self._classify(k)
 
     def __len__(self) -> int:
         """Edges still in the pool."""
         return len(self.pool) - len(self.gone)
-
-    def edges(self) -> list[tuple[int, int, int, float]]:
-        """The live edges, in pool order."""
-        return [self.live[k] for k in sorted(self.live)]
 
     def flush(self) -> int:
         """Drop the edges that became internal to a tree; return their count."""
@@ -156,7 +172,7 @@ class Frontier:
     def remove(self, edge_index: int) -> None:
         """Drop an edge the growth step used."""
         k = self.position[edge_index]
-        self.live.pop(k, None)
+        self._unlive(k)
         self.gone.add(k)
 
     def take(self, edge_indices: Iterable[int],
@@ -167,26 +183,137 @@ class Frontier:
                         and k not in self.gone})
         self.gone.update(taken)
         for k in taken:
-            self.live.pop(k, None)
+            self._unlive(k)
             self.internal.discard(k)
         return [self.pool[k] for k in taken]
 
-    def grown(self, nodes: Iterable[int]) -> None:
-        """Update the edges at ``nodes`` after their trees grew or merged."""
+    def grown(self, nodes: Iterable[int], merged: int | None = None) -> None:
+        """Update the edges at ``nodes`` after their trees grew or merged.
+
+        ``merged`` is the id of a tree just merged into another; its classes
+        join that tree's, the smaller into the larger.
+        """
+        if merged in self.classes:
+            into = self.state.tree_of(merged)
+            row = self.classes.setdefault(into, {})
+            for g, cls in self.classes.pop(merged).items():
+                other = row.get(g)
+                if other is not None:
+                    if len(other.members) > len(cls.members):
+                        cls, other = other, cls
+                    cls.members.update(other.members)
+                    self.where.update(dict.fromkeys(other.members, cls))
+                cls.tree, cls.best = into, None
+                row[g] = cls
         for v in nodes:
             for _, idx in self.adj[v]:
                 k = self.position.get(idx)
                 if k is not None and k not in self.gone and k not in self.internal:
                     self._classify(k)
 
+    def regroup(self, nodes: Iterable[int]) -> None:
+        """Re-key the orientations into ``nodes``, whose group ids changed."""
+        member = self.cond.membership
+        for y in nodes:
+            for x, idx in self.adj[y]:
+                key = (self.position.get(idx), x)
+                cls = self.where.get(key)
+                if cls is not None and cls.group != member[y]:
+                    self._add(self._drop(key), cls.tree, member[y])
+
+    def select(self, replicas: Collection[int] = ()) -> SampleResult:
+        """The best live orientation: the best of the class winners.
+
+        Raises:
+            NoCandidate: If no orientation is live.
+        """
+        residuals, supers = self.state.residuals, self.cond.super_nodes
+        nbrs, member = self.cond.adjacency(), self.cond.membership
+        split_supers = {member[r] for r in replicas}
+        best = None
+        for t, row in self.classes.items():
+            residual, st = residuals[t], member[t]
+            pendant = (supers[st].kind == "source" and len(nbrs[st]) == 1
+                       and st not in split_supers)
+            for g, cls in row.items():
+                receiving = supers[g].residual
+                if cls.best is None or cls.seen != (residual, receiving):
+                    self._rescan(cls, residual, receiving)
+                w, entry = cls.best
+                key = (not pendant, not (residual + receiving >= 0.0), -w,
+                       entry[:3])
+                if best is None or key < best[0]:
+                    best = (key, entry, w, receiving)
+        if best is None:
+            raise NoCandidate("no remaining edge touches a polytree")
+        (not_pendant, not_balance, _, _), entry, w, receiving = best
+        evaluated, self.scored = self.scored, 0
+        return SampleResult((entry[0], entry[1], entry[5], w, abs(receiving),
+                             not not_balance, not not_pendant),
+                            evaluated, self, replicas)
+
+    def _rescan(self, cls: _Class, residual: float, receiving: float) -> None:
+        supply, dd = max(residual, 0.0), receiving * receiving
+        entries = list(cls.members.values())
+        # edge_weight, with the demand squared once
+        ws = [supply / ((c * dd if c else 0.0) + hi + EPS_DEN)
+              for _, _, _, c, hi, _ in entries]
+        top = max(ws)
+        cls.best = (top, entries[ws.index(top)] if ws.count(top) == 1
+                    else min(e for e, w in zip(entries, ws) if w == top))
+        cls.seen = (residual, receiving)
+        self.scored += len(entries)
+
     def _classify(self, k: int) -> None:
-        _, u, v, _ = self.pool[k]
-        tu, tv = self.state.tree_of(u), self.state.tree_of(v)
+        idx, u, v, c = self.pool[k]
+        tree_of = self.state.membership.get
+        tu, tv = tree_of(u), tree_of(v)
         if tu is not None and tu == tv:
-            self.live.pop(k, None)
+            self._unlive(k)
             self.internal.add(k)
-        elif tu is not None or tv is not None:
-            self.live[k] = self.pool[k]
+        else:
+            for i, ti, j in ((u, tu, v), (v, tv, u)):
+                if ti is not None and (k, i) not in self.where:
+                    self._add((i, j, k, c, self.h.get(i, 0.0), idx), ti,
+                              self.cond.membership[j])
+
+    def _add(self, entry: tuple, tree: int, group: int) -> None:
+        row = self.classes.setdefault(tree, {})
+        cls = row.get(group) or row.setdefault(group, _Class(tree, group))
+        cls.members[entry[2], entry[0]] = entry
+        cls.best = None
+        self.where[entry[2], entry[0]] = cls
+
+    def _drop(self, key: tuple[int, int]) -> tuple:
+        cls = self.where.pop(key)
+        entry = cls.members.pop(key)
+        if not cls.members:
+            row = self.classes[cls.tree]
+            del row[cls.group]
+            if not row:
+                del self.classes[cls.tree]
+        elif cls.best is not None and cls.best[1] is entry:
+            cls.best = None
+        return entry
+
+    def _unlive(self, k: int) -> None:
+        for tail in self.pool[k][1:3]:
+            if (k, tail) in self.where:
+                self._drop((k, tail))
+
+
+class _Class:
+    """Live orientations of one tail tree into one group; ``best`` is
+    ``(raw weight, entry)`` of the winner at the residuals in ``seen``, or
+    None after the members changed."""
+
+    __slots__ = ("tree", "group", "members", "best", "seen")
+
+    def __init__(self, tree: int, group: int) -> None:
+        self.tree, self.group = tree, group
+        self.members: dict[tuple[int, int], tuple] = {}
+        self.best: tuple[float, tuple] | None = None
+        self.seen: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -203,91 +330,105 @@ class CandidateEdge:
     demand: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class SampleResult:
-    """The winning candidate and every scored candidate.
+    """The winning orientation of one step.
 
-    ``scored`` holds each candidate as the raw tuple ``(tail, head,
-    edge_index, raw_weight, demand, balance_ok, pendant_source)`` and
-    ``total`` the sum of raw weights; ``ranked`` turns them into
-    :class:`CandidateEdge` objects when asked, since a growth step reads only
-    ``chosen``.
+    ``best`` is the winner as a :func:`score` tuple and ``evaluated`` counts
+    the orientations whose weight the selection computed.  ``ranked`` (every
+    live orientation, in pool order, with its weight normalized by the sum
+    of raw weights) and ``chosen`` (the winner, normalized alike) are built
+    from the frontier when first read, so read them before the step is
+    applied.
     """
 
-    chosen: CandidateEdge
-    scored: tuple[tuple[int, int, int, float, float, bool, bool], ...]
-    total: float
+    best: tuple
+    evaluated: int
+    frontier: Frontier = field(repr=False, compare=False)
+    replicas: Collection[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def _scored(self) -> tuple[list[tuple], float]:
+        f = self.frontier
+        raw = score([f.pool[k] for k in sorted({k for k, _ in f.where})],
+                    f.state, f.h, f.cond, self.replicas)
+        return raw, math.fsum(r[3] for r in raw)
 
     @property
     def ranked(self) -> tuple[CandidateEdge, ...]:
-        """Every scored candidate, in scoring order."""
-        return tuple(_candidate(r, self.total) for r in self.scored)
+        raw, total = self._scored
+        return tuple(_candidate(r, total) for r in raw)
+
+    @property
+    def chosen(self) -> CandidateEdge:
+        return _candidate(self.best, self._scored[1])
 
 
-def _candidate(r: tuple[int, int, int, float, float, bool, bool],
-               total: float) -> CandidateEdge:
+def _candidate(r: tuple, total: float) -> CandidateEdge:
     i, j, eidx, w, demand, balance, pendant = r
     return CandidateEdge(i, j, eidx, w, w / total if total > 0 else w,
                          balance, pendant, demand)
 
 
+def score(edges: Iterable[tuple[int, int, int, float]], state: ForestState,
+          h: PathCostAccumulator, cond: Condensation,
+          replicas: Collection[int] = ()) -> list[tuple]:
+    """Score every live orientation of ``edges``, one at a time.
+
+    Returns ``(tail, head, edge_index, raw_weight, demand, balance_ok,
+    pendant_source)`` tuples in the order of ``edges``, ``u > v`` first.
+    The winner is the least by ``(not pendant_source, not balance_ok,
+    -raw_weight, tail, head)``, the first of equals.
+    """
+    neighbor_sets = cond.adjacency()
+    split_supers = {cond.membership[r] for r in replicas}
+    tree_of = state.membership.get
+    supers = cond.super_nodes
+    member = cond.membership
+    raw: list[tuple] = []
+    for eidx, u, v, c in edges:
+        for i, ti, j in ((u, tree_of(u), v), (v, tree_of(v), u)):
+            if ti is None or ti == tree_of(j):
+                continue
+            si = member[i]
+            residual = state.residuals[ti]
+            receiving = supers[member[j]].residual
+            demand = abs(receiving)
+            w = edge_weight(c, demand, max(residual, 0.0), h.get(i, 0.0))
+            pendant = (supers[si].kind == "source"
+                       and len(neighbor_sets[si]) == 1
+                       and si not in split_supers)
+            raw.append((i, j, eidx, w, demand, residual + receiving >= 0.0,
+                        pendant))
+    return raw
+
+
 def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
            h: PathCostAccumulator,
-           edges: Sequence[tuple[int, int, int, float]], *,
+           edges: Frontier | Sequence[tuple[int, int, int, float]], *,
            cond: Condensation | None = None,
            replicas: Collection[int] = ()) -> SampleResult:
-    """Score the live edges and pick the next one to orient.
+    """Pick the next orientation to grow.
 
     Args:
         view: Partition graph, condensed here when ``cond`` is not given.
         injections: Per-node injection within the partition.
         state: Current polytrees.
         h: Path cost accumulator for nodes reached so far.
-        edges: Live edges as ``(edge_index, u, v, cost)`` tuples: an end in
-            a polytree and the ends not in the same tree.  :class:`Frontier`
-            keeps them and drops the edges that became internal to a tree.
-        cond: Condensation of ``view`` around ``state``, if the caller keeps
-            it; otherwise :func:`net_concad` builds it here.
+        edges: The subproblem's :class:`Frontier`, or remaining edges as
+            ``(edge_index, u, v, cost)`` tuples, put in a new one here.
+        cond: Condensation of ``view`` around ``state`` for a new frontier;
+            :func:`net_concad` builds it when not given.
         replicas: Nodes standing in for a supply group that was split
             during growth.  That group has other ways out in the network, so
             a super node holding one never takes the single-way-out priority.
 
-    Returns:
-        The winning candidate and every scored candidate.
-
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
     """
-    cond = cond or net_concad(view, injections, state.membership)
-    neighbor_sets = cond.adjacency()
-    split_supers = {cond.membership[r] for r in replicas}
-
-    tree_of = state.membership.get
-    path_cost = h.get
-    supers = cond.super_nodes
-    member = cond.membership
-    raw: list[tuple[int, int, int, float, float, bool, bool]] = []
-    for eidx, u, v, c in edges:
-        for i, ti, j in ((u, tree_of(u), v), (v, tree_of(v), u)):
-            if ti is None:
-                continue
-            si = member[i]
-            residual = state.residuals[ti]
-            receiving = supers[member[j]].residual
-            supply = max(residual, 0.0)
-            demand = abs(receiving)
-            w = edge_weight(c, demand, supply, path_cost(i, 0.0))
-            balance = residual + receiving >= 0.0
-            pendant = (supers[si].kind == "source"
-                       and len(neighbor_sets[si]) == 1
-                       and si not in split_supers)
-            raw.append((i, j, eidx, w, demand, balance, pendant))
-
-    if not raw:
-        raise NoCandidate("no remaining edge touches a polytree")
-
-    total = math.fsum(r[3] for r in raw)
-    best = min(raw, key=lambda r: (not r[6], not r[5],
-                                   -(r[3] / total if total > 0 else r[3]),
-                                   r[0], r[1]))
-    return SampleResult(_candidate(best, total), tuple(raw), total)
+    if not isinstance(edges, Frontier):
+        adj = view.adjacency()
+        cond = cond or net_concad(view, injections, state.membership,
+                                  adjacency=adj)
+        edges = Frontier(edges, state, adj, cond, h)
+    return edges.select(replicas)

@@ -270,7 +270,7 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
         nodes = list(nodes)
         seen["flip"] += len(nodes) > 1 and any(cond.source[v] != source
                                                for v in nodes)
-        real_move(cond, nodes, source)
+        relabelled = real_move(cond, nodes, source)
         after = rebuilt()
         assert canonical(cond) == after
         merged = len(step["state"].residuals) < step["trees"]
@@ -281,6 +281,7 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
                 pieces = {membership[v] for v in members
                           if supers[membership[v]][1] == "sink"}
                 seen["sink split"] += len(pieces) > 1
+        return relabelled
 
     monkeypatch.setattr(forward_engine, "sample", checked_sample)
     monkeypatch.setattr(Condensation, "move", checked_move)
@@ -297,7 +298,7 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
 def test_reference_check_catches_a_stale_condensation(monkeypatch):
     # an update that does nothing leaves the condensation stale, and
     # invariant mode must notice on the next step
-    monkeypatch.setattr(Condensation, "move", lambda self, nodes, source: None)
+    monkeypatch.setattr(Condensation, "move", lambda self, nodes, source: [])
     with pytest.raises(InvariantViolation, match="incremental condensation"):
         solve(ws_instance(40, 0), check_invariants=True)
 

@@ -21,7 +21,7 @@ from radialflow.forward_engine import (HUB_LINK, AdjacencyView,
 from radialflow.islander import PartitionView
 from radialflow.network_model import balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
-from radialflow.sampler import ForestState, Frontier
+from radialflow.sampler import ForestState, Frontier, PathCostAccumulator
 
 from test_golden import ring_chain
 
@@ -259,15 +259,30 @@ def subproblem_of(net, sources, absorbed=()):
             or state.tree_of(net.edges[idx][0])
             != state.tree_of(net.edges[idx][1])]
     adj = view.adjacency()
-    return Subproblem(net, inj, state, Frontier(pool, state, adj),
-                      set(view.nodes) - covered, adj,
-                      net_concad(view, inj, state.membership, adjacency=adj),
-                      sorted(view.nodes))
+    cond = net_concad(view, inj, state.membership, adjacency=adj)
+    return Subproblem(net, inj, state,
+                      Frontier(pool, state, adj, cond, PathCostAccumulator()),
+                      set(view.nodes) - covered, adj, cond, sorted(view.nodes))
 
 
 def pool_of(frontier):
     """The edges still in a frontier's pool, in pool order."""
     return [e for k, e in enumerate(frontier.pool) if k not in frontier.gone]
+
+
+def index_of(frontier):
+    """The entries of a frontier's classes, keyed by tail tree and the
+    receiving group's members; pool positions are left out."""
+    supers = frontier.cond.super_nodes
+    classes = {}
+    for t, row in frontier.classes.items():
+        for g, cls in row.items():
+            assert (cls.tree, cls.group) == (t, g) and cls.members
+            assert all(frontier.where[key] is cls for key in cls.members)
+            classes[t, tuple(sorted(supers[g].members))] = sorted(
+                e[:2] + e[3:] for e in cls.members.values())
+    assert len(frontier.where) == sum(map(len, classes.values()))
+    return classes
 
 
 class SplitRecord:
@@ -330,8 +345,9 @@ def check_sides(record, sides):
         assert side.state.membership.keys() <= side.adjacency.keys()
         pool = [e for e in record.pool if e[1] in own or e[2] in own]
         assert pool_of(side.frontier) == pool
-        fresh = Frontier(pool, side.state, side.adjacency)
-        assert side.frontier.edges() == fresh.edges()
+        fresh = Frontier(pool, side.state, side.adjacency, rebuilt,
+                         side.frontier.h)
+        assert index_of(side.frontier) == index_of(fresh)
         assert sorted(side.frontier.pool[k] for k in side.frontier.internal) == [
             fresh.pool[k] for k in sorted(fresh.internal)]
         assert side.uncovered == record.uncovered & own

@@ -1,8 +1,16 @@
 """Edge scoring, queue overrides, and the loop-erase delete."""
 
-import pytest
+import json
+import math
 
-from radialflow import NoCandidate, build_network
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ws_instance
+from radialflow import (Infeasible, NoCandidate, build_network, solve,
+                        validate_radial)
+from radialflow import forward_engine
+from radialflow.condenser import net_concad
 from radialflow.network_model import full_view
 from radialflow.sampler import (EPS_DEN, ForestState, Frontier,
                                 PathCostAccumulator, edge_weight, sample)
@@ -93,21 +101,24 @@ def test_interior_edges_are_deleted():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
     injections = [3.0, -1.0, -1.0, -1.0]
     net = build_network(names, edges, injections)
-    state = ForestState([0], dict(enumerate(injections)))
-    frontier = Frontier([(2, 1, 2, 1.0), (3, 2, 3, 1.0)], state,
-                        full_view(net).adjacency())
-    assert frontier.edges() == []
+    inj = dict(enumerate(injections))
+    view = full_view(net)
+    adj = view.adjacency()
+    state = ForestState([0], inj)
+    cond = net_concad(view, inj, state.membership, adjacency=adj)
+    h = PathCostAccumulator()
+    frontier = Frontier([(2, 1, 2, 1.0), (3, 2, 3, 1.0)], state, adj, cond, h)
+    assert frontier.classes == {}
+    h.extend(0, 1, 1.0, 2.0)
+    h.extend(0, 2, 1.0, 2.0)
     state.absorb(0, 1)
     state.absorb(0, 2)
     frontier.grown((1, 2))
-    h = PathCostAccumulator()
-    h.extend(0, 1, 1.0, 2.0)
-    h.extend(0, 2, 1.0, 2.0)
+    frontier.regroup(cond.move((1, 2), True))
     assert frontier.flush() == 1
     assert [e[0] for k, e in enumerate(frontier.pool)
             if k not in frontier.gone] == [3]
-    result = sample(full_view(net), dict(enumerate(injections)), state,
-                    h, frontier.edges())
+    result = sample(view, inj, state, h, frontier)
     assert (result.chosen.tail, result.chosen.head) == (2, 3)
     assert result.chosen.balance_ok
     assert all(c.edge_index != 2 for c in result.ranked)
@@ -174,3 +185,81 @@ def test_merge_candidates_allowed():
     assert bridging
     assert result.chosen.edge_index == 3
     assert state.tree_of(result.chosen.head) is not None
+
+
+def test_free_edge_wins_at_extreme_injections():
+    # the raw weights are 0.0 and inf; their sum is inf, so ranking by the
+    # normalized weight compared 0.0 with inf / inf = nan
+    net = build_network(["s", "a", "b"], [(0, 1, 1.0), (0, 2, 0.0)],
+                        [1e300, -5e299, -5e299])
+    inj = dict(enumerate(net.injections))
+    result = sample(full_view(net), inj, ForestState([0], inj),
+                    PathCostAccumulator(), pool_of(net))
+    assert [c.raw_weight for c in result.ranked] == [0.0, math.inf]
+    assert result.best[2:4] == (1, math.inf)
+
+
+def test_index_scores_fewer_orientations_than_a_full_scan(monkeypatch):
+    full = []
+    real_sample = forward_engine.sample
+
+    def counted(*args, **kwargs):
+        result = real_sample(*args, **kwargs)
+        full.append(len(result.ranked))
+        return result
+
+    monkeypatch.setattr(forward_engine, "sample", counted)
+    _, report = solve(ws_instance(400, 0))
+    assert len(full) == report.iterations
+    assert 0 < report.candidates < sum(full)
+    assert "candidates" not in json.loads(report.to_json())
+
+
+@st.composite
+def small_networks(draw):
+    """Connected networks of up to 8 nodes.
+
+    Costs are drawn from a few values, 0 among them, so ties and free edges
+    are common; injections are small integers, many of them 0, balanced
+    exactly.  A random spanning tree plus extra edges leaves cut vertices,
+    and supplies often land on them.
+    """
+    n = draw(st.integers(2, 8))
+    cost = st.sampled_from([0.0, 1.0, 1.0, 2.5])
+    edges = [(draw(st.integers(0, v - 1)), v, draw(cost)) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), cost),
+                          max_size=2 * n))
+    pairs = {(u, v) for u, v, _ in edges}
+    for u, v, c in extra:
+        if u != v and (min(u, v), max(u, v)) not in pairs:
+            pairs.add((min(u, v), max(u, v)))
+            edges.append((min(u, v), max(u, v), c))
+    p = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]),
+                      min_size=n, max_size=n))
+    p[draw(st.integers(0, n - 1))] -= sum(p)
+    return build_network([f"v{i}" for i in range(n)], edges, p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_networks())
+def test_index_picks_what_a_full_scan_picks(net):
+    # invariant mode holds every step's pick to a full scan of the pool
+    try:
+        cfg, _ = solve(net, check_invariants=True)
+    except Infeasible:
+        return
+    assert validate_radial(net, cfg).passed
+
+
+def test_parallel_orientations_tie_on_pool_order():
+    # two pool entries over the same pair, as a condensation's parallel
+    # crossing edges are: equal in every key, the first in the pool wins
+    net = build_network(["s", "x"], [(0, 1, 1.0)], [1.0, -1.0])
+    inj = dict(enumerate(net.injections))
+    for pool, first in (([(0, 0, 1, 1.0), (5, 0, 1, 1.0)], 0),
+                        ([(5, 0, 1, 1.0), (0, 0, 1, 1.0)], 5)):
+        result = sample(full_view(net), inj, ForestState([0], inj),
+                        PathCostAccumulator(), pool)
+        assert result.best[2] == first
+        assert [c.edge_index for c in result.ranked] == [e[0] for e in pool]
