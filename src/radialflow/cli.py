@@ -20,8 +20,7 @@ import os
 import platform
 import sys
 
-from .exceptions import (Infeasible, InvalidSpec, ParseError, RadialFlowError,
-                         TooLarge, ValidationError)
+from .exceptions import Infeasible, InvalidSpec, RadialFlowError, TooLarge
 from .forward_engine import (complexity_probe, default_source_count,
                              fit_exponent, solve)
 from .generator import GenSpec, generate
@@ -45,7 +44,7 @@ def _setup_logging() -> None:
 
 def _read_network(path: str):
     if path == "-":
-        return load_network(sys.stdin.read())
+        return load_network(getattr(sys.stdin, "buffer", sys.stdin).read())
     with open(path, "rb") as fh:
         return load_network(fh)
 
@@ -64,7 +63,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"ok: {net.n} nodes, {net.m} edges, "
               f"{len(net.source_set)} supplies")
         return 0
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "rb") as fh:
         cfg = config_from_json(net, fh)
     report = validate_radial(net, cfg)
     print(report.summary())
@@ -163,7 +162,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     net = _read_network(args.network)
-    with open(args.solution, "r", encoding="utf-8") as fh:
+    with open(args.solution, "rb") as fh:
         cfg = config_from_json(net, fh)
     _write_text(args.out, export_dot(net, cfg))
     return 0
@@ -243,19 +242,13 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 3
-    except RadialFlowError as exc:
+    except (OSError, RadialFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,11 +93,14 @@ class SolveReport:
 
 @dataclass
 class PartitionOutcome:
-    directed: list[tuple[int, int]]
-    edge_indices: list[int]
-    iterations: int
-    merges: int
-    trace: list[TraceRow]
+    """Chosen edges, counts and seconds of one solve, from the settled edges
+    on; every :func:`run_partition` appends to it, in partition order."""
+
+    directed: list[tuple[int, int]] = field(default_factory=list)
+    edge_indices: list[int] = field(default_factory=list)
+    iterations: int = 0
+    merges: int = 0
+    trace: list[TraceRow] = field(default_factory=list)
     reducible: int = 0
     splits: int = 0
     condense_s: float = 0.0
@@ -150,38 +153,14 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     t2 = time.perf_counter()
     logger.info("islander produced %d partition(s)", len(parts))
 
-    outcomes = [run_partition(part, check_invariants=check_invariants,
-                              collect_trace=collect_trace)
-                for part in parts]
+    outcome = PartitionOutcome(list(pre.presampled),
+                               list(pre.presampled_edge_indices))
+    for part in parts:
+        run_partition(part, outcome, check_invariants=check_invariants,
+                      collect_trace=collect_trace)
     t3 = time.perf_counter()
 
-    directed: list[tuple[int, int]] = list(pre.presampled)
-    edge_indices: list[int] = list(pre.presampled_edge_indices)
-    iterations = 0
-    merges = 0
-    reducible = 0
-    splits = 0
-    condense_s = 0.0
-    sample_s = 0.0
-    candidates = 0
-    trace: list[TraceRow] = []
-    for outcome in outcomes:
-        directed.extend(outcome.directed)
-        edge_indices.extend(outcome.edge_indices)
-        iterations += outcome.iterations
-        merges += outcome.merges
-        reducible += outcome.reducible
-        splits += outcome.splits
-        condense_s += outcome.condense_s
-        sample_s += outcome.sample_s
-        candidates += outcome.candidates
-        trace.extend(outcome.trace)
-    if collect_trace:
-        trace = [TraceRow(i + 1, r.edge_index, r.weight, r.balance_ok,
-                          r.pendant, r.deleted_count)
-                 for i, r in enumerate(trace)]
-
-    solution = solve_forest(net, edge_indices)
+    solution = solve_forest(net, outcome.edge_indices)
     t4 = time.perf_counter()
     if not math.isfinite(solution.cost):
         raise Infeasible(f"cost of the solved flows overflows to {solution.cost}",
@@ -191,7 +170,7 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     flipped = 0
     for k, idx in enumerate(solution.edge_indices):
         solved = solution.oriented_edges[k]
-        sampled = directed[k]
+        sampled = outcome.directed[k]
         if solution.flows[k] == 0.0:
             final_edges.append(sampled)
         else:
@@ -201,14 +180,16 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     cfg = RadialConfiguration(tuple(final_edges), solution.flows, solution.cost)
 
     report = SolveReport(
-        cost=solution.cost, iterations=iterations, partitions=len(parts),
-        presampled=len(pre.presampled), flipped_edges=flipped,
+        cost=solution.cost, iterations=outcome.iterations,
+        partitions=len(parts), presampled=len(pre.presampled),
+        flipped_edges=flipped,
         timings={"preprocess": t1 - t0, "islander": t2 - t1,
                  "loop": t3 - t2, "solve_flow": t4 - t3,
-                 "condense": condense_s, "sample": sample_s},
+                 "condense": outcome.condense_s, "sample": outcome.sample_s},
         n=net.n, m=net.m, zero_flow=len(solution.zero_flow_edges),
-        merges=merges, reducible_condensations=reducible, splits=splits,
-        candidates=candidates, trace=tuple(trace))
+        merges=outcome.merges, reducible_condensations=outcome.reducible,
+        splits=outcome.splits, candidates=outcome.candidates,
+        trace=tuple(outcome.trace))
     logger.info("solved: cost %.6g, %d iterations, %d flips",
                 report.cost, report.iterations, report.flipped_edges)
     if check_invariants:
@@ -251,18 +232,18 @@ class Subproblem:
     :func:`split_at_cut` replaces a subproblem by one per side of a supply
     super node that has become a cut vertex of the condensation.
     ``adjacency`` maps each node to its ``(neighbor, edge index)`` pairs and
-    :data:`HUB_LINK` links, ``cond`` is the condensation around ``state``,
-    ``order`` a heap of the nodes where dropped ones linger, and ``replicas``
-    the id nodes of trees standing in for split supply super nodes (see
-    :func:`sample`).  ``linked`` holds the root, kept hub nodes and smallest
-    hub node of the last split; no edge lies between those nodes.
+    :data:`HUB_LINK` links; a node is uncovered while ``state`` holds no tree
+    over it.  ``cond`` is the condensation around ``state``, ``order`` a heap
+    of the nodes where dropped ones linger, and ``replicas`` the id nodes of
+    trees standing in for split supply super nodes (see :func:`sample`).
+    ``linked`` holds the root, kept hub nodes and smallest hub node of the
+    last split; no edge lies between those nodes.
     """
 
     net: DistributionNetwork
     injections: dict[int, float]
     state: ForestState
     frontier: Frontier
-    uncovered: set[int]
     adjacency: dict[int, list[tuple[int, int]]]
     cond: Condensation
     order: list[int]
@@ -274,15 +255,18 @@ class Subproblem:
         return AdjacencyView(self.net, self.adjacency)
 
 
-def run_partition(part: PartitionView, *, check_invariants: bool = False,
-                  collect_trace: bool = False) -> PartitionOutcome:
+def run_partition(part: PartitionView, outcome: PartitionOutcome, *,
+                  check_invariants: bool = False,
+                  collect_trace: bool = False) -> None:
     """Grow polytrees inside one partition until covered and drained.
 
     Before every step the condensation is searched for supply super nodes
     that are cut vertices.  At the first one the subproblem is split, as the
     islander splits at articulation supplies, and the sides are grown one
     after another, smallest node id first.  The sampler therefore only ever
-    consults irreducible condensations.
+    consults irreducible condensations.  Edges and counts go to ``outcome``;
+    the cap of n - 1 edges and the iteration numbers in errors are the
+    partition's own.
     """
     net = part.graph.net
     inj = dict(part.injections)
@@ -290,52 +274,59 @@ def run_partition(part: PartitionView, *, check_invariants: bool = False,
     sources = sorted(part.sources)
 
     if not sources:
-        return _spanning_fallback(part, tol)
+        return _spanning_fallback(part, tol, outcome)
 
-    pool = [(idx, net.edges[idx][0], net.edges[idx][1], net.edges[idx][2])
-            for idx in part.graph.edge_indices]
-    h = PathCostAccumulator()
-    cap = max(len(part.graph.nodes) - 1, 0)
-    outcome = PartitionOutcome([], [], 0, 0, [])
-    state = ForestState(sources, inj)
-    adj = part.graph.adjacency()
-    start = time.perf_counter()
-    cond = net_concad(part.graph, inj, state.membership, adjacency=adj)
-    outcome.condense_s += time.perf_counter() - start
-    todo = [Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
-                       set(part.graph.nodes) - set(sources), adj, cond,
-                       sorted(part.graph.nodes))]
+    pool = [(idx, *net.edges[idx]) for idx in part.graph.edge_indices]
+    cap = len(outcome.edge_indices) + max(len(part.graph.nodes) - 1, 0)
+    first = outcome.iterations
+    todo = [_subproblem(net, part.graph.adjacency(), inj,
+                        ForestState(sources, inj), pool,
+                        PathCostAccumulator(), outcome)]
     while todo:
-        sub = todo.pop()
-        todo.extend(reversed(_grow(part.index, sub, h, tol, cap, outcome,
-                                   check_invariants, collect_trace)))
-    return outcome
+        todo.extend(reversed(_grow(part.index, todo.pop(), tol, cap, first,
+                                   outcome, check_invariants, collect_trace)))
 
 
-def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
-          cap: int, outcome: PartitionOutcome, check_invariants: bool,
+def _subproblem(net: DistributionNetwork, adj: dict, inj: dict,
+                state: ForestState, pool: list, h: PathCostAccumulator,
+                outcome: PartitionOutcome, replicas: frozenset = frozenset(),
+                linked: tuple | None = None) -> Subproblem:
+    """A subproblem over ``adj`` whose condensation is built afresh by
+    :func:`net_concad` and whose frontier holds ``pool``."""
+    start = time.perf_counter()
+    cond = net_concad(AdjacencyView(net, adj), inj, state.membership,
+                      adjacency=adj)
+    outcome.condense_s += time.perf_counter() - start
+    return Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
+                      adj, cond, sorted(adj), replicas, linked)
+
+
+def _grow(index: int, sub: Subproblem, tol: float, cap: int, first: int,
+          outcome: PartitionOutcome, check_invariants: bool,
           collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
     The frontier and the condensation are updated by each step where it
-    changes them.
+    changes them.  ``cap`` bounds the edges in ``outcome`` and ``first`` is
+    its iteration count when the partition began.
     """
     net, view = sub.net, sub.graph
-    state, cond, frontier = sub.state, sub.cond, sub.frontier
+    state, cond, frontier, h = sub.state, sub.cond, sub.frontier, sub.frontier.h
     while True:
+        step = outcome.iterations - first
+        uncovered = len(state.membership) < len(sub.adjacency)
         drained = all(abs(r) <= tol for r in state.residuals.values())
-        if not sub.uncovered and drained:
+        if not uncovered and drained:
             return []
         if len(outcome.edge_indices) >= cap:
             raise Infeasible(
                 f"partition {index} still "
-                f"{'uncovered' if sub.uncovered else 'imbalanced'} after "
-                f"{outcome.iterations} iterations",
-                partition_index=index, iteration=outcome.iterations)
-        if not sub.uncovered and not frontier:
+                f"{'uncovered' if uncovered else 'imbalanced'} after "
+                f"{step} iterations", partition_index=index, iteration=step)
+        if not uncovered and not frontier:
             raise Infeasible(
                 f"partition {index} has imbalanced trees and no edges left",
-                partition_index=index, iteration=outcome.iterations)
+                partition_index=index, iteration=step)
 
         start = time.perf_counter()
         cuts = source_cut_vertices(cond)
@@ -345,34 +336,32 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
 
         if check_invariants:
             before = math.fsum(max(r, 0.0) for r in state.residuals.values())
-            if _reference_is_reducible(sub, index, outcome.iterations):
+            if _reference_is_reducible(sub, index, step):
                 outcome.reducible += 1
                 logger.debug(
                     "reducible condensation in partition %d at iteration %d",
-                    index, outcome.iterations)
-            expected = _reference_pick(sub, h, index, outcome.iterations)
+                    index, step)
+            expected = _reference_pick(sub, index, step)
 
         deleted = frontier.flush()
         start = time.perf_counter()
         try:
             result = sample(view, sub.injections, state, h, frontier,
-                            cond=cond, replicas=sub.replicas)
+                            replicas=sub.replicas)
         except NoCandidate as exc:
-            raise Infeasible(
-                f"partition {index} stuck: {exc}",
-                partition_index=index,
-                iteration=outcome.iterations) from exc
+            raise Infeasible(f"partition {index} stuck: {exc}",
+                             partition_index=index, iteration=step) from exc
         outcome.sample_s += time.perf_counter() - start
         outcome.candidates += result.evaluated
         if check_invariants and expected != result.best[:3]:
             raise InvariantViolation(
-                f"selection in partition {index} at iteration "
-                f"{outcome.iterations} picked edge {result.best[2]} "
-                f"({result.best[0]} > {result.best[1]}), the full scan edge "
-                f"{expected[2]} ({expected[0]} > {expected[1]})")
+                f"selection in partition {index} at iteration {step} picked "
+                f"edge {result.best[2]} ({result.best[0]} > "
+                f"{result.best[1]}), the full scan edge {expected[2]} "
+                f"({expected[0]} > {expected[1]})")
         i, j, eidx, w, demand, balance, pendant = result.best
         if collect_trace:
-            outcome.trace.append(TraceRow(outcome.iterations + 1, eidx,
+            outcome.trace.append(TraceRow(len(outcome.trace) + 1, eidx,
                                           result.chosen.weight, balance,
                                           pendant, deleted))
 
@@ -383,7 +372,6 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         if tj is None:
             h.extend(i, j, net.edges[eidx][2], demand)
             state.absorb(ti, j)
-            sub.uncovered.discard(j)
             frontier.grown((j,))
         else:
             smaller = list(min(state.members[ti], state.members[tj], key=len))
@@ -406,7 +394,7 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "partition %d iter %d: edge %d (%s > %s) raw w=%.4g bal=%s "
-                "pend=%s", index, outcome.iterations, eidx, net.names[i],
+                "pend=%s", index, step + 1, eidx, net.names[i],
                 net.names[j], w, balance, pendant)
 
         if check_invariants:
@@ -414,11 +402,10 @@ def _grow(index: int, sub: Subproblem, h: PathCostAccumulator, tol: float,
             if after > before + tol:
                 raise InvariantViolation(
                     f"surplus grew from {before!r} to {after!r} in partition "
-                    f"{index} at iteration {outcome.iterations}")
+                    f"{index} at iteration {step + 1}")
 
 
-def _reference_pick(sub: Subproblem, h: PathCostAccumulator, index: int,
-                    iteration: int) -> tuple:
+def _reference_pick(sub: Subproblem, index: int, iteration: int) -> tuple:
     """``(tail, head, edge index)`` a full scan of the remaining pool picks,
     all None when no orientation is live.
 
@@ -427,7 +414,7 @@ def _reference_pick(sub: Subproblem, h: PathCostAccumulator, index: int,
     """
     f, member = sub.frontier, sub.cond.membership
     raw = score((e for k, e in enumerate(f.pool) if k not in f.gone),
-                sub.state, h, sub.cond, sub.replicas)
+                sub.state, f.h, sub.cond, sub.replicas)
     want = {(f.position[r[2]], r[0]): (sub.state.tree_of(r[0]), member[r[1]])
             for r in raw}
     have = {key: (t, g) for t, row in f.classes.items()
@@ -605,18 +592,12 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             sorted({t for t in map(state.tree_of, own) if t is not None}),
             side_inj[k])
         side_state.plant(root, hubs[k], share[k])
-        start = time.perf_counter()
-        side_cond = net_concad(AdjacencyView(sub.net, sadj), side_inj[k],
-                               side_state.membership, adjacency=sadj)
-        outcome.condense_s += time.perf_counter() - start
-        pool = sub.frontier.take(i for v in own for _, i in sadj[v])
-        built[k] = Subproblem(
-            sub.net, side_inj[k], side_state,
-            Frontier(pool, side_state, sadj, side_cond, sub.frontier.h),
-            sub.uncovered & set(own), sadj, side_cond, sorted(sadj),
+        built[k] = _subproblem(
+            sub.net, sadj, side_inj[k], side_state,
+            sub.frontier.take(i for v in own for _, i in sadj[v]),
+            sub.frontier.h, outcome,
             frozenset(r for r in sub.replicas if r in sadj) | {root},
             (root, set(hubs[k]), top))
-        sub.uncovered.difference_update(own)
 
     # the kept side is the subproblem, cut down in place; its hub nodes other
     # than the root hold no injection
@@ -656,8 +637,9 @@ def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
     return low
 
 
-def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:
-    """Cover a partition that has no supply at all.
+def _spanning_fallback(part: PartitionView, tol: float,
+                       outcome: PartitionOutcome) -> None:
+    """Cover a partition that has no supply at all, appending to ``outcome``.
 
     Only legal when every injection is (numerically) zero; any spanning tree
     then carries zero flow.  A demand node with no supply is infeasible.
@@ -669,7 +651,6 @@ def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:
     adj = part.graph.adjacency()
     start = min(part.graph.nodes)
     seen = {start}
-    outcome = PartitionOutcome([], [], 0, 0, [])
     frontier = [start]
     while frontier:
         x = heapq.heappop(frontier)
@@ -680,7 +661,6 @@ def _spanning_fallback(part: PartitionView, tol: float) -> PartitionOutcome:
                 outcome.directed.append((x, y))
                 outcome.edge_indices.append(eidx)
                 outcome.iterations += 1
-    return outcome
 
 
 def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,

@@ -112,16 +112,6 @@ def _biconnected(view: GraphView) -> tuple[set[int], list[list[int]]]:
     return artics, [[index[e] for e in comp] for comp in comps]
 
 
-def find_articulation_points(view: GraphView) -> frozenset[int]:
-    return frozenset(_biconnected(view)[0])
-
-
-def find_articulation_sources(view: GraphView,
-                              sources: Iterable[int]) -> frozenset[int]:
-    """Articulation points that are also supply nodes."""
-    return frozenset(_biconnected(view)[0]) & frozenset(sources)
-
-
 def islander(view: GraphView, injections: Sequence[float]) -> list[PartitionView]:
     """Split a graph at its articulation supply nodes.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .exceptions import DimensionMismatch, ParseError, ValidationError
 
@@ -179,14 +179,6 @@ class GraphView:
             adj[v].append((u, idx))
         return adj
 
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.nodes}
-        for idx in self.edge_indices:
-            u, v, _ = self.net.edges[idx]
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def full_view(net: DistributionNetwork) -> GraphView:
     """The whole network as a view over itself."""
@@ -279,18 +271,7 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
         ParseError: If the document is not valid JSON or has the wrong shape.
         ValidationError: If the network violates a model invariant.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"network file is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-
+    doc = _read_json(source, "network")
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     for key in ("nodes", "edges"):
@@ -305,12 +286,11 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
         name, p = item["name"], item["p"]
         if not isinstance(name, str):
             raise ParseError(f"node name must be a string: {name!r}")
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ParseError(f"injection must be a number at node {name!r}")
+        p = _number(p, "injection must be a number at node %r", name)
         if name in raw_p:
             raise ValidationError(f"duplicate node name {name!r}")
         names.append(name)
-        raw_p[name] = float(p)
+        raw_p[name] = p
 
     names.sort()
     ids = {name: i for i, name in enumerate(names)}
@@ -322,17 +302,43 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
         u, v, c = item["u"], item["v"], item["c"]
         if not isinstance(u, str) or not isinstance(v, str):
             raise ParseError(f"edge endpoints must be node names: {item!r}")
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ParseError(f"cost coefficient must be a number: {item!r}")
+        c = _number(c, "cost coefficient must be a number: %r", item)
         if u not in ids or v not in ids:
             missing = u if u not in ids else v
             raise ValidationError(f"unknown node {missing!r} in edge list")
-        edges.append((ids[u], ids[v], float(c)))
+        edges.append((ids[u], ids[v], c))
 
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ParseError("'meta' entry must be an object")
     return build_network(names, edges, [raw_p[name] for name in names], meta)
+
+
+def _read_json(source: str | bytes | IO, what: str) -> Any:
+    """The JSON document in text, bytes or a file object."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} file is not valid UTF-8: {exc}") from exc
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _number(value: Any, message: str, arg: Any) -> float:
+    """``value`` as a float; raises :class:`ParseError` with ``message % arg``
+    for a bool, a non-number or an integer beyond float range.  The message
+    is formatted only then: this runs for every node and edge of a file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(message % (arg,))
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"{message % (arg,)}: {exc}") from exc
 
 
 def serialize_network(net: DistributionNetwork) -> str:
@@ -400,16 +406,15 @@ def config_to_json(net: DistributionNetwork, cfg: RadialConfiguration) -> str:
 
 
 def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> RadialConfiguration:
-    """Parse a configuration document produced by :func:`config_to_json`."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "edges" not in doc or "cost" not in doc:
+    """Parse a configuration document produced by :func:`config_to_json`.
+
+    Raises:
+        ParseError: If the document is not valid JSON or has the wrong shape.
+        ValidationError: If an edge names a node the network lacks.
+    """
+    doc = _read_json(source, "configuration")
+    if (not isinstance(doc, dict) or not isinstance(doc.get("edges"), list)
+            or "cost" not in doc):
         raise ParseError("configuration document must have 'edges' and 'cost'")
     ids = net.name_to_id()
     directed: list[tuple[int, int]] = []
@@ -417,11 +422,15 @@ def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> Radi
     for item in doc["edges"]:
         if not isinstance(item, dict) or not {"u", "v", "flow"} <= set(item):
             raise ParseError(f"edge entry must have 'u', 'v' and 'flow': {item!r}")
-        if item["u"] not in ids or item["v"] not in ids:
+        u, v = item["u"], item["v"]
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise ParseError(f"edge endpoints must be node names: {item!r}")
+        if u not in ids or v not in ids:
             raise ValidationError(f"unknown node in configuration edge: {item!r}")
-        directed.append((ids[item["u"]], ids[item["v"]]))
-        flows.append(float(item["flow"]))
-    return RadialConfiguration(tuple(directed), tuple(flows), float(doc["cost"]))
+        directed.append((ids[u], ids[v]))
+        flows.append(_number(item["flow"], "flow must be a number: %r", item))
+    cost = _number(doc["cost"], "cost must be a number: %r", doc["cost"])
+    return RadialConfiguration(tuple(directed), tuple(flows), cost)
 
 
 # ---------------------------------------------------------------------------

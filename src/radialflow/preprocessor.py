@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .network_model import DistributionNetwork, GraphView, full_view
 
@@ -35,11 +35,6 @@ class PreprocessResult:
     @property
     def fully_reduced(self) -> bool:
         return not self.reduced.edge_indices
-
-
-def preprocess(net: DistributionNetwork) -> PreprocessResult:
-    """Peel degree-one nodes of the whole network."""
-    return preprocess_view(full_view(net), net.injections)
 
 
 def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
@@ -79,22 +74,21 @@ def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
             queue.append(j)
 
 
-def preprocess_view(view: GraphView, p: Sequence[float]) -> PreprocessResult:
-    """Peel degree-one nodes of a graph view (see :func:`peel`).
+def preprocess(net: DistributionNetwork) -> PreprocessResult:
+    """Peel degree-one nodes of the whole network (see :func:`peel`).
 
     The final node of a fully peeled component is dropped from the reduced
     view along with its (empty) edge set.
     """
-    net = view.net
-    p = list(p)
+    p = list(net.injections)
     presampled: list[tuple[int, int]] = []
     pre_idx: list[int] = []
-    for i, j, eidx, value in peel(view.adjacency(), p):
+    for i, j, eidx, value in peel(full_view(net).adjacency(), p):
         presampled.append((i, j) if value >= 0 else (j, i))
         pre_idx.append(eidx)
 
     done = set(pre_idx)
-    remaining = tuple(idx for idx in view.edge_indices if idx not in done)
+    remaining = tuple(idx for idx in range(net.m) if idx not in done)
     keep: set[int] = set()
     for idx in remaining:
         u, v, _ = net.edges[idx]

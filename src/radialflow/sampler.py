@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .condenser import Condensation, net_concad
+from .condenser import Condensation
 from .exceptions import NoCandidate
 from .network_model import ExactSum, GraphView
 
@@ -46,13 +46,10 @@ def edge_weight(cost_coeff: float, demand: float, supply: float,
 class PathCostAccumulator(dict):
     """Per-node accumulated cost estimate of the path that reached it."""
 
-    def value(self, node: int) -> float:
-        return self.get(node, 0.0)
-
     def extend(self, tail: int, head: int, cost_coeff: float,
                demand: float) -> None:
         step = cost_coeff * (demand * demand) if cost_coeff else 0.0
-        self[head] = self.value(tail) + step
+        self[head] = self.get(tail, 0.0) + step
 
 
 class ForestState:
@@ -339,7 +336,8 @@ class SampleResult:
     live orientation, in pool order, with its weight normalized by the sum
     of raw weights) and ``chosen`` (the winner, normalized alike) are built
     from the frontier when first read, so read them before the step is
-    applied.
+    applied.  The raw weights are divided by the largest before they are
+    summed, so the sum cannot overflow; infinite ones share the mass equally.
     """
 
     best: tuple
@@ -348,26 +346,23 @@ class SampleResult:
     replicas: Collection[int] = field(repr=False, compare=False)
 
     @cached_property
-    def _scored(self) -> tuple[list[tuple], float]:
+    def ranked(self) -> tuple[CandidateEdge, ...]:
         f = self.frontier
         raw = score([f.pool[k] for k in sorted({k for k, _ in f.where})],
                     f.state, f.h, f.cond, self.replicas)
-        return raw, math.fsum(r[3] for r in raw)
-
-    @property
-    def ranked(self) -> tuple[CandidateEdge, ...]:
-        raw, total = self._scored
-        return tuple(_candidate(r, total) for r in raw)
+        top = max((r[3] for r in raw), default=0.0)
+        shares = [float(r[3] == top) if math.isinf(top) else r[3] / top
+                  if top else 0.0 for r in raw]
+        total = math.fsum(shares) or 1.0
+        return tuple(CandidateEdge(i, j, eidx, w, share / total, balance,
+                                   pendant, demand)
+                     for (i, j, eidx, w, demand, balance, pendant), share
+                     in zip(raw, shares))
 
     @property
     def chosen(self) -> CandidateEdge:
-        return _candidate(self.best, self._scored[1])
-
-
-def _candidate(r: tuple, total: float) -> CandidateEdge:
-    i, j, eidx, w, demand, balance, pendant = r
-    return CandidateEdge(i, j, eidx, w, w / total if total > 0 else w,
-                         balance, pendant, demand)
+        return next(c for c in self.ranked
+                    if (c.tail, c.head, c.edge_index) == self.best[:3])
 
 
 def score(edges: Iterable[tuple[int, int, int, float]], state: ForestState,
@@ -404,31 +399,18 @@ def score(edges: Iterable[tuple[int, int, int, float]], state: ForestState,
 
 
 def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
-           h: PathCostAccumulator,
-           edges: Frontier | Sequence[tuple[int, int, int, float]], *,
-           cond: Condensation | None = None,
+           h: PathCostAccumulator, frontier: Frontier, *,
            replicas: Collection[int] = ()) -> SampleResult:
-    """Pick the next orientation to grow.
+    """Pick the next orientation to grow: :meth:`Frontier.select`.
 
-    Args:
-        view: Partition graph, condensed here when ``cond`` is not given.
-        injections: Per-node injection within the partition.
-        state: Current polytrees.
-        h: Path cost accumulator for nodes reached so far.
-        edges: The subproblem's :class:`Frontier`, or remaining edges as
-            ``(edge_index, u, v, cost)`` tuples, put in a new one here.
-        cond: Condensation of ``view`` around ``state`` for a new frontier;
-            :func:`net_concad` builds it when not given.
-        replicas: Nodes standing in for a supply group that was split
-            during growth.  That group has other ways out in the network, so
-            a super node holding one never takes the single-way-out priority.
+    ``view``, ``injections``, ``state`` and ``h`` are those the subproblem's
+    ``frontier`` was built over; they are not read, but the benchmark's
+    traced run (``perfbench/spans.py``) reads the frontier as the fifth
+    argument.  ``replicas`` are the nodes standing in for a supply group
+    split during growth; that group has other ways out in the network, so a
+    super node holding one never takes the single-way-out priority.
 
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
     """
-    if not isinstance(edges, Frontier):
-        adj = view.adjacency()
-        cond = cond or net_concad(view, injections, state.membership,
-                                  adjacency=adj)
-        edges = Frontier(edges, state, adj, cond, h)
-    return edges.select(replicas)
+    return frontier.select(replicas)

@@ -208,6 +208,59 @@ def test_network_from_stdin(monkeypatch, capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+def test_network_from_stdin_must_be_utf8(monkeypatch, capsys):
+    # read as text, stdin once took the byte in under a surrogate escape
+    raw = b'{"nodes": [{"name": "\xff", "p": 0.0}], "edges": []}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(raw), encoding="utf-8", errors="surrogateescape"))
+    assert main(["validate", "-"]) == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 def test_log_level_table():
     assert LOG_LEVELS == {"error": logging.ERROR, "info": logging.INFO,
                           "debug": logging.DEBUG}
+
+
+@pytest.mark.parametrize("p", [(1.5e296, -0.75e296, -0.75e296),
+                               (1e300, -5e299, -5e299)],
+                         ids=["sum overflows", "weights infinite"])
+def test_traced_solve_at_overflowing_weights(tmp_path, p):
+    # the normalizing sum of the raw weights once overflowed (an untyped
+    # OverflowError) or divided inf by inf (nan weights in the trace)
+    doc = {"nodes": [{"name": name, "p": x} for name, x in zip("abc", p)],
+           "edges": [{"u": "a", "v": "b", "c": 0.0},
+                     {"u": "a", "v": "c", "c": 0.0},
+                     {"u": "b", "v": "c", "c": 1.0}]}
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(doc))
+    traced, plain = tmp_path / "traced.json", tmp_path / "plain.json"
+    tr = tmp_path / "trace.csv"
+    assert main(["solve", str(net), "-o", str(traced), "--trace", str(tr)]) == 0
+    assert main(["solve", str(net), "-o", str(plain)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    rows = [row.split(",") for row in tr.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["0", "1"]
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("config", [
+    b'{"edges": [{"u": "src", "v": "t1", "flow": 1.0}], "cost": "abc"}',
+    b'{"edges": [{"u": "src", "v": "t1", "flow": null}], "cost": 1.0}',
+    b'{"edges": [{"u": "src", "v": "t1", "flow": true}], "cost": 1.0}',
+    b'{"edges": [{"u": ["src"], "v": "t1", "flow": 1.0}], "cost": 1.0}',
+    b'{"edges": [], "cost": 1.0, "note": "\xff"}',
+], ids=["cost a string", "flow null", "flow a bool", "endpoint a list",
+        "not UTF-8"])
+def test_malformed_config_exit_code(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_bytes(config)
+    assert main(["validate", GAP_RING, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_invalid_spec_exit_code(capsys):
+    assert main(["gen", "--n", "5", "--k", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

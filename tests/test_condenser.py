@@ -257,12 +257,12 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
         return canonical(net_concad(step["view"], step["injections"],
                                     state.membership))
 
-    def checked_sample(view, injections, state, h, edges, *, cond, replicas):
+    def checked_sample(view, injections, state, h, frontier, *, replicas):
         step.update(view=view, injections=injections, state=state,
                     trees=len(state.residuals))
         step["before"] = rebuilt()
-        assert canonical(cond) == step["before"]
-        return real_sample(view, injections, state, h, edges, cond=cond,
+        assert canonical(frontier.cond) == step["before"]
+        return real_sample(view, injections, state, h, frontier,
                            replicas=replicas)
 
     def checked_move(cond, nodes, source):

@@ -14,8 +14,8 @@ from radialflow import (Infeasible, InfeasibleSplit, NoCandidate,
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
 from radialflow.forward_engine import (HUB_LINK, AdjacencyView,
-                                       PartitionOutcome, Subproblem,
-                                       _spanning_fallback, complexity_probe,
+                                       PartitionOutcome, _spanning_fallback,
+                                       _subproblem, complexity_probe,
                                        default_source_count, fit_exponent,
                                        split_at_cut)
 from radialflow.islander import PartitionView
@@ -130,7 +130,8 @@ def test_fallback_rejects_unserved_demand():
     part = PartitionView(0, full_view(net), {0: 2.0, 1: -2.0},
                          frozenset(), {})
     with pytest.raises(Infeasible, match="no supply"):
-        _spanning_fallback(part, balance_tolerance([2.0, -2.0]))
+        _spanning_fallback(part, balance_tolerance([2.0, -2.0]),
+                           PartitionOutcome())
 
 
 def test_fallback_visits_the_smallest_frontier_node_first():
@@ -150,11 +151,57 @@ def test_fallback_visits_the_smallest_frontier_node_first():
                 seen.add(y)
                 frontier.append(y)
                 want.append((x, y, idx))
-    outcome = _spanning_fallback(part, 1e-9)
+    outcome = PartitionOutcome()
+    _spanning_fallback(part, 1e-9, outcome)
     assert len(want) == net.n - 1
     assert [(*e, idx) for e, idx in zip(outcome.directed,
                                         outcome.edge_indices)] == want
     assert outcome.iterations == len(want)
+
+
+def three_blocks():
+    """Triangle, free triangle and square around the supply s: the islander
+    makes three partitions, the middle one without supply."""
+    names = ["s", "a", "b", "c", "d", "e", "f", "g"]
+    edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5),
+             (0, 3, 0.0), (0, 4, 0.0), (3, 4, 0.0),
+             (0, 5, 1.5), (5, 6, 1.0), (6, 7, 0.5), (0, 7, 1.0)]
+    return build_network(names, edges,
+                         [4.0, -1.0, -1.0, 0.0, 0.0, -0.5, -1.0, -0.5])
+
+
+def test_trace_runs_on_across_partitions():
+    # the supply-less partition is spanned without sampling; the rows of
+    # the partitions around it are numbered on without a gap
+    net = three_blocks()
+    cfg, report = solve(net, collect_trace=True)
+    assert validate_radial(net, cfg).passed
+    assert (report.iterations, report.merges, report.splits,
+            report.flipped_edges, report.partitions, report.presampled) == (
+        7, 0, 0, 0, 3, 0)
+    assert [row.iteration for row in report.trace] == [1, 2, 3, 4, 5]
+    assert [row.edge_index for row in report.trace] == [0, 1, 9, 6, 7]
+
+
+def test_stuck_partition_names_its_own_iteration(monkeypatch):
+    # partition 2 gets stuck at its second step, after the 2 + 2 iterations
+    # of partitions 0 and 1
+    net = three_blocks()
+    real_sample = forward_engine.sample
+    steps = []
+
+    def stuck_in_last_block(view, *args, **kwargs):
+        if 5 in view.adj:
+            steps.append(view)
+            if len(steps) == 2:
+                raise NoCandidate("no remaining edge touches a polytree")
+        return real_sample(view, *args, **kwargs)
+
+    monkeypatch.setattr(forward_engine, "sample", stuck_in_last_block)
+    with pytest.raises(Infeasible) as info:
+        solve(net)
+    assert info.value.partition_index == 2
+    assert info.value.iteration == 1
 
 
 def test_invariant_mode_counts_and_completes():
@@ -252,17 +299,15 @@ def subproblem_of(net, sources, absorbed=()):
     state = ForestState(sources, inj)
     for tree, node in absorbed:
         state.absorb(tree, node)
-    covered = set(state.membership)
-    view = full_view(net)
-    pool = [(idx, *net.edges[idx]) for idx in view.edge_indices
-            if state.tree_of(net.edges[idx][0]) is None
-            or state.tree_of(net.edges[idx][0])
-            != state.tree_of(net.edges[idx][1])]
-    adj = view.adjacency()
-    cond = net_concad(view, inj, state.membership, adjacency=adj)
-    return Subproblem(net, inj, state,
-                      Frontier(pool, state, adj, cond, PathCostAccumulator()),
-                      set(view.nodes) - covered, adj, cond, sorted(view.nodes))
+    pool = [(idx, u, v, c) for idx, (u, v, c) in enumerate(net.edges)
+            if state.tree_of(u) is None or state.tree_of(u) != state.tree_of(v)]
+    return _subproblem(net, full_view(net).adjacency(), inj, state, pool,
+                       PathCostAccumulator(), PartitionOutcome())
+
+
+def uncovered(sub):
+    """The nodes of a subproblem that no tree holds yet."""
+    return set(sub.adjacency) - set(sub.state.membership)
 
 
 def pool_of(frontier):
@@ -292,7 +337,7 @@ class SplitRecord:
         self.sub = sub
         self.hub = set(sub.cond.super_nodes[cut].members)
         self.pool = pool_of(sub.frontier)
-        self.uncovered = set(sub.uncovered)
+        self.uncovered = uncovered(sub)
         self.adjacency = {v: list(links) for v, links in sub.adjacency.items()}
         self.objects = (sub.state, sub.cond, sub.frontier, sub.adjacency,
                         sub.injections)
@@ -350,7 +395,7 @@ def check_sides(record, sides):
         assert index_of(side.frontier) == index_of(fresh)
         assert sorted(side.frontier.pool[k] for k in side.frontier.internal) == [
             fresh.pool[k] for k in sorted(fresh.internal)]
-        assert side.uncovered == record.uncovered & own
+        assert uncovered(side) == record.uncovered & own
         assert side.replicas <= side.adjacency.keys() and root in side.replicas
     return [len(own) for own in owns]
 
@@ -362,7 +407,7 @@ def split_once(sub):
     # the kept side updates the hub's group in place
     hub = SimpleNamespace(members=set(group.members), residual=group.residual)
     record = SplitRecord(sub, cuts[0])
-    outcome = PartitionOutcome([], [], 0, 0, [])
+    outcome = PartitionOutcome()
     sides = split_at_cut(sub, cuts[0], outcome, index=0,
                          tol=balance_tolerance(sub.injections.values()))
     check_sides(record, sides)
@@ -417,7 +462,7 @@ def test_split_gives_each_side_its_need():
     assert hub.members == {1, 3}
     assert [side.graph.nodes for side in sides] == [(0, 1, 3), (1, 2, 3)]
     assert [side.injections[1] for side in sides] == [1.0, 1.0]
-    assert [side.uncovered for side in sides] == [{0}, {2}]
+    assert [uncovered(side) for side in sides] == [{0}, {2}]
     for side in sides:
         assert math.fsum(side.injections.values()) == 0.0
         assert side.state.residuals == {1: 1.0}
@@ -481,6 +526,6 @@ def test_stuck_side_names_partition_and_iteration(monkeypatch):
 
     monkeypatch.setattr(forward_engine, "sample", stuck_after_split)
     with pytest.raises(Infeasible) as info:
-        forward_engine.run_partition(part)
+        forward_engine.run_partition(part, PartitionOutcome())
     assert info.value.partition_index == 3
     assert info.value.iteration == 1

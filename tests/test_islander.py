@@ -6,8 +6,7 @@ import networkx as nx
 import pytest
 
 from radialflow import InfeasibleSplit, build_network
-from radialflow.islander import (find_articulation_points,
-                                 find_articulation_sources, islander)
+from radialflow.islander import _biconnected, islander
 from radialflow.network_model import balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
 
@@ -19,20 +18,18 @@ def test_path_middle_is_articulation():
                         [(0, 1, 1.0), (1, 2, 1.0)],
                         [-1.0, 2.0, -1.0])
     view = full_view(net)
-    assert find_articulation_points(view) == {1}
-    assert find_articulation_sources(view, {1}) == {1}
-    assert find_articulation_sources(view, {0}) == set()
+    assert _biconnected(view)[0] == {1}
 
 
 def test_cycle_has_none(gap_ring):
-    assert find_articulation_points(full_view(gap_ring)) == frozenset()
+    assert _biconnected(full_view(gap_ring))[0] == set()
 
 
 def test_matches_networkx():
     for seed in range(6):
         net = ws_instance(40, seed=seed)
         view = preprocess(net).reduced
-        got = find_articulation_points(view)
+        got = _biconnected(view)[0]
         g = nx.Graph()
         g.add_nodes_from(view.nodes)
         for idx in view.edge_indices:
@@ -105,7 +102,7 @@ def chained_blocks():
 def test_chained_articulation_supplies():
     net = chained_blocks()
     view = full_view(net)
-    assert find_articulation_sources(view, net.source_set) == {2, 4}
+    assert _biconnected(view)[0] & net.source_set == {2, 4}
     parts = islander(view, list(net.injections))
     assert len(parts) == 3
 

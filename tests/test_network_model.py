@@ -46,6 +46,10 @@ def test_load_rejects_malformed():
         load_network(json.dumps({"edges": []}))
     with pytest.raises(ParseError):
         load_network(json.dumps({"nodes": [{"name": "a"}], "edges": []}))
+    # an integer beyond float range once escaped as an OverflowError
+    with pytest.raises(ParseError, match="number"):
+        load_network('{"nodes": [{"name": "a", "p": 1%s}], "edges": []}'
+                     % ("0" * 400))
 
 
 def test_load_rejects_structural():

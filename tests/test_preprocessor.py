@@ -7,7 +7,7 @@ import pytest
 
 from radialflow import build_network, solve_forest
 from radialflow.network_model import balance_tolerance, full_view
-from radialflow.preprocessor import preprocess, preprocess_view
+from radialflow.preprocessor import peel, preprocess
 
 from conftest import random_tree_network, ws_instance
 
@@ -54,19 +54,15 @@ def test_reduced_min_degree_two():
     for seed in range(8):
         net = ws_instance(30, seed=seed)
         res = preprocess(net)
-        for node, deg in res.reduced.degrees().items():
-            assert deg >= 2, f"seed {seed} node {node} degree {deg}"
+        for node, links in res.reduced.adjacency().items():
+            assert len(links) >= 2, f"seed {seed} node {node} degree {len(links)}"
 
 
 def test_idempotent(block15):
+    # the reduced graph has no leaf left to peel
     res = preprocess(block15)
-    inj = [0.0] * block15.n
-    for node in res.reduced.nodes:
-        inj[node] = res.reduced_injections[node]
-    again = preprocess_view(res.reduced, inj)
-    assert again.presampled == ()
-    assert again.reduced.nodes == res.reduced.nodes
-    assert again.reduced.edge_indices == res.reduced.edge_indices
+    inj = list(res.reduced_injections)
+    assert list(peel(res.reduced.adjacency(), inj)) == []
 
 
 def test_edge_conservation(block15, ieee33):

@@ -10,16 +10,24 @@ from conftest import ws_instance
 from radialflow import (Infeasible, NoCandidate, build_network, solve,
                         validate_radial)
 from radialflow import forward_engine
-from radialflow.condenser import net_concad
+from radialflow.forward_engine import PartitionOutcome, _subproblem
 from radialflow.network_model import full_view
-from radialflow.sampler import (EPS_DEN, ForestState, Frontier,
-                                PathCostAccumulator, edge_weight, sample)
+from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
+                                edge_weight, sample)
 
 
-def pool_of(net, view=None):
-    view = view or full_view(net)
-    return [(idx, net.edges[idx][0], net.edges[idx][1], net.edges[idx][2])
-            for idx in view.edge_indices]
+def pool_of(net):
+    return [(idx, *net.edges[idx]) for idx in range(net.m)]
+
+
+def pick(net, state, pool=None, h=None):
+    """``sample`` over a new subproblem of ``pool`` (default: every edge)."""
+    inj = dict(enumerate(net.injections))
+    h = PathCostAccumulator() if h is None else h
+    sub = _subproblem(net, full_view(net).adjacency(), inj, state,
+                      pool_of(net) if pool is None else pool, h,
+                      PartitionOutcome())
+    return sample(sub.graph, inj, state, h, sub.frontier)
 
 
 def test_edge_weight_direct():
@@ -35,7 +43,7 @@ def test_edge_weight_zero_denominator():
     assert edge_weight(0.0, 1e200, 1.0, 0.0) == w
     h = PathCostAccumulator()
     h.extend(0, 1, 0.0, 1e200)
-    assert h.value(1) == 0.0
+    assert h[1] == 0.0
 
 
 def test_weight_decreases_with_cost_and_path():
@@ -51,8 +59,7 @@ def test_normalization_identity():
                         [(0, 1, 1.2), (0, 2, 0.1)],
                         [3.0, -1.0, -2.0])
     state = ForestState([0], {0: 3.0, 1: -1.0, 2: -2.0})
-    result = sample(full_view(net), dict(enumerate(net.injections)), state,
-                    PathCostAccumulator(), pool_of(net))
+    result = pick(net, state)
     by_head = {c.head: c for c in result.ranked}
     assert by_head[1].raw_weight == pytest.approx(2.5, rel=1e-9)
     assert by_head[2].raw_weight == pytest.approx(7.5, rel=1e-9)
@@ -69,8 +76,7 @@ def test_pendant_super_source_pops_first():
     injections = [1.0, 2.0, -1.0, -2.0]
     net = build_network(names, edges, injections)
     state = ForestState([0, 1], dict(enumerate(injections)))
-    result = sample(full_view(net), dict(enumerate(injections)), state,
-                    PathCostAccumulator(), pool_of(net))
+    result = pick(net, state)
     assert result.chosen.pendant_source
     assert (result.chosen.tail, result.chosen.head) == (0, 2)
     assert result.chosen.weight < max(c.weight for c in result.ranked)
@@ -84,8 +90,7 @@ def test_balance_outranks_weight():
     injections = [1.0, 5.0, -5.0, -1.0]
     net = build_network(names, edges, injections)
     state = ForestState([0, 1], dict(enumerate(injections)))
-    result = sample(full_view(net), dict(enumerate(injections)), state,
-                    PathCostAccumulator(), pool_of(net))
+    result = pick(net, state)
     ranked = result.ranked
     heavy = max(ranked, key=lambda c: c.weight)
     assert not heavy.balance_ok
@@ -102,23 +107,22 @@ def test_interior_edges_are_deleted():
     injections = [3.0, -1.0, -1.0, -1.0]
     net = build_network(names, edges, injections)
     inj = dict(enumerate(injections))
-    view = full_view(net)
-    adj = view.adjacency()
     state = ForestState([0], inj)
-    cond = net_concad(view, inj, state.membership, adjacency=adj)
     h = PathCostAccumulator()
-    frontier = Frontier([(2, 1, 2, 1.0), (3, 2, 3, 1.0)], state, adj, cond, h)
+    sub = _subproblem(net, full_view(net).adjacency(), inj, state,
+                      [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, PartitionOutcome())
+    frontier = sub.frontier
     assert frontier.classes == {}
     h.extend(0, 1, 1.0, 2.0)
     h.extend(0, 2, 1.0, 2.0)
     state.absorb(0, 1)
     state.absorb(0, 2)
     frontier.grown((1, 2))
-    frontier.regroup(cond.move((1, 2), True))
+    frontier.regroup(sub.cond.move((1, 2), True))
     assert frontier.flush() == 1
     assert [e[0] for k, e in enumerate(frontier.pool)
             if k not in frontier.gone] == [3]
-    result = sample(view, inj, state, h, frontier)
+    result = sample(sub.graph, inj, state, h, frontier)
     assert (result.chosen.tail, result.chosen.head) == (2, 3)
     assert result.chosen.balance_ok
     assert all(c.edge_index != 2 for c in result.ranked)
@@ -128,8 +132,7 @@ def test_no_candidate_raises():
     net = build_network(["s", "a"], [(0, 1, 1.0)], [1.0, -1.0])
     state = ForestState([0], {0: 1.0, 1: -1.0})
     with pytest.raises(NoCandidate):
-        sample(full_view(net), {0: 1.0, 1: -1.0}, state,
-               PathCostAccumulator(), [])
+        pick(net, state, [])
 
 
 def test_deterministic():
@@ -138,10 +141,8 @@ def test_deterministic():
                         [2.0, -1.0, -1.0])
     state_a = ForestState([0], dict(enumerate(net.injections)))
     state_b = ForestState([0], dict(enumerate(net.injections)))
-    first = sample(full_view(net), dict(enumerate(net.injections)), state_a,
-                   PathCostAccumulator(), pool_of(net))
-    second = sample(full_view(net), dict(enumerate(net.injections)), state_b,
-                    PathCostAccumulator(), pool_of(net))
+    first = pick(net, state_a)
+    second = pick(net, state_b)
     assert first.chosen == second.chosen
     assert first.ranked == second.ranked
 
@@ -151,8 +152,7 @@ def test_tie_breaks_on_node_ids():
                         [(0, 1, 1.0), (0, 2, 1.0)],
                         [2.0, -1.0, -1.0])
     state = ForestState([0], dict(enumerate(net.injections)))
-    result = sample(full_view(net), dict(enumerate(net.injections)), state,
-                    PathCostAccumulator(), pool_of(net))
+    result = pick(net, state)
     assert (result.chosen.tail, result.chosen.head) == (0, 1)
 
 
@@ -161,8 +161,7 @@ def test_scale_free_ranking():
         edges = [(0, 1, 0.4 * scale), (0, 2, 1.1 * scale), (1, 2, 0.8 * scale)]
         net = build_network(["s", "x", "y"], edges, [2.0, -1.0, -1.0])
         state = ForestState([0], dict(enumerate(net.injections)))
-        result = sample(full_view(net), dict(enumerate(net.injections)),
-                        state, PathCostAccumulator(), pool_of(net))
+        result = pick(net, state)
         return (result.chosen.tail, result.chosen.head)
 
     assert run(1.0) == run(3.0) == run(0.25)
@@ -178,8 +177,8 @@ def test_merge_candidates_allowed():
     state.absorb(2, 3)
     h = PathCostAccumulator()
     h.extend(2, 3, 1.0, 1.0)
-    result = sample(full_view(net), dict(enumerate(injections)), state,
-                    h, [(0, 0, 1, 1.0), (1, 1, 2, 1.0), (3, 0, 3, 1.0)])
+    result = pick(net, state, [(0, 0, 1, 1.0), (1, 1, 2, 1.0),
+                               (3, 0, 3, 1.0)], h)
     bridging = [c for c in result.ranked
                 if state.tree_of(c.head) is not None]
     assert bridging
@@ -193,8 +192,7 @@ def test_free_edge_wins_at_extreme_injections():
     net = build_network(["s", "a", "b"], [(0, 1, 1.0), (0, 2, 0.0)],
                         [1e300, -5e299, -5e299])
     inj = dict(enumerate(net.injections))
-    result = sample(full_view(net), inj, ForestState([0], inj),
-                    PathCostAccumulator(), pool_of(net))
+    result = pick(net, ForestState([0], inj))
     assert [c.raw_weight for c in result.ranked] == [0.0, math.inf]
     assert result.best[2:4] == (1, math.inf)
 
@@ -259,7 +257,6 @@ def test_parallel_orientations_tie_on_pool_order():
     inj = dict(enumerate(net.injections))
     for pool, first in (([(0, 0, 1, 1.0), (5, 0, 1, 1.0)], 0),
                         ([(5, 0, 1, 1.0), (0, 0, 1, 1.0)], 5)):
-        result = sample(full_view(net), inj, ForestState([0], inj),
-                        PathCostAccumulator(), pool)
+        result = pick(net, ForestState([0], inj), pool)
         assert result.best[2] == first
         assert [c.edge_index for c in result.ranked] == [e[0] for e in pool]
