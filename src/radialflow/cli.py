@@ -127,9 +127,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise InvalidSpec(f"--sizes takes comma separated integers, "
+                          f"not {args.sizes!r}") from None
     if not sizes:
         raise InvalidSpec("no sizes given")
+    if args.seeds < 1:
+        raise InvalidSpec(f"--seeds must be at least 1, not {args.seeds}")
     digest = hashlib.sha256()
     points = complexity_probe(sizes, seeds=args.seeds, k=args.k,
                               beta=args.beta, n_sources=args.sources,

@@ -22,9 +22,7 @@ from .network_model import ExactSum, GraphView, find
 
 
 def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float],
-               polytrees: Mapping[int, int], *,
-               adjacency: Mapping[int, list[tuple[int, int]]] | None = None,
-               ) -> Condensation:
+               polytrees: Mapping[int, int]) -> Condensation:
     """Condense a graph around its current polytrees, from scratch.
 
     Args:
@@ -32,14 +30,13 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
         injections: Per-node injection, indexable by parent node id.
         polytrees: Tree id per touched node; nodes missing from the mapping
             are treated as singleton trees of themselves.
-        adjacency: ``view.adjacency()``, if the caller already has it; the
-            condensation keeps it and reads it on every update.
 
     Returns:
         A :class:`Condensation` whose group ids follow ``view.nodes`` order,
-        so for a sorted view they follow each group's smallest member.
+        so for a sorted view they follow each group's smallest member.  It
+        keeps ``view.adjacency()`` and reads it on every update.
     """
-    adj = adjacency or view.adjacency()
+    adj = view.adjacency()
     nodes = view.nodes
     trees: dict[int, list[float]] = {}
     for v in nodes:
@@ -378,6 +375,6 @@ def source_cut_vertices(cond: Condensation) -> list[int]:
     if len(adj) <= 2 or all(len(adj[g]) < 2 for g in adj
                             if supers[g].kind == "source"):
         return []
-    artics, _ = lowpoint(adj, adj)
+    artics = lowpoint(adj, adj)
     return sorted((a for a in artics if supers[a].kind == "source"),
                   key=lambda a: min(supers[a].members))

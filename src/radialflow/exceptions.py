@@ -32,7 +32,7 @@ class ImbalanceError(RadialFlowError):
 
 
 class InfeasibleSplit(RadialFlowError):
-    """Partitioning could not assign consistent injections to replicated nodes."""
+    """A partition or a side of a growth split fails to balance."""
 
 
 class NoCandidate(RadialFlowError):
@@ -43,9 +43,11 @@ class Infeasible(RadialFlowError):
     """The solver could not produce a feasible radial configuration.
 
     Attributes:
-        partition_index: Index of the partition being processed, or None when
-            the failure happened outside the partition loop.
-        iteration: Sampling iteration at which the failure occurred, or None.
+        partition_index: Index of the partition being grown (0, since the
+            peeled graph is one partition), or None when the failure happened
+            outside growth.
+        iteration: Sampling steps taken before the failure, counted over
+            every side of every growth split, or None.
     """
 
     def __init__(self, message: str, partition_index: int | None = None,

@@ -1,13 +1,14 @@
 """Greedy construction of a feasible radial configuration.
 
-Stages: settle forced edges (degree-one peeling), split at articulation
-supplies, then grow polytrees inside each partition one edge at a time until
-every node is covered and every tree's surplus is drained.  Growth re-applies
-the split whenever a supply super node becomes a cut vertex of the
-condensation, so every side is grown on its own and the sampler only sees
-irreducible condensations.  The final orientation and flows come from an exact
-forest solve over the chosen edges; sampled directions that disagree with the
-solved flow are flipped and counted.
+Stages: settle forced edges (degree-one peeling), then grow polytrees over
+the rest, one connected partition, one edge at a time until every node is
+covered and every tree's surplus is drained.  Whenever a supply super node
+is a cut vertex of the condensation (before the first step, every
+articulation supply is one), growth splits there, so every side is grown on
+its own and the sampler only sees irreducible condensations.  The final
+orientation and flows come from an exact forest solve over the chosen edges;
+sampled directions that disagree with the solved flow are flipped and
+counted.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ REPORT_SCHEMA_VERSION = 1
 class SolveReport:
     """Solve statistics.  ``to_json`` emits all but the trace.
 
-    ``timings`` holds the seconds of the four stages (``preprocess``,
-    ``islander``, ``loop``, ``solve_flow``) and, inside the loop, the
-    seconds spent building condensations, keeping them current and searching
-    them for cut vertices (``condense``) and in the sampler's selection
-    (``sample``; keeping the frontier's classes current counts as loop
-    time).  ``candidates`` counts the orientations whose weight the sampler
-    computed; it is not in the JSON document yet.
+    ``partitions`` is 1, or 0 when peeling settles every edge; ``splits``
+    counts the growth splits.  ``timings`` holds the seconds of the four
+    stages (``preprocess``, ``islander``, ``loop``, ``solve_flow``) and,
+    inside the loop, the seconds spent building condensations, keeping them
+    current and searching them for cut vertices (``condense``) and in the
+    sampler's selection (``sample``; keeping the frontier's classes current
+    counts as loop time).  ``candidates`` counts the orientations whose
+    weight the sampler computed; it is not in the JSON document yet.
     """
 
     cost: float
@@ -112,9 +114,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
           collect_trace: bool = False) -> tuple[RadialConfiguration, SolveReport]:
     """Build a feasible radial configuration for a network.
 
-    Partitions are grown one after another, in partition order.  Each
-    partition's condensation is built once by :func:`net_concad` and then
-    updated by every step.
+    The graph left by peeling is grown as one partition.  Its condensation
+    is built once by :func:`net_concad` and then updated by every step.
 
     Args:
         net: Connected, balanced distribution network.
@@ -261,12 +262,10 @@ def run_partition(part: PartitionView, outcome: PartitionOutcome, *,
     """Grow polytrees inside one partition until covered and drained.
 
     Before every step the condensation is searched for supply super nodes
-    that are cut vertices.  At the first one the subproblem is split, as the
-    islander splits at articulation supplies, and the sides are grown one
-    after another, smallest node id first.  The sampler therefore only ever
-    consults irreducible condensations.  Edges and counts go to ``outcome``;
-    the cap of n - 1 edges and the iteration numbers in errors are the
-    partition's own.
+    that are cut vertices.  At the first one the subproblem is split and the
+    sides are grown one after another, smallest node id first.  The sampler
+    therefore only ever consults irreducible condensations.  Edges and counts
+    go to ``outcome``; the partition adds at most n - 1 edges.
     """
     net = part.graph.net
     inj = dict(part.injections)
@@ -278,13 +277,12 @@ def run_partition(part: PartitionView, outcome: PartitionOutcome, *,
 
     pool = [(idx, *net.edges[idx]) for idx in part.graph.edge_indices]
     cap = len(outcome.edge_indices) + max(len(part.graph.nodes) - 1, 0)
-    first = outcome.iterations
     todo = [_subproblem(net, part.graph.adjacency(), inj,
                         ForestState(sources, inj), pool,
                         PathCostAccumulator(), outcome)]
     while todo:
-        todo.extend(reversed(_grow(part.index, todo.pop(), tol, cap, first,
-                                   outcome, check_invariants, collect_trace)))
+        todo.extend(reversed(_grow(part.index, todo.pop(), tol, cap, outcome,
+                                   check_invariants, collect_trace)))
 
 
 def _subproblem(net: DistributionNetwork, adj: dict, inj: dict,
@@ -294,26 +292,24 @@ def _subproblem(net: DistributionNetwork, adj: dict, inj: dict,
     """A subproblem over ``adj`` whose condensation is built afresh by
     :func:`net_concad` and whose frontier holds ``pool``."""
     start = time.perf_counter()
-    cond = net_concad(AdjacencyView(net, adj), inj, state.membership,
-                      adjacency=adj)
+    cond = net_concad(AdjacencyView(net, adj), inj, state.membership)
     outcome.condense_s += time.perf_counter() - start
     return Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
                       adj, cond, sorted(adj), replicas, linked)
 
 
-def _grow(index: int, sub: Subproblem, tol: float, cap: int, first: int,
+def _grow(index: int, sub: Subproblem, tol: float, cap: int,
           outcome: PartitionOutcome, check_invariants: bool,
           collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
     The frontier and the condensation are updated by each step where it
-    changes them.  ``cap`` bounds the edges in ``outcome`` and ``first`` is
-    its iteration count when the partition began.
+    changes them.  ``cap`` bounds the edges in ``outcome``.
     """
     net, view = sub.net, sub.graph
     state, cond, frontier, h = sub.state, sub.cond, sub.frontier, sub.frontier.h
     while True:
-        step = outcome.iterations - first
+        step = outcome.iterations
         uncovered = len(state.membership) < len(sub.adjacency)
         drained = all(abs(r) <= tol for r in state.residuals.values())
         if not uncovered and drained:
@@ -441,8 +437,7 @@ def _reference_is_reducible(sub: Subproblem, index: int,
     goes through the condenser module, not this module's name, so replacing
     the latter to switch the growth split off leaves the count intact.
     """
-    ref = net_concad(sub.graph, sub.injections, sub.state.membership,
-                     adjacency=sub.adjacency)
+    ref = net_concad(sub.graph, sub.injections, sub.state.membership)
     problem = sub.cond.mismatch(ref)
     for t, members in sub.state.members.items():
         exact = math.fsum(sub.injections[v] for v in members)
@@ -460,14 +455,15 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
                  index: int, tol: float) -> list[Subproblem]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
-    This is the islander's split, applied to the condensation during growth.
-    The super node's polytrees (the hub) are first joined into one tree over
-    the remaining edges between them, cheapest coefficient first (ties by
-    edge index), recorded in ``outcome`` as merges.  Every side gets that
-    tree as a replica whose root (its id node) holds the side's net need from
-    :func:`~radialflow.islander.replica_shares`, the first side as host, so
-    a side with net surplus sees it as a demand.  Side sums come from the
-    groups' exact totals.
+    This is the only partitioning: before the first step it splits at
+    articulation supplies, later at super nodes that growth made cut
+    vertices.  The super node's polytrees (the hub) are first joined into
+    one tree over the remaining edges between them, cheapest coefficient
+    first (ties by edge index), recorded in ``outcome`` as merges.  Every
+    side gets that tree as a replica whose root (its id node) holds the
+    side's net need from :func:`~radialflow.islander.replica_shares`, the
+    first side as host, so a side with net surplus sees it as a demand.
+    Side sums come from the groups' exact totals.
 
     A side keeps of the hub its rim (the nodes with an edge into it), the
     root and the hub's smallest node, which keeps cuts and sides in order;

@@ -584,10 +584,12 @@ def export_dot(net: DistributionNetwork, cfg: RadialConfiguration | None = None)
 
     Configuration edges are drawn directed and labeled ``x=<flow>, C=<coeff>``;
     network edges not used by the configuration are drawn dashed without
-    direction.  Source nodes are filled.
+    direction.  Source nodes are filled.  ``"`` and ``\\`` in node names
+    are escaped.
     """
+    names = [n.replace("\\", "\\\\").replace('"', '\\"') for n in net.names]
     lines = ["digraph radial {"]
-    for i, name in enumerate(net.names):
+    for i, name in enumerate(names):
         attrs = [f'label="{name}\\np={net.injections[i]:g}"']
         if net.injections[i] > 0:
             attrs.append('style=filled')
@@ -604,13 +606,13 @@ def export_dot(net: DistributionNetwork, cfg: RadialConfiguration | None = None)
             used.add(key)
             coeff = cost_by_pair.get(key, float("nan"))
             lines.append(
-                f'  "{net.names[tail]}" -> "{net.names[head]}" '
+                f'  "{names[tail]}" -> "{names[head]}" '
                 f'[label="x={cfg.flows[i]:g}, C={coeff:g}"];')
     for u, v, c in net.edges:
         if (u, v) in used:
             continue
         lines.append(
-            f'  "{net.names[u]}" -> "{net.names[v]}" '
+            f'  "{names[u]}" -> "{names[v]}" '
             f'[dir=none, style=dashed, label="C={c:g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

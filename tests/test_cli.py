@@ -156,6 +156,14 @@ def test_bench_json(tmp_path):
     assert doc["solutions_sha256"] == digest.hexdigest()
 
 
+@pytest.mark.parametrize("option", [("--sizes", "a"), ("--sizes", "8,1.5"),
+                                    ("--seeds", "0"), ("--seeds", "-2")])
+def test_bench_rejects_bad_sizes_and_seeds(option, capsys):
+    assert main(["bench", "--sizes", "8", *option]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_overflowing_cost_exit_code(tmp_path, capsys):
     doc = {"nodes": [{"name": "a", "p": 1e200}, {"name": "b", "p": -1e200}],
            "edges": [{"u": "a", "v": "b", "c": 1.0}]}

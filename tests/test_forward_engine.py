@@ -70,7 +70,7 @@ def test_square_with_two_supplies():
 def test_fifteen_node_regression(block15):
     cfg, report = solve(block15)
     assert report.cost == pytest.approx(104.5, rel=1e-9)
-    assert report.partitions == 2
+    assert report.splits == 1
     assert report.presampled == 5
     assert validate_radial(block15, cfg).passed
 
@@ -127,8 +127,7 @@ def test_all_zero_network_spans_for_free():
 
 def test_fallback_rejects_unserved_demand():
     net = build_network(["a", "b"], [(0, 1, 1.0)], [1.0, -1.0])
-    part = PartitionView(0, full_view(net), {0: 2.0, 1: -2.0},
-                         frozenset(), {})
+    part = PartitionView(0, full_view(net), {0: 2.0, 1: -2.0}, frozenset())
     with pytest.raises(Infeasible, match="no supply"):
         _spanning_fallback(part, balance_tolerance([2.0, -2.0]),
                            PartitionOutcome())
@@ -139,8 +138,7 @@ def test_fallback_visits_the_smallest_frontier_node_first():
     mesh = ws_instance(300, seed=2)
     net = build_network(mesh.names, mesh.edges, [0.0] * mesh.n)
     view = full_view(net)
-    part = PartitionView(0, view, dict.fromkeys(view.nodes, 0.0),
-                         frozenset(), {})
+    part = PartitionView(0, view, dict.fromkeys(view.nodes, 0.0), frozenset())
     adj = view.adjacency()
     seen, frontier, want = {0}, [0], []
     while frontier:
@@ -160,8 +158,9 @@ def test_fallback_visits_the_smallest_frontier_node_first():
 
 
 def three_blocks():
-    """Triangle, free triangle and square around the supply s: the islander
-    makes three partitions, the middle one without supply."""
+    """Triangle, free triangle and square around the supply s: growth splits
+    at s into three sides before the first step, the middle one without
+    supply of its own."""
     names = ["s", "a", "b", "c", "d", "e", "f", "g"]
     edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5),
              (0, 3, 0.0), (0, 4, 0.0), (3, 4, 0.0),
@@ -171,37 +170,36 @@ def three_blocks():
 
 
 def test_trace_runs_on_across_partitions():
-    # the supply-less partition is spanned without sampling; the rows of
-    # the partitions around it are numbered on without a gap
+    # the sides are grown smallest node first, the supply-less one from a
+    # replica of s with a zero share; the rows run on without a gap
     net = three_blocks()
     cfg, report = solve(net, collect_trace=True)
     assert validate_radial(net, cfg).passed
     assert (report.iterations, report.merges, report.splits,
             report.flipped_edges, report.partitions, report.presampled) == (
-        7, 0, 0, 0, 3, 0)
-    assert [row.iteration for row in report.trace] == [1, 2, 3, 4, 5]
-    assert [row.edge_index for row in report.trace] == [0, 1, 9, 6, 7]
+        7, 0, 1, 0, 1, 0)
+    assert [row.iteration for row in report.trace] == list(range(1, 8))
+    assert [row.edge_index for row in report.trace] == [0, 1, 3, 4, 9, 6, 7]
 
 
 def test_stuck_partition_names_its_own_iteration(monkeypatch):
-    # partition 2 gets stuck at its second step, after the 2 + 2 iterations
-    # of partitions 0 and 1
+    # the square's side gets stuck at its second step; the error names the
+    # one partition and the sampling steps taken before, over every side
     net = three_blocks()
     real_sample = forward_engine.sample
-    steps = []
+    calls = []
 
-    def stuck_in_last_block(view, *args, **kwargs):
-        if 5 in view.adj:
-            steps.append(view)
-            if len(steps) == 2:
-                raise NoCandidate("no remaining edge touches a polytree")
+    def stuck_in_last_side(view, *args, **kwargs):
+        calls.append(5 in view.adj)
+        if calls.count(True) == 2:
+            raise NoCandidate("no remaining edge touches a polytree")
         return real_sample(view, *args, **kwargs)
 
-    monkeypatch.setattr(forward_engine, "sample", stuck_in_last_block)
+    monkeypatch.setattr(forward_engine, "sample", stuck_in_last_side)
     with pytest.raises(Infeasible) as info:
         solve(net)
-    assert info.value.partition_index == 2
-    assert info.value.iteration == 1
+    assert info.value.partition_index == 0
+    assert info.value.iteration == len(calls) - 1 == 5
 
 
 def test_invariant_mode_counts_and_completes():
@@ -507,25 +505,24 @@ def test_unbalanced_split_raises():
     net = ring_with_chord()
     sub = subproblem_of(net, [1], [(1, 3)])
     sub.injections[1] = 2.5
-    sub.cond = net_concad(sub.graph, sub.injections, sub.state.membership,
-                          adjacency=sub.adjacency)
+    sub.cond = net_concad(sub.graph, sub.injections, sub.state.membership)
     with pytest.raises(InfeasibleSplit):
         split_once(sub)
 
 
 def test_stuck_side_names_partition_and_iteration(monkeypatch):
     net = ring_with_chord(chord_cost=0.5)
-    part = PartitionView(3, full_view(net), dict(enumerate(net.injections)),
-                         frozenset({1}), {})
     real_sample = forward_engine.sample
+    steps = []
 
     def stuck_after_split(view, *args, **kwargs):
         if len(view.nodes) < net.n:
             raise NoCandidate("no remaining edge touches a polytree")
+        steps.append(view)
         return real_sample(view, *args, **kwargs)
 
     monkeypatch.setattr(forward_engine, "sample", stuck_after_split)
     with pytest.raises(Infeasible) as info:
-        forward_engine.run_partition(part, PartitionOutcome())
-    assert info.value.partition_index == 3
-    assert info.value.iteration == 1
+        solve(net)
+    assert info.value.partition_index == 0
+    assert info.value.iteration == len(steps) == 1

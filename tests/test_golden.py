@@ -15,7 +15,8 @@ from radialflow import build_network, config_to_json, load_network, solve
 
 
 def ring_chain(rings=4, size=5):
-    """Rings joined in a chain at supply nodes: one partition per ring."""
+    """Rings joined in a chain at supply nodes: growth splits off one side
+    per ring."""
     names, edges, p = [], [], []
     hub = None
     for r in range(rings):
@@ -67,7 +68,7 @@ GOLDEN = {
         (5, 0, 0, 0, 1, 0)),
     "two_block_15": (
         "0c692795b12d06568ee06fad6ff6040b5f60a4c6509cc269898c4cdaee24d35a",
-        (9, 2, 0, 2, 2, 5)),
+        (8, 2, 1, 1, 1, 5)),
     "two_feeder_ring": (
         "1d8844b5b52687889fa7358721c6445c72fec36b669b29b00d7cbeefb2f4a7d2",
         (3, 1, 0, 0, 1, 0)),
@@ -322,7 +323,7 @@ GOLDEN = {
         (8, 2, 1, 1, 1, 0)),
     "ring_chain": (
         "785e3f00c0abd95ffb9f2a57688bb81d37fd3ca66566859d8ae7470664e1c76b",
-        (16, 2, 0, 2, 4, 0)),
+        (16, 2, 3, 2, 1, 0)),
 }
 
 

@@ -1,35 +1,84 @@
-"""Splitting at articulation supplies with balanced replica injections."""
+"""Articulation supplies: one partition, split by growth into balanced sides."""
 
 import math
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
-from radialflow import InfeasibleSplit, build_network
-from radialflow.islander import _biconnected, islander
+from radialflow import InfeasibleSplit, build_network, solve, validate_radial
+from radialflow import forward_engine
+from radialflow.forward_engine import HUB_LINK
+from radialflow.islander import islander, lowpoint
 from radialflow.network_model import balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
 
 from conftest import ws_instance
 
 
+def articulation_points(view):
+    """The lowpoint walk over a view's distinct neighbors."""
+    adj = {v: {y for y, _ in links} for v, links in view.adjacency().items()}
+    return lowpoint(sorted(view.nodes), adj)
+
+
+def record_splits(monkeypatch):
+    """Wrap the growth split; each split appends its hub, root, joining
+    edges and sides, each side's nodes, injections and edges copied as the
+    split returns them."""
+    real_split = forward_engine.split_at_cut
+    splits = []
+
+    def recording_split(sub, cut, outcome, **kwargs):
+        hub = set(sub.cond.super_nodes[cut].members)
+        before = len(outcome.edge_indices)
+        sides = real_split(sub, cut, outcome, **kwargs)
+        splits.append(SimpleNamespace(
+            hub=hub, root=sides[0].state.tree_of(min(hub)),
+            joins=outcome.edge_indices[before:],
+            sides=[SimpleNamespace(
+                nodes=set(side.adjacency), injections=dict(side.injections),
+                edges={i for links in side.adjacency.values()
+                       for _, i in links if i != HUB_LINK})
+                for side in sides]))
+        return sides
+
+    monkeypatch.setattr(forward_engine, "split_at_cut", recording_split)
+    return splits
+
+
+def assert_balanced(injections):
+    tol = balance_tolerance(injections.values())
+    assert abs(math.fsum(injections.values())) <= tol
+
+
+def assert_replicated(split, total):
+    """Each side balances and, of the hub, holds injection at the root
+    alone; the root's shares sum to ``total``, the hub's injection."""
+    assert math.fsum(side.injections[split.root]
+                     for side in split.sides) == pytest.approx(total, rel=1e-12)
+    for side in split.sides:
+        assert_balanced(side.injections)
+        assert all(side.injections[h] == 0.0
+                   for h in side.nodes & split.hub - {split.root})
+
+
 def test_path_middle_is_articulation():
     net = build_network(["a", "b", "c"],
                         [(0, 1, 1.0), (1, 2, 1.0)],
                         [-1.0, 2.0, -1.0])
-    view = full_view(net)
-    assert _biconnected(view)[0] == {1}
+    assert articulation_points(full_view(net)) == {1}
 
 
 def test_cycle_has_none(gap_ring):
-    assert _biconnected(full_view(gap_ring))[0] == set()
+    assert articulation_points(full_view(gap_ring)) == set()
 
 
 def test_matches_networkx():
     for seed in range(6):
         net = ws_instance(40, seed=seed)
         view = preprocess(net).reduced
-        got = _biconnected(view)[0]
+        got = articulation_points(view)
         g = nx.Graph()
         g.add_nodes_from(view.nodes)
         for idx in view.edge_indices:
@@ -47,7 +96,6 @@ def test_biconnected_graph_single_partition(gap_ring):
     assert set(part.graph.nodes) == set(view.nodes)
     assert set(part.graph.edge_indices) == set(view.edge_indices)
     assert part.injections == {v: gap_ring.injections[v] for v in view.nodes}
-    assert part.replicated_nodes == {}
 
 
 def bowtie():
@@ -59,34 +107,37 @@ def bowtie():
     return build_network(names, edges, injections)
 
 
-def test_bowtie_splits_supply():
+def test_bowtie_splits_supply(monkeypatch):
     net = bowtie()
-    parts = islander(full_view(net), list(net.injections))
-    assert len(parts) == 2
-    left, right = parts
-    assert set(left.graph.nodes) == {0, 1, 2}
-    assert set(right.graph.nodes) == {0, 3, 4}
+    splits = record_splits(monkeypatch)
+    cfg, report = solve(net)
+    assert validate_radial(net, cfg).passed
+    assert report.partitions == 1 and report.splits == 1
+    (split,) = splits
+    assert split.hub == {0} and split.root == 0 and split.joins == []
+    left, right = split.sides
+    assert left.nodes == {0, 1, 2}
+    assert right.nodes == {0, 3, 4}
     assert left.injections[0] == pytest.approx(2.0)
     assert right.injections[0] == pytest.approx(2.0)
-    assert left.replicated_nodes == {0: (0, 1)}
-    assert right.replicated_nodes == {0: (0, 1)}
-    assert left.sources == {0} and right.sources == {0}
+    assert_replicated(split, net.injections[0])
 
 
-def test_replica_values_sum_to_original(block15):
+def test_replica_values_sum_to_original(block15, monkeypatch):
+    # the supplies 0 and 4 are adjacent, so they form one super node: the
+    # split joins them over their edge and replicates the joined tree
     res = preprocess(block15)
-    inj = [0.0] * block15.n
-    for node in res.reduced.nodes:
-        inj[node] = res.reduced_injections[node]
-    parts = islander(res.reduced, inj)
-    assert len(parts) == 2
-    shares = {}
-    for part in parts:
-        for node in part.replicated_nodes:
-            shares.setdefault(node, []).append(part.injections[node])
-    assert set(shares) == {4}
-    assert math.fsum(shares[4]) == pytest.approx(inj[4])
-    assert sorted(shares[4]) == [pytest.approx(3.0), pytest.approx(5.0)]
+    splits = record_splits(monkeypatch)
+    cfg, _ = solve(block15)
+    assert validate_radial(block15, cfg).passed
+    (split,) = splits
+    assert split.hub == {0, 4} and split.root == 0 and split.joins == [1]
+    assert [side.nodes for side in split.sides] == [
+        {0, 1, 2, 3, 4}, {0, 4, 5, 6, 7, 10, 11}]
+    shares = [side.injections[0] for side in split.sides]
+    assert shares == [pytest.approx(7.0), pytest.approx(3.0)]
+    assert_replicated(split, res.reduced_injections[0]
+                      + res.reduced_injections[4])
 
 
 def chained_blocks():
@@ -99,49 +150,46 @@ def chained_blocks():
     return build_network(names, edges, injections)
 
 
-def test_chained_articulation_supplies():
+def test_chained_articulation_supplies(monkeypatch):
+    # 2 and 4 share an edge, so one split at the super node {2, 4} makes
+    # the three sides
     net = chained_blocks()
     view = full_view(net)
-    assert _biconnected(view)[0] & net.source_set == {2, 4}
-    parts = islander(view, list(net.injections))
-    assert len(parts) == 3
+    assert articulation_points(view) & net.source_set == {2, 4}
+    splits = record_splits(monkeypatch)
+    cfg, report = solve(net)
+    assert validate_radial(net, cfg).passed
+    (split,) = splits
+    assert split.hub == {2, 4} and split.root == 2 and split.joins == [5]
+    assert [side.nodes for side in split.sides] == [
+        {0, 1, 2}, {2, 3, 4}, {2, 4, 5, 6}]
 
-    tol = balance_tolerance(net.injections)
-    for part in parts:
-        assert abs(math.fsum(part.injections.values())) <= tol
-        for node in part.sources:
-            assert part.injections[node] > 0
+    shares = [side.injections[2] for side in split.sides]
+    assert shares == [pytest.approx(2.0), pytest.approx(2.0),
+                      pytest.approx(3.0)]
+    assert_replicated(split, net.injections[2] + net.injections[4])
 
-    shares = {}
-    for part in parts:
-        for node in part.replicated_nodes:
-            shares.setdefault(node, []).append(part.injections[node])
-    for node, values in shares.items():
-        assert math.fsum(values) == pytest.approx(net.injections[node])
-
-    # edge sets partition the input exactly
-    seen = []
-    for part in parts:
-        seen.extend(part.graph.edge_indices)
+    # the sides' edges and the joining edge partition the input exactly
+    seen = list(split.joins)
+    for side in split.sides:
+        seen.extend(side.edges)
     assert sorted(seen) == list(range(net.m))
 
 
-def test_role_flip_possible():
-    # the shared supply covers one side fully and drains the other, so one
-    # replica turns negative (a sink role) while the total is preserved
+def test_role_flip_possible(monkeypatch):
+    # s, c and d are adjacent supplies, so they form one super node and
+    # nothing is split; a side whose replica turns into a demand is covered
+    # by test_surplus_side_replica_is_a_demand
     names = ["s", "a", "b", "c", "d"]
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
              (0, 3, 1.0), (0, 4, 1.0), (3, 4, 1.0)]
     injections = [1.0, -3.0, -2.0, 2.5, 1.5]
     net = build_network(names, edges, injections)
-    parts = islander(full_view(net), list(net.injections))
-    assert len(parts) == 2
-    values = sorted(part.injections[0] for part in parts)
-    assert values[0] == pytest.approx(-4.0)
-    assert values[1] == pytest.approx(5.0)
-    flipped = [part for part in parts if part.injections[0] <= 0]
-    assert len(flipped) == 1
-    assert 0 not in flipped[0].sources
+    splits = record_splits(monkeypatch)
+    cfg, report = solve(net, check_invariants=True)
+    assert validate_radial(net, cfg).passed
+    assert splits == [] and report.splits == 0
+    assert report.partitions == 1
 
 
 def test_partition_graphs_are_views(block15):
@@ -149,12 +197,13 @@ def test_partition_graphs_are_views(block15):
     inj = [0.0] * block15.n
     for node in res.reduced.nodes:
         inj[node] = res.reduced_injections[node]
-    parts = islander(res.reduced, inj)
-    for part in parts:
-        for idx in part.graph.edge_indices:
-            u, v, _ = block15.edges[idx]
-            assert u in set(part.graph.nodes)
-            assert v in set(part.graph.nodes)
+    (part,) = islander(res.reduced, inj)
+    assert part.graph.nodes == tuple(sorted(res.reduced.nodes))
+    assert set(part.graph.edge_indices) == set(res.reduced.edge_indices)
+    for idx in part.graph.edge_indices:
+        u, v, _ = block15.edges[idx]
+        assert u in set(part.graph.nodes)
+        assert v in set(part.graph.nodes)
 
 
 def test_balance_guard():

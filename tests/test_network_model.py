@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -275,6 +276,34 @@ def test_export_dot(gap_ring):
     rendered = export_dot(gap_ring, cfg)
     assert "x=" in rendered and "C=" in rendered
     assert rendered.count("style=dashed") == 1
+
+
+#: A DOT quoted string: a backslash escapes the character after it.
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_export_dot_escapes_names():
+    # a quote or a trailing backslash in a name must not end its string
+    names = ['a"b', "c\\", "d"]
+    net = build_network(names, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                        [1.0, -0.5, -0.5])
+    sol = solve_forest(net, [0, 1])
+    cfg = RadialConfiguration(sol.oriented_edges, sol.flows, sol.cost)
+    lines = export_dot(net, cfg).splitlines()
+    node = re.compile(rf"  ({DOT_STRING}) \[label=({DOT_STRING})[^\]]*\];")
+    edge = re.compile(rf"  ({DOT_STRING}) -> ({DOT_STRING}) \[[^\]]*\];")
+
+    def unquote(text):
+        return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1],
+                      text[1:-1])
+
+    got = [node.fullmatch(line) for line in lines[1:1 + net.n]]
+    assert [unquote(m[1]) for m in got] == names
+    assert [unquote(m[2]) for m in got] == [
+        'a"b\np=1', "c\\\np=-0.5", "d\np=-0.5"]
+    ends = [edge.fullmatch(line) for line in lines[1 + net.n:-1]]
+    assert sorted((unquote(m[1]), unquote(m[2])) for m in ends) == sorted(
+        [('a"b', "c\\"), ("c\\", "d"), ('a"b', "d")])
 
 
 def test_exact_sum_equals_fsum_of_every_term():
