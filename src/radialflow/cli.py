@@ -132,10 +132,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError:
         raise InvalidSpec(f"--sizes takes comma separated integers, "
                           f"not {args.sizes!r}") from None
-    if not sizes:
-        raise InvalidSpec("no sizes given")
-    if args.seeds < 1:
-        raise InvalidSpec(f"--seeds must be at least 1, not {args.seeds}")
     digest = hashlib.sha256()
     points = complexity_probe(sizes, seeds=args.seeds, k=args.k,
                               beta=args.beta, n_sources=args.sources,
@@ -144,10 +140,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = ["n,m,median_ms,cost"]
     rows += [f"{n},{m},{t * 1000.0:.3f},{c:.6f}" for n, m, t, c in points]
     _write_text(args.out, "\n".join(rows) + "\n")
-    if args.plot is not None:
-        data = ["# n m median_ms cost"]
-        data += [f"{n} {m} {t * 1000.0:.3f} {c:.6f}" for n, m, t, c in points]
-        _write_text(args.plot, "\n".join(data) + "\n")
     if args.json is not None:
         doc = {"schema_version": BENCH_SCHEMA_VERSION,
                "sizes": sizes, "seeds": args.seeds, "k": args.k,
@@ -229,7 +221,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--sources", type=int, default=None)
     p.add_argument("-o", "--out", help="CSV output file (default stdout)")
-    p.add_argument("--plot", help="also write a gnuplot-ready data file")
     p.add_argument("--json", help="also write sizes, median seconds, the "
                                   "exponent and a solutions hash as JSON")
     p.set_defaults(func=cmd_bench)

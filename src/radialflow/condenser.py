@@ -17,7 +17,6 @@ import itertools
 import math
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .islander import lowpoint
 from .network_model import ExactSum, GraphView, find
 
 
@@ -378,3 +377,51 @@ def source_cut_vertices(cond: Condensation) -> list[int]:
     artics = lowpoint(adj, adj)
     return sorted((a for a in artics if supers[a].kind == "source"),
                   key=lambda a: min(supers[a].members))
+
+
+def lowpoint(roots: Iterable[int],
+             adj: Mapping[int, Collection[int]] | Sequence[Collection[int]],
+             ) -> set[int]:
+    """Articulation points of a simple graph.
+
+    Iterative Tarjan lowpoint walk from each node of ``roots`` (every node)
+    not yet reached, in order; ``adj`` gives each node's distinct neighbors,
+    visited in ascending order.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    artics: set[int] = set()
+    clock = 0
+
+    for start in roots:
+        if start in disc:
+            continue
+        disc[start] = low[start] = clock
+        clock += 1
+        root_children = 0
+        stack = [(start, -1, iter(sorted(adj[start])))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(sorted(adj[w]))))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    if len(stack) > 1:
+                        artics.add(u)
+                    else:
+                        root_children += 1
+        if root_children > 1:
+            artics.add(start)
+    return artics

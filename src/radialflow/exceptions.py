@@ -19,10 +19,6 @@ class DimensionMismatch(RadialFlowError):
     """A flow vector does not match the configuration's edge count."""
 
 
-class UnknownEdge(RadialFlowError):
-    """A flow assignment references an edge that is not part of the network."""
-
-
 class CycleError(RadialFlowError):
     """An edge set handed to the forest flow solver contains a cycle."""
 

@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .exceptions import Infeasible, InvariantViolation, NoCandidate
-from .islander import (PartitionView, _check_balance, islander,
-                       replica_shares)
+from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
+                         NoCandidate)
+from .islander import PartitionView, _check_balance, islander
 from . import condenser
 from .condenser import Condensation, net_concad, source_cut_vertices
 from .network_model import (DistributionNetwork, RadialConfiguration,
@@ -409,10 +409,8 @@ def _reference_pick(sub: Subproblem, index: int, iteration: int) -> tuple:
     exactly the live orientations the scan finds, by tail tree and head group.
     """
     f, member = sub.frontier, sub.cond.membership
-    raw = score((e for k, e in enumerate(f.pool) if k not in f.gone),
-                sub.state, f.h, sub.cond, sub.replicas)
-    want = {(f.position[r[2]], r[0]): (sub.state.tree_of(r[0]), member[r[1]])
-            for r in raw}
+    raw = score(f.pool.values(), sub.state, f.h, sub.cond, sub.replicas)
+    want = {(r[2], r[0]): (sub.state.tree_of(r[0]), member[r[1]]) for r in raw}
     have = {key: (t, g) for t, row in f.classes.items()
             for g, cls in row.items() for key in cls.members
             if f.where.get(key) is cls}
@@ -421,7 +419,7 @@ def _reference_pick(sub: Subproblem, index: int, iteration: int) -> tuple:
                   if have.get(k) != want.get(k))
         raise InvariantViolation(
             f"frontier of partition {index} at iteration {iteration}: the "
-            f"orientation (pool position, tail) {key} is in class "
+            f"orientation (edge index, tail) {key} is in class "
             f"{have.get(key)}, not {want.get(key)}")
     return min(raw, key=lambda r: (not r[6], not r[5], -r[3], r[0], r[1]),
                default=(None, None, None))[:3]
@@ -461,9 +459,9 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     one tree over the remaining edges between them, cheapest coefficient
     first (ties by edge index), recorded in ``outcome`` as merges.  Every
     side gets that tree as a replica whose root (its id node) holds the
-    side's net need from :func:`~radialflow.islander.replica_shares`, the
-    first side as host, so a side with net surplus sees it as a demand.
-    Side sums come from the groups' exact totals.
+    side's net need from :func:`replica_shares`, the first side as host, so
+    a side with net surplus sees it as a demand.  Side sums come from the
+    groups' exact totals.
 
     A side keeps of the hub its rim (the nodes with an edge into it), the
     root and the hub's smallest node, which keeps cuts and sides in order;
@@ -617,6 +615,20 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     return [built[k] for k in ordered]
 
 
+def replica_shares(own: float, subtotals: Sequence[float],
+                   ) -> tuple[float, list[float]]:
+    """Injections for the replicas of a node split across several sides.
+
+    ``subtotals`` holds the net injection of each side that is split off;
+    its replica must absorb that side's net, so it carries the negated
+    subtotal (a surplus side therefore sees its replica as a demand).  The
+    host replica, on the side that stays attached, keeps the node's own
+    injection ``own`` plus everything the split-off sides need.  The shares
+    sum to ``own``.
+    """
+    return own + math.fsum(subtotals), [-s for s in subtotals]
+
+
 def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
     """The smallest entry of heap ``order`` in ``adj`` but not in ``hub``.
 
@@ -666,35 +678,35 @@ def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,
     """Time the solver on freshly generated instances of each size.
 
     Returns one ``(n, m, median_seconds, median_cost)`` row per size, the
-    medians taken over ``seeds`` generated instances.  Sizes below three
-    cannot come from the ring-lattice generator and are probed on fixed
-    trivial networks instead.  If ``digest`` is given (a ``hashlib`` hash),
+    medians taken over ``seeds`` generated instances; every size must exceed
+    the lattice degree ``k``.  If ``digest`` is given (a ``hashlib`` hash),
     every solution's ``config_to_json`` text is fed to it, in probe order.
+
+    Raises:
+        InvalidSpec: If ``sizes`` is empty, ``seeds`` is below one, or the
+            generator rejects a size.
     """
     from .generator import GenSpec, generate
-    from .network_model import build_network, config_to_json
+    from .network_model import config_to_json
+    if not sizes:
+        raise InvalidSpec("no sizes given")
+    if seeds < 1:
+        raise InvalidSpec(f"seeds must be at least 1, not {seeds}")
     points: list[tuple[int, int, float, float]] = []
     for n in sizes:
         ns = n_sources if n_sources is not None else default_source_count(n)
         times: list[float] = []
         costs: list[float] = []
-        m = 0
         for seed in range(seeds):
-            if n == 1:
-                net = build_network(["v0"], [], [0.0])
-            elif n == 2:
-                net = build_network(["v0", "v1"], [(0, 1, 1.0)], [1.0, -1.0])
-            else:
-                net = generate(GenSpec(n=n, k=k, beta=beta, n_sources=ns,
-                                       seed=seed))
-            m = net.m
+            net = generate(GenSpec(n=n, k=k, beta=beta, n_sources=ns,
+                                   seed=seed))
             start = time.perf_counter()
             cfg, report = solve(net)
             times.append(time.perf_counter() - start)
             costs.append(report.cost)
             if digest is not None:
                 digest.update(config_to_json(net, cfg).encode())
-        points.append((n, m, statistics.median(times),
+        points.append((n, net.m, statistics.median(times),
                        statistics.median(costs)))
         logger.info("probe n=%d: median %.4fs over %d seeds",
                     n, points[-1][2], seeds)
@@ -707,13 +719,9 @@ def default_source_count(n: int) -> int:
 
 
 def fit_exponent(points: Sequence[Sequence[float]]) -> float:
-    """Least-squares slope of log(time) against log(size).
-
-    Accepts ``(n, seconds)`` pairs or the wider rows of
-    :func:`complexity_probe`.
-    """
+    """Least-squares slope of log(time) against log(size), over the rows of
+    :func:`complexity_probe`."""
     xs = [math.log(row[0]) for row in points]
-    ys = [math.log(max(row[2] if len(row) > 2 else row[1], 1e-9))
-          for row in points]
+    ys = [math.log(max(row[2], 1e-9)) for row in points]
     slope, _ = statistics.linear_regression(xs, ys)
     return slope

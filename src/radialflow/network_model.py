@@ -19,8 +19,6 @@ from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .exceptions import DimensionMismatch, ParseError, ValidationError
 
-NodeId = int
-
 #: Relative tolerance for injection balance checks, scaled by total |p|.
 BALANCE_RTOL = 1e-9
 #: Floor of the per-node flow conservation tolerance.
@@ -144,19 +142,10 @@ class DistributionNetwork:
     def name_to_id(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown node {name!r}") from None
-
     @property
     def source_set(self) -> frozenset[int]:
         """Nodes with strictly positive injection."""
         return frozenset(i for i, p in enumerate(self.injections) if p > 0)
-
-    def edge_index_map(self) -> dict[tuple[int, int], int]:
-        return {(u, v): idx for idx, (u, v, _) in enumerate(self.edges)}
 
 
 @dataclass(frozen=True)
@@ -369,7 +358,7 @@ def serialize_network(net: DistributionNetwork) -> str:
 # ---------------------------------------------------------------------------
 
 def incidence_apply(cfg: RadialConfiguration, x: Sequence[float],
-                    n_nodes: int | None = None) -> list[float]:
+                    n_nodes: int) -> list[float]:
     """Apply the oriented incidence matrix of ``cfg`` to a flow vector.
 
     Entry ``i`` of the result is the net outflow of node ``i``: each edge
@@ -382,8 +371,6 @@ def incidence_apply(cfg: RadialConfiguration, x: Sequence[float],
     if len(x) != len(cfg.directed_edges):
         raise DimensionMismatch(
             f"flow vector has {len(x)} entries for {len(cfg.directed_edges)} edges")
-    if n_nodes is None:
-        n_nodes = max((max(t, h) for t, h in cfg.directed_edges), default=-1) + 1
     out = [0.0] * n_nodes
     for (tail, head), flow in zip(cfg.directed_edges, x):
         out[tail] += flow

@@ -5,7 +5,7 @@ polytree and its head ``j`` outside that tree.  Its raw weight favors
 supplying from trees with large remaining surplus into heavy demand groups
 reachable cheaply.  Two hard priorities rank above the weight: supply groups
 with a single way out must use it, and extensions that keep the receiving
-side coverable are preferred.  Ties fall back to node ids, then pool order,
+side coverable are preferred.  Ties fall back to node ids, then edge index,
 so selection is fully deterministic.
 
 The :class:`Frontier` keeps the live orientations in classes by tail tree
@@ -119,16 +119,17 @@ class ForestState:
 class Frontier:
     """The remaining pool of one subproblem, its live orientations by class.
 
-    Each live orientation is stored once, as ``(i, j, pool position, cost,
-    h[i], edge index)``: the cost and ``h[i]`` never change while it is
-    live.  The growth loop keeps the classes current through :meth:`grown`
-    after an absorb or a tree merge, :meth:`regroup` with the nodes a
-    condensation update relabelled, and :meth:`remove` and :meth:`take`.  An
-    edge that becomes internal to a tree leaves its classes at once and the
-    pool at the next :meth:`flush`.
+    Each live orientation is stored once, as ``(i, j, edge index, cost,
+    h[i])``: the cost and ``h[i]`` never change while it is live.  The
+    growth loop keeps the classes current through :meth:`grown` after an
+    absorb or a tree merge, :meth:`regroup` with the nodes a condensation
+    update relabelled, and :meth:`remove` and :meth:`take`.  An edge that
+    becomes internal to a tree leaves its classes at once and the pool at
+    the next :meth:`flush`.
 
     Args:
-        pool: Remaining edges as ``(edge_index, u, v, cost)``, in pool order.
+        pool: Remaining edges as ``(edge_index, u, v, cost)``, in ascending
+            edge index order.
         state: Polytrees of the subproblem.
         adjacency: ``view.adjacency()`` of the subproblem.
         cond: Condensation of the subproblem around ``state``.
@@ -139,50 +140,46 @@ class Frontier:
                  state: ForestState,
                  adjacency: Mapping[int, list[tuple[int, int]]],
                  cond: Condensation, h: PathCostAccumulator) -> None:
-        self.pool = pool
+        #: edge index -> ``(edge_index, u, v, cost)``
+        self.pool = {e[0]: e for e in pool}
         self.state = state
         self.adj = adjacency
         self.cond = cond
         self.h = h
-        self.position = {e[0]: k for k, e in enumerate(pool)}
-        self.gone: set[int] = set()
         self.internal: set[int] = set()
         #: tail tree -> receiving group -> class
         self.classes: dict[int, dict[int, _Class]] = {}
-        #: (pool position, tail) -> class of that orientation
+        #: (edge index, tail) -> class of that orientation
         self.where: dict[tuple[int, int], _Class] = {}
         self.scored = 0
-        for k in range(len(pool)):
-            self._classify(k)
+        for idx in self.pool:
+            self._classify(idx)
 
     def __len__(self) -> int:
         """Edges still in the pool."""
-        return len(self.pool) - len(self.gone)
+        return len(self.pool)
 
     def flush(self) -> int:
         """Drop the edges that became internal to a tree; return their count."""
         count = len(self.internal)
-        self.gone |= self.internal
+        for idx in self.internal:
+            del self.pool[idx]
         self.internal.clear()
         return count
 
     def remove(self, edge_index: int) -> None:
         """Drop an edge the growth step used."""
-        k = self.position[edge_index]
-        self._unlive(k)
-        self.gone.add(k)
+        self._unlive(edge_index)
+        del self.pool[edge_index]
 
     def take(self, edge_indices: Iterable[int],
              ) -> list[tuple[int, int, int, float]]:
-        """Take edges out of the pool; return those it held, in pool order."""
-        taken = sorted({k for idx in edge_indices
-                        if (k := self.position.get(idx)) is not None
-                        and k not in self.gone})
-        self.gone.update(taken)
-        for k in taken:
-            self._unlive(k)
-            self.internal.discard(k)
-        return [self.pool[k] for k in taken]
+        """Take edges out of the pool; return those it held, by edge index."""
+        taken = sorted({idx for idx in edge_indices if idx in self.pool})
+        for idx in taken:
+            self._unlive(idx)
+            self.internal.discard(idx)
+        return [self.pool.pop(idx) for idx in taken]
 
     def grown(self, nodes: Iterable[int], merged: int | None = None) -> None:
         """Update the edges at ``nodes`` after their trees grew or merged.
@@ -204,16 +201,15 @@ class Frontier:
                 row[g] = cls
         for v in nodes:
             for _, idx in self.adj[v]:
-                k = self.position.get(idx)
-                if k is not None and k not in self.gone and k not in self.internal:
-                    self._classify(k)
+                if idx in self.pool and idx not in self.internal:
+                    self._classify(idx)
 
     def regroup(self, nodes: Iterable[int]) -> None:
         """Re-key the orientations into ``nodes``, whose group ids changed."""
         member = self.cond.membership
         for y in nodes:
             for x, idx in self.adj[y]:
-                key = (self.position.get(idx), x)
+                key = (idx, x)
                 cls = self.where.get(key)
                 if cls is not None and cls.group != member[y]:
                     self._add(self._drop(key), cls.tree, member[y])
@@ -245,7 +241,7 @@ class Frontier:
             raise NoCandidate("no remaining edge touches a polytree")
         (not_pendant, not_balance, _, _), entry, w, receiving = best
         evaluated, self.scored = self.scored, 0
-        return SampleResult((entry[0], entry[1], entry[5], w, abs(receiving),
+        return SampleResult((entry[0], entry[1], entry[2], w, abs(receiving),
                              not not_balance, not not_pendant),
                             evaluated, self, replicas)
 
@@ -254,24 +250,24 @@ class Frontier:
         entries = list(cls.members.values())
         # edge_weight, with the demand squared once
         ws = [supply / ((c * dd if c else 0.0) + hi + EPS_DEN)
-              for _, _, _, c, hi, _ in entries]
+              for _, _, _, c, hi in entries]
         top = max(ws)
         cls.best = (top, entries[ws.index(top)] if ws.count(top) == 1
                     else min(e for e, w in zip(entries, ws) if w == top))
         cls.seen = (residual, receiving)
         self.scored += len(entries)
 
-    def _classify(self, k: int) -> None:
-        idx, u, v, c = self.pool[k]
+    def _classify(self, idx: int) -> None:
+        _, u, v, c = self.pool[idx]
         tree_of = self.state.membership.get
         tu, tv = tree_of(u), tree_of(v)
         if tu is not None and tu == tv:
-            self._unlive(k)
-            self.internal.add(k)
+            self._unlive(idx)
+            self.internal.add(idx)
         else:
             for i, ti, j in ((u, tu, v), (v, tv, u)):
-                if ti is not None and (k, i) not in self.where:
-                    self._add((i, j, k, c, self.h.get(i, 0.0), idx), ti,
+                if ti is not None and (idx, i) not in self.where:
+                    self._add((i, j, idx, c, self.h.get(i, 0.0)), ti,
                               self.cond.membership[j])
 
     def _add(self, entry: tuple, tree: int, group: int) -> None:
@@ -293,10 +289,10 @@ class Frontier:
             cls.best = None
         return entry
 
-    def _unlive(self, k: int) -> None:
-        for tail in self.pool[k][1:3]:
-            if (k, tail) in self.where:
-                self._drop((k, tail))
+    def _unlive(self, idx: int) -> None:
+        for tail in self.pool[idx][1:3]:
+            if (idx, tail) in self.where:
+                self._drop((idx, tail))
 
 
 class _Class:
@@ -333,7 +329,7 @@ class SampleResult:
 
     ``best`` is the winner as a :func:`score` tuple and ``evaluated`` counts
     the orientations whose weight the selection computed.  ``ranked`` (every
-    live orientation, in pool order, with its weight normalized by the sum
+    live orientation, by edge index, with its weight normalized by the sum
     of raw weights) and ``chosen`` (the winner, normalized alike) are built
     from the frontier when first read, so read them before the step is
     applied.  The raw weights are divided by the largest before they are
@@ -348,8 +344,9 @@ class SampleResult:
     @cached_property
     def ranked(self) -> tuple[CandidateEdge, ...]:
         f = self.frontier
-        raw = score([f.pool[k] for k in sorted({k for k, _ in f.where})],
-                    f.state, f.h, f.cond, self.replicas)
+        live = sorted({idx for idx, _ in f.where})
+        raw = score([f.pool[idx] for idx in live], f.state, f.h, f.cond,
+                    self.replicas)
         top = max((r[3] for r in raw), default=0.0)
         shares = [float(r[3] == top) if math.isinf(top) else r[3] / top
                   if top else 0.0 for r in raw]

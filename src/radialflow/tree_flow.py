@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .exceptions import CycleError, ImbalanceError, UnknownEdge
+from .exceptions import CycleError, ImbalanceError
 from .network_model import DistributionNetwork, balance_tolerance
 from .preprocessor import peel
 
@@ -26,7 +26,6 @@ class ForestFlowSolution:
         flows: Non-negative flow magnitudes, aligned with ``oriented_edges``.
         edge_indices: Parent-network edge index per entry.
         cost: Total quadratic cost ``sum(C * x**2)``; ``inf`` if it overflows.
-        component_roots: Covered nodes with in-degree zero, ascending.
         zero_flow_edges: Positions carrying exactly zero flow.
     """
 
@@ -34,31 +33,23 @@ class ForestFlowSolution:
     flows: tuple[float, ...]
     edge_indices: tuple[int, ...]
     cost: float
-    component_roots: tuple[int, ...]
     zero_flow_edges: tuple[int, ...]
 
 
-def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
-                 injections: Iterable[float] | None = None) -> ForestFlowSolution:
+def solve_forest(net: DistributionNetwork,
+                 forest_edges: Iterable[int]) -> ForestFlowSolution:
     """Solve conservation on a forest-shaped subset of network edges.
 
     Args:
         net: Parent network supplying edge endpoints and cost coefficients.
         forest_edges: Edge indices forming the forest (order is irrelevant).
-        injections: Override for the network injections, full length.
 
     Raises:
         CycleError: If the edge subset contains a cycle.
         ImbalanceError: If some component's injections do not cancel.
     """
     edge_list = list(forest_edges)
-    if injections is None:
-        p = list(net.injections)
-    else:
-        p = list(injections)
-        if len(p) != net.n:
-            raise ImbalanceError(
-                f"injection vector has {len(p)} entries for {net.n} nodes")
+    p = list(net.injections)
 
     adj: dict[int, list[tuple[int, int]]] = {}
     for idx in edge_list:
@@ -91,12 +82,6 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
         raise ImbalanceError(
             f"component injections do not cancel: residual {p[bad]!r} at {net.names[bad]}")
 
-    indeg: dict[int, int] = {v: 0 for v in covered}
-    for idx in edge_list:
-        _, head = oriented[idx]
-        indeg[head] += 1
-    roots = tuple(v for v in covered if indeg[v] == 0)
-
     flows = tuple(flow[idx] for idx in edge_list)
     # x * x rather than x ** 2: a square too large for a float is inf, where
     # the power raises OverflowError; a zero coefficient skips the square, as
@@ -105,28 +90,5 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int],
     cost = math.fsum(c * (x * x) if c else 0.0 for c, x in zip(coeffs, flows))
     zero = tuple(i for i, x in enumerate(flows) if x == 0.0)
     return ForestFlowSolution(tuple(oriented[idx] for idx in edge_list), flows,
-                              tuple(edge_list), cost, roots, zero)
+                              tuple(edge_list), cost, zero)
 
-
-def evaluate_cost(net: DistributionNetwork,
-                  flows: Mapping[int | tuple[int, int], float]) -> float:
-    """Quadratic cost of a flow assignment keyed by edge index or node pair.
-
-    Raises:
-        UnknownEdge: If a key does not identify an edge of the network.
-    """
-    pair_index = net.edge_index_map()
-    total = 0.0
-    for key, x in flows.items():
-        if isinstance(key, tuple):
-            a, b = key
-            idx = pair_index.get((min(a, b), max(a, b)))
-            if idx is None:
-                raise UnknownEdge(f"no edge between node ids {a} and {b}")
-        else:
-            idx = key
-            if not (0 <= idx < net.m):
-                raise UnknownEdge(f"edge index {idx} out of range")
-        c = net.edges[idx][2]
-        total += c * (x * x) if c else 0.0
-    return total

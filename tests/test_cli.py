@@ -114,20 +114,16 @@ def test_gen_matches_library(tmp_path):
     assert main(["validate", str(out)]) == 0
 
 
-def test_bench_csv_and_plot(tmp_path, capsys):
+def test_bench_csv(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
-    dat = tmp_path / "bench.dat"
     args = ["bench", "--sizes", "8,12", "--seeds", "2", "--k", "2",
-            "-o", str(csv), "--plot", str(dat)]
+            "-o", str(csv)]
     assert main(args) == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "n,m,median_ms,cost"
     assert len(lines) == 3
     assert lines[1].startswith("8,8,")
     assert lines[2].startswith("12,12,")
-    data = dat.read_text().splitlines()
-    assert data[0] == "# n m median_ms cost"
-    assert len(data) == 3
     assert "exponent=" in capsys.readouterr().err
 
 

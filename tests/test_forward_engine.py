@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import random_tree_network, small_instances, ws_instance
-from radialflow import (Infeasible, InfeasibleSplit, NoCandidate,
-                        build_network, config_to_json, solve, solve_forest,
-                        validate_radial)
+from radialflow import (Infeasible, InfeasibleSplit, InvalidSpec, NoCandidate,
+                        build_network, config_to_json, load_network, solve,
+                        solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
 from radialflow.forward_engine import (HUB_LINK, AdjacencyView,
@@ -244,6 +244,22 @@ def test_overflowing_cost_is_infeasible(net):
     assert info.value.iteration is None
 
 
+@pytest.mark.xfail(strict=True, raises=InfeasibleSplit,
+                   reason="peeling s through a adds 1 to 1e20 in floats and "
+                          "loses it, so the core the islander checks sums "
+                          "to 1")
+def test_huge_supply_peeled_into_a_ring_solves():
+    # the injections sum to exactly zero, and the forest s-a, a-x, x-b, b-c
+    # is a valid configuration
+    doc = {"nodes": [{"name": name, "p": p} for name, p in
+                     zip("abcsx", [-1.0, 2.0, -1.0, 1e20, -1e20])],
+           "edges": [{"u": u, "v": v, "c": 1.0} for u, v in
+                     ("sa", "ax", "xb", "bc", "cx")]}
+    net = load_network(json.dumps(doc))
+    config, _ = solve(net)
+    assert validate_radial(net, config).passed
+
+
 @pytest.mark.parametrize("net", [
     build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200]),
     build_network(["a", "b", "c"], [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)],
@@ -259,16 +275,14 @@ def test_zero_cost_edges_skip_the_overflowing_square(net):
 
 
 def test_probe_handles_trivial_sizes():
-    rows = complexity_probe([1, 2], seeds=2)
-    assert [(r[0], r[1]) for r in rows] == [(1, 0), (2, 1)]
-    assert rows[0][3] == 0.0
-    assert rows[1][3] == pytest.approx(1.0, rel=1e-12)
-    assert all(r[2] >= 0.0 for r in rows)
+    # no sizes, no seeds, and sizes the ring lattice cannot hold are typed
+    # errors, not a statistics failure
+    for sizes, seeds in (([], 1), ([8], 0), ([1, 2], 2)):
+        with pytest.raises(InvalidSpec):
+            complexity_probe(sizes, seeds=seeds)
 
 
 def test_fit_exponent_recovers_slope():
-    pairs = [(10.0, 1e-3), (100.0, 1e-1)]
-    assert fit_exponent(pairs) == pytest.approx(2.0, rel=1e-9)
     rows = [(10.0, 0, 1e-3, 5.0), (100.0, 0, 1e-1, 9.0)]
     assert fit_exponent(rows) == pytest.approx(2.0, rel=1e-9)
 
@@ -309,13 +323,13 @@ def uncovered(sub):
 
 
 def pool_of(frontier):
-    """The edges still in a frontier's pool, in pool order."""
-    return [e for k, e in enumerate(frontier.pool) if k not in frontier.gone]
+    """The edges still in a frontier's pool, by edge index."""
+    return list(frontier.pool.values())
 
 
 def index_of(frontier):
     """The entries of a frontier's classes, keyed by tail tree and the
-    receiving group's members; pool positions are left out."""
+    receiving group's members."""
     supers = frontier.cond.super_nodes
     classes = {}
     for t, row in frontier.classes.items():
@@ -323,7 +337,7 @@ def index_of(frontier):
             assert (cls.tree, cls.group) == (t, g) and cls.members
             assert all(frontier.where[key] is cls for key in cls.members)
             classes[t, tuple(sorted(supers[g].members))] = sorted(
-                e[:2] + e[3:] for e in cls.members.values())
+                cls.members.values())
     assert len(frontier.where) == sum(map(len, classes.values()))
     return classes
 
@@ -391,8 +405,7 @@ def check_sides(record, sides):
         fresh = Frontier(pool, side.state, side.adjacency, rebuilt,
                          side.frontier.h)
         assert index_of(side.frontier) == index_of(fresh)
-        assert sorted(side.frontier.pool[k] for k in side.frontier.internal) == [
-            fresh.pool[k] for k in sorted(fresh.internal)]
+        assert side.frontier.internal == fresh.internal
         assert uncovered(side) == record.uncovered & own
         assert side.replicas <= side.adjacency.keys() and root in side.replicas
     return [len(own) for own in owns]

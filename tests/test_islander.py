@@ -9,7 +9,8 @@ import pytest
 from radialflow import InfeasibleSplit, build_network, solve, validate_radial
 from radialflow import forward_engine
 from radialflow.forward_engine import HUB_LINK
-from radialflow.islander import islander, lowpoint
+from radialflow.condenser import lowpoint
+from radialflow.islander import islander
 from radialflow.network_model import balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
 

@@ -31,7 +31,7 @@ def test_load_path():
     net = load_network(path3())
     assert net.n == 3
     assert net.m == 2
-    assert net.source_set == {net.id_of("a")}
+    assert net.source_set == {net.name_to_id()["a"]}
     assert net.names == ("a", "b", "c")
 
 

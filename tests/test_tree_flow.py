@@ -2,12 +2,12 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from radialflow import (CycleError, ImbalanceError, UnknownEdge,
-                        build_network, evaluate_cost, solve_forest)
+from radialflow import CycleError, ImbalanceError, build_network, solve_forest
 from radialflow.network_model import FLOW_ATOL
 
 from conftest import random_forest_case, random_tree_network
@@ -42,7 +42,6 @@ def test_symmetric_star():
     assert all(f == 1.0 for f in sol.flows)
     assert all(edge[0] == 0 for edge in sol.oriented_edges)
     assert sol.cost == pytest.approx(3.0)
-    assert sol.component_roots == (0,)
 
 
 def test_cycle_rejected():
@@ -59,13 +58,6 @@ def test_imbalanced_component_rejected():
                         [2.0, -1.0, -1.0])
     with pytest.raises(ImbalanceError):
         solve_forest(net, [0])
-
-
-def test_injection_override():
-    net = build_network(["a", "b"], [(0, 1, 2.0)], [1.0, -1.0])
-    sol = solve_forest(net, [0], injections=[4.0, -4.0])
-    assert sol.flows == (4.0,)
-    assert sol.cost == pytest.approx(32.0)
 
 
 def test_orientation_points_along_flow():
@@ -146,38 +138,23 @@ def test_conservation_property():
             assert abs(residual[v]) <= FLOW_ATOL
 
 
-def test_evaluate_cost_single_term():
-    net = build_network(["a", "b"], [(0, 1, 5.0)], [4.0, -4.0])
-    assert evaluate_cost(net, {(0, 1): 4.0}) == pytest.approx(80.0)
-    assert evaluate_cost(net, {}) == 0.0
-
-
-def test_evaluate_cost_full_assignment():
-    net = two_branch(1.0, 5.0, -1.0, -4.0)
-    assert evaluate_cost(net, {(0, 1): 1.0, (0, 2): 4.0}) == \
-        pytest.approx(81.0)
-    assert evaluate_cost(net, {0: 1.0, 1: 4.0}) == pytest.approx(81.0)
-
-
-def test_evaluate_cost_unknown_edge():
-    net = two_branch(1.0, 5.0, -1.0, -4.0)
-    with pytest.raises(UnknownEdge):
-        evaluate_cost(net, {(1, 2): 1.0})
-    with pytest.raises(UnknownEdge):
-        evaluate_cost(net, {9: 1.0})
-
-
 def test_component_sums_must_balance():
+    # without an edge that carries flow, the component left on an end that
+    # keeps another edge has injections that do not cancel
     rng = random.Random(3)
-    net, kept = random_forest_case(rng, max_nodes=15)
-    bad = list(net.injections)
-    if not kept:
-        return
-    touched = {v for i in kept for v in net.edges[i][:2]}
-    victim = min(touched)
-    bad[victim] += 1.0
-    with pytest.raises(ImbalanceError):
-        solve_forest(net, kept, injections=bad)
+    checked = 0
+    for _ in range(20):
+        net, kept = random_forest_case(rng, max_nodes=15)
+        sol = solve_forest(net, kept)
+        degree = Counter(v for i in kept for v in net.edges[i][:2])
+        for idx, flow in zip(kept, sol.flows):
+            u, v, _ = net.edges[idx]
+            if flow > 1e-6 and max(degree[u], degree[v]) > 1:
+                with pytest.raises(ImbalanceError):
+                    solve_forest(net, [i for i in kept if i != idx])
+                checked += 1
+                break
+    assert checked
 
 
 def test_overflowing_cost_is_infinite():
@@ -185,7 +162,5 @@ def test_overflowing_cost_is_infinite():
     sol = solve_forest(net, [0])
     assert sol.flows == (1e200,)
     assert sol.cost == math.inf
-    assert evaluate_cost(net, {0: 1e200}) == math.inf
     free = build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200])
     assert solve_forest(free, [0]).cost == 0.0
-    assert evaluate_cost(free, {0: 1e200}) == 0.0
