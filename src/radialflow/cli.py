@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -106,12 +107,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if result.optimal_cost > 0.0:
         gap = cfg.total_cost / result.optimal_cost
     else:
-        gap = 1.0 if cfg.total_cost == result.optimal_cost else float("inf")
+        gap = 1.0 if cfg.total_cost == result.optimal_cost else math.inf
     doc = {"optimal_cost": result.optimal_cost,
            "forward_cost": cfg.total_cost,
-           "gap_ratio": gap,
+           # JSON has no infinity: an unbounded ratio is written as null
+           "gap_ratio": gap if math.isfinite(gap) else None,
            "feasible_count": result.feasible_count}
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -5,8 +5,9 @@ tree sits on the supply side while its residual injection is positive and on
 the demand side once drained.  Same-side connected groups collapse into super
 nodes; only edges crossing sides survive, counted per pair of super nodes.
 
-:func:`net_concad` builds a :class:`Condensation` from scratch, once per
-partition; the growth loop then updates it where each step changes it.
+:func:`net_concad` builds a :class:`Condensation` from scratch, once for
+the peeled graph and once per small side of a growth split; the growth
+loop then updates it where each step changes it.
 Invariant mode rebuilds it with :func:`net_concad` before every step and
 compares the two; the updates share none of its grouping code.
 """
@@ -32,10 +33,10 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
 
     Returns:
         A :class:`Condensation` whose group ids follow ``view.nodes`` order,
-        so for a sorted view they follow each group's smallest member.  It
-        keeps ``view.adjacency()`` and reads it on every update.
+        so they follow each group's smallest member.  It keeps ``view.adj``
+        and reads it on every update.
     """
-    adj = view.adjacency()
+    adj = view.adj
     nodes = view.nodes
     trees: dict[int, list[float]] = {}
     for v in nodes:
@@ -92,7 +93,7 @@ class Condensation:
     ``super_nodes`` maps id to group, ``membership`` maps node to id,
     ``source`` maps node to its side, and :meth:`adjacency` maps id to
     ``{neighbor id: crossing edge count}``.  :func:`net_concad` builds it once
-    per partition; after that :meth:`move` changes it only where a step moves
+    per subproblem; after that :meth:`move` changes it only where a step moves
     nodes across sides, and a growth split cuts it down to the side it keeps
     (:meth:`drop`, :meth:`cut_down`).
 

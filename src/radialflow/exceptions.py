@@ -28,7 +28,7 @@ class ImbalanceError(RadialFlowError):
 
 
 class InfeasibleSplit(RadialFlowError):
-    """A partition or a side of a growth split fails to balance."""
+    """The peeled graph or a side of a growth split fails to balance."""
 
 
 class NoCandidate(RadialFlowError):
@@ -38,18 +38,16 @@ class NoCandidate(RadialFlowError):
 class Infeasible(RadialFlowError):
     """The solver could not produce a feasible radial configuration.
 
+    The message names the subproblem that got stuck by its smallest node id.
+
     Attributes:
-        partition_index: Index of the partition being grown (0, since the
-            peeled graph is one partition), or None when the failure happened
-            outside growth.
         iteration: Sampling steps taken before the failure, counted over
-            every side of every growth split, or None.
+            every side of every growth split, or None when the failure
+            happened outside growth.
     """
 
-    def __init__(self, message: str, partition_index: int | None = None,
-                 iteration: int | None = None) -> None:
+    def __init__(self, message: str, iteration: int | None = None) -> None:
         super().__init__(message)
-        self.partition_index = partition_index
         self.iteration = iteration
 
 

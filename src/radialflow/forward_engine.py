@@ -1,9 +1,9 @@
 """Greedy construction of a feasible radial configuration.
 
 Stages: settle forced edges (degree-one peeling), then grow polytrees over
-the rest, one connected partition, one edge at a time until every node is
-covered and every tree's surplus is drained.  Whenever a supply super node
-is a cut vertex of the condensation (before the first step, every
+the connected graph that peeling leaves, one edge at a time until every node
+is covered and every tree's surplus is drained.  Whenever a supply super
+node is a cut vertex of the condensation (before the first step, every
 articulation supply is one), growth splits there, so every side is grown on
 its own and the sampler only sees irreducible condensations.  The final
 orientation and flows come from an exact forest solve over the chosen edges;
@@ -24,11 +24,11 @@ from typing import Any, Sequence
 
 from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
                          NoCandidate)
-from .islander import PartitionView, _check_balance, islander
+from .islander import _check_balance, islander
 from . import condenser
 from .condenser import Condensation, net_concad, source_cut_vertices
-from .network_model import (DistributionNetwork, RadialConfiguration,
-                            balance_tolerance)
+from .network_model import (DistributionNetwork, GraphView,
+                            RadialConfiguration, balance_tolerance)
 from .preprocessor import preprocess
 from .sampler import ForestState, Frontier, PathCostAccumulator, sample, score
 from .tree_flow import solve_forest
@@ -58,12 +58,13 @@ class SolveReport:
 
     ``partitions`` is 1, or 0 when peeling settles every edge; ``splits``
     counts the growth splits.  ``timings`` holds the seconds of the four
-    stages (``preprocess``, ``islander``, ``loop``, ``solve_flow``) and,
-    inside the loop, the seconds spent building condensations, keeping them
-    current and searching them for cut vertices (``condense``) and in the
-    sampler's selection (``sample``; keeping the frontier's classes current
-    counts as loop time).  ``candidates`` counts the orientations whose
-    weight the sampler computed; it is not in the JSON document yet.
+    stages (``preprocess``, ``islander``, the balance check, ``loop``,
+    ``solve_flow``) and, inside the loop, the seconds spent building
+    condensations, keeping them current and searching them for cut vertices
+    (``condense``) and in the sampler's selection (``sample``; keeping the
+    frontier's classes current counts as loop time).  ``candidates`` counts
+    the orientations whose weight the sampler computed; it is not in the
+    JSON document yet.
     """
 
     cost: float
@@ -96,7 +97,7 @@ class SolveReport:
 @dataclass
 class PartitionOutcome:
     """Chosen edges, counts and seconds of one solve, from the settled edges
-    on; every :func:`run_partition` appends to it, in partition order."""
+    on; growth appends to it, side after side."""
 
     directed: list[tuple[int, int]] = field(default_factory=list)
     edge_indices: list[int] = field(default_factory=list)
@@ -114,8 +115,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
           collect_trace: bool = False) -> tuple[RadialConfiguration, SolveReport]:
     """Build a feasible radial configuration for a network.
 
-    The graph left by peeling is grown as one partition.  Its condensation
-    is built once by :func:`net_concad` and then updated by every step.
+    The graph left by peeling is grown whole.  Its condensation is built
+    once by :func:`net_concad` and then updated by every step.
 
     Args:
         net: Connected, balanced distribution network.
@@ -137,35 +138,34 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         The configuration and a :class:`SolveReport`.
 
     Raises:
-        Infeasible: If the construction gets stuck; carries the partition
-            index and iteration where it happened.  Also raised, with neither,
-            when the cost of the solved flows overflows.
+        Infeasible: If the construction gets stuck; the message names the
+            subproblem by its smallest node id and gives the iteration, which
+            ``iteration`` carries.  Also raised, with ``iteration`` None, when
+            the cost of the solved flows overflows.
+        InfeasibleSplit: If the peeled graph or a side of a growth split
+            fails to balance.
     """
     t0 = time.perf_counter()
     pre = preprocess(net)
     t1 = time.perf_counter()
     logger.info("preprocess settled %d edges, %d remain",
-                len(pre.presampled), len(pre.reduced.edge_indices))
-
-    if pre.fully_reduced:
-        parts: list[PartitionView] = []
-    else:
-        parts = islander(pre.reduced, pre.reduced_injections)
-    t2 = time.perf_counter()
-    logger.info("islander produced %d partition(s)", len(parts))
+                len(pre.presampled), net.m - len(pre.presampled))
 
     outcome = PartitionOutcome(list(pre.presampled),
                                list(pre.presampled_edge_indices))
-    for part in parts:
-        run_partition(part, outcome, check_invariants=check_invariants,
+    t2 = t1
+    if not pre.fully_reduced:
+        islander(pre.reduced_injections)
+        t2 = time.perf_counter()
+        run_partition(pre.reduced, pre.reduced_injections, outcome,
+                      check_invariants=check_invariants,
                       collect_trace=collect_trace)
     t3 = time.perf_counter()
 
     solution = solve_forest(net, outcome.edge_indices)
     t4 = time.perf_counter()
     if not math.isfinite(solution.cost):
-        raise Infeasible(f"cost of the solved flows overflows to {solution.cost}",
-                         partition_index=None, iteration=None)
+        raise Infeasible(f"cost of the solved flows overflows to {solution.cost}")
 
     final_edges: list[tuple[int, int]] = []
     flipped = 0
@@ -182,7 +182,7 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 
     report = SolveReport(
         cost=solution.cost, iterations=outcome.iterations,
-        partitions=len(parts), presampled=len(pre.presampled),
+        partitions=int(not pre.fully_reduced), presampled=len(pre.presampled),
         flipped_edges=flipped,
         timings={"preprocess": t1 - t0, "islander": t2 - t1,
                  "loop": t3 - t2, "solve_flow": t4 - t3,
@@ -207,28 +207,9 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 HUB_LINK = -1
 
 
-@dataclass(frozen=True)
-class AdjacencyView:
-    """A subproblem's graph, read off its live adjacency, hub links included.
-
-    It stands in for a ``GraphView``; ``nodes`` is built when read,
-    which only invariant mode and the tests do.
-    """
-
-    net: DistributionNetwork
-    adj: dict[int, list[tuple[int, int]]]
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adj))
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        return self.adj
-
-
 @dataclass
 class Subproblem:
-    """A connected piece of a partition whose polytrees are still growing.
+    """A connected piece of the peeled graph whose polytrees still grow.
 
     :func:`split_at_cut` replaces a subproblem by one per side of a supply
     super node that has become a cut vertex of the condensation.
@@ -252,36 +233,41 @@ class Subproblem:
     linked: tuple[int, set[int], int] | None = None
 
     @property
-    def graph(self) -> AdjacencyView:
-        return AdjacencyView(self.net, self.adjacency)
+    def graph(self) -> GraphView:
+        return GraphView(self.net, self.adjacency)
+
+    def name(self) -> str:
+        """The subproblem, named in errors by its smallest node id."""
+        return f"the subproblem of node {min(self.adjacency)}"
 
 
-def run_partition(part: PartitionView, outcome: PartitionOutcome, *,
+def run_partition(view: GraphView, injections: dict[int, float],
+                  outcome: PartitionOutcome, *,
                   check_invariants: bool = False,
                   collect_trace: bool = False) -> None:
-    """Grow polytrees inside one partition until covered and drained.
+    """Grow polytrees over the peeled graph until covered and drained.
 
     Before every step the condensation is searched for supply super nodes
     that are cut vertices.  At the first one the subproblem is split and the
     sides are grown one after another, smallest node id first.  The sampler
     therefore only ever consults irreducible condensations.  Edges and counts
-    go to ``outcome``; the partition adds at most n - 1 edges.
+    go to ``outcome``; growth adds at most n - 1 edges.  Growth cuts
+    ``view.adj`` and ``injections`` down in place.
     """
-    net = part.graph.net
-    inj = dict(part.injections)
+    net, adj, inj = view.net, view.adj, injections
     tol = balance_tolerance(inj.values())
-    sources = sorted(part.sources)
+    sources = sorted(v for v, p in inj.items() if p > 0)
 
     if not sources:
-        return _spanning_fallback(part, tol, outcome)
+        return _spanning_fallback(view, inj, tol, outcome)
 
-    pool = [(idx, *net.edges[idx]) for idx in part.graph.edge_indices]
-    cap = len(outcome.edge_indices) + max(len(part.graph.nodes) - 1, 0)
-    todo = [_subproblem(net, part.graph.adjacency(), inj,
-                        ForestState(sources, inj), pool,
+    pool = [(idx, *net.edges[idx])
+            for idx in sorted({i for links in adj.values() for _, i in links})]
+    cap = len(outcome.edge_indices) + len(adj) - 1
+    todo = [_subproblem(net, adj, inj, ForestState(sources, inj), pool,
                         PathCostAccumulator(), outcome)]
     while todo:
-        todo.extend(reversed(_grow(part.index, todo.pop(), tol, cap, outcome,
+        todo.extend(reversed(_grow(todo.pop(), tol, cap, outcome,
                                    check_invariants, collect_trace)))
 
 
@@ -292,13 +278,13 @@ def _subproblem(net: DistributionNetwork, adj: dict, inj: dict,
     """A subproblem over ``adj`` whose condensation is built afresh by
     :func:`net_concad` and whose frontier holds ``pool``."""
     start = time.perf_counter()
-    cond = net_concad(AdjacencyView(net, adj), inj, state.membership)
+    cond = net_concad(GraphView(net, adj), inj, state.membership)
     outcome.condense_s += time.perf_counter() - start
     return Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
                       adj, cond, sorted(adj), replicas, linked)
 
 
-def _grow(index: int, sub: Subproblem, tol: float, cap: int,
+def _grow(sub: Subproblem, tol: float, cap: int,
           outcome: PartitionOutcome, check_invariants: bool,
           collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
@@ -316,28 +302,27 @@ def _grow(index: int, sub: Subproblem, tol: float, cap: int,
             return []
         if len(outcome.edge_indices) >= cap:
             raise Infeasible(
-                f"partition {index} still "
-                f"{'uncovered' if uncovered else 'imbalanced'} after "
-                f"{step} iterations", partition_index=index, iteration=step)
+                f"{sub.name()} is still "
+                f"{'uncovered' if uncovered else 'imbalanced'} at iteration "
+                f"{step}", iteration=step)
         if not uncovered and not frontier:
             raise Infeasible(
-                f"partition {index} has imbalanced trees and no edges left",
-                partition_index=index, iteration=step)
+                f"{sub.name()} has imbalanced trees and no edges left at "
+                f"iteration {step}", iteration=step)
 
         start = time.perf_counter()
         cuts = source_cut_vertices(cond)
         outcome.condense_s += time.perf_counter() - start
         if cuts:
-            return split_at_cut(sub, cuts[0], outcome, index=index, tol=tol)
+            return split_at_cut(sub, cuts[0], outcome, tol=tol)
 
         if check_invariants:
             before = math.fsum(max(r, 0.0) for r in state.residuals.values())
-            if _reference_is_reducible(sub, index, step):
+            if _reference_is_reducible(sub, step):
                 outcome.reducible += 1
-                logger.debug(
-                    "reducible condensation in partition %d at iteration %d",
-                    index, step)
-            expected = _reference_pick(sub, index, step)
+                logger.debug("reducible condensation in %s at iteration %d",
+                             sub.name(), step)
+            expected = _reference_pick(sub, step)
 
         deleted = frontier.flush()
         start = time.perf_counter()
@@ -345,13 +330,13 @@ def _grow(index: int, sub: Subproblem, tol: float, cap: int,
             result = sample(view, sub.injections, state, h, frontier,
                             replicas=sub.replicas)
         except NoCandidate as exc:
-            raise Infeasible(f"partition {index} stuck: {exc}",
-                             partition_index=index, iteration=step) from exc
+            raise Infeasible(f"{sub.name()} is stuck at iteration {step}: "
+                             f"{exc}", iteration=step) from exc
         outcome.sample_s += time.perf_counter() - start
         outcome.candidates += result.evaluated
         if check_invariants and expected != result.best[:3]:
             raise InvariantViolation(
-                f"selection in partition {index} at iteration {step} picked "
+                f"selection in {sub.name()} at iteration {step} picked "
                 f"edge {result.best[2]} ({result.best[0]} > "
                 f"{result.best[1]}), the full scan edge {expected[2]} "
                 f"({expected[0]} > {expected[1]})")
@@ -389,19 +374,19 @@ def _grow(index: int, sub: Subproblem, tol: float, cap: int,
         outcome.iterations += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "partition %d iter %d: edge %d (%s > %s) raw w=%.4g bal=%s "
-                "pend=%s", index, step + 1, eidx, net.names[i],
-                net.names[j], w, balance, pendant)
+                "iter %d: edge %d (%s > %s) raw w=%.4g bal=%s pend=%s",
+                step + 1, eidx, net.names[i], net.names[j], w, balance,
+                pendant)
 
         if check_invariants:
             after = math.fsum(max(r, 0.0) for r in state.residuals.values())
             if after > before + tol:
                 raise InvariantViolation(
-                    f"surplus grew from {before!r} to {after!r} in partition "
-                    f"{index} at iteration {step + 1}")
+                    f"surplus grew from {before!r} to {after!r} in "
+                    f"{sub.name()} at iteration {step + 1}")
 
 
-def _reference_pick(sub: Subproblem, index: int, iteration: int) -> tuple:
+def _reference_pick(sub: Subproblem, iteration: int) -> tuple:
     """``(tail, head, edge index)`` a full scan of the remaining pool picks,
     all None when no orientation is live.
 
@@ -418,15 +403,14 @@ def _reference_pick(sub: Subproblem, index: int, iteration: int) -> tuple:
         key = min(k for k in f.where.keys() | want.keys()
                   if have.get(k) != want.get(k))
         raise InvariantViolation(
-            f"frontier of partition {index} at iteration {iteration}: the "
+            f"frontier of {sub.name()} at iteration {iteration}: the "
             f"orientation (edge index, tail) {key} is in class "
             f"{have.get(key)}, not {want.get(key)}")
     return min(raw, key=lambda r: (not r[6], not r[5], -r[3], r[0], r[1]),
                default=(None, None, None))[:3]
 
 
-def _reference_is_reducible(sub: Subproblem, index: int,
-                            iteration: int) -> bool:
+def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
     """Check the incremental state against a rebuild from scratch.
 
     Raises :class:`InvariantViolation` if the condensation or a tree residual
@@ -444,13 +428,13 @@ def _reference_is_reducible(sub: Subproblem, index: int,
                        f"not {exact!r}")
     if problem is not None:
         raise InvariantViolation(
-            f"incremental condensation of partition {index} at iteration "
+            f"incremental condensation of {sub.name()} at iteration "
             f"{iteration}: {problem}")
     return bool(condenser.source_cut_vertices(ref))
 
 
 def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
-                 index: int, tol: float) -> list[Subproblem]:
+                 tol: float) -> list[Subproblem]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
     This is the only partitioning: before the first step it splits at
@@ -475,10 +459,10 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     Args:
         sub: Subproblem to split; it becomes its largest side.
         cut: Id in ``sub.cond`` of a supply super node that is a cut vertex.
-        outcome: Partition outcome receiving the joining edges and the
-            seconds spent condensing the sides.
-        index: Partition index, for error messages.
-        tol: Partition balance tolerance, the floor for the side checks.
+        outcome: Outcome receiving the joining edges and the seconds spent
+            condensing the sides.
+        tol: Balance tolerance of the peeled graph, the floor for the side
+            checks.
 
     Returns:
         One subproblem per side, ordered by smallest node of its own.
@@ -527,8 +511,7 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             outcome.merges += 1
     root = state.tree_of(top)
     outcome.splits += 1
-    logger.debug("partition %d: split at tree %d into %d sides",
-                 index, root, len(sides))
+    logger.debug("split at tree %d into %d sides", root, len(sides))
 
     # a small side takes its nodes' edge lists and new ones for its rim; the
     # kept side's old hub nodes next to no new node or small side keep
@@ -572,7 +555,7 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     share = dict(zip(ordered, [host_share, *shares]))
     for k in ordered:
         side_inj[k][root] = share[k]
-        _check_balance(side_inj[k], index, floor=tol,
+        _check_balance(side_inj[k], floor=tol,
                        total=math.fsum([share[k], *terms[k]]))
 
     built = {big: sub}
@@ -645,19 +628,18 @@ def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
     return low
 
 
-def _spanning_fallback(part: PartitionView, tol: float,
-                       outcome: PartitionOutcome) -> None:
-    """Cover a partition that has no supply at all, appending to ``outcome``.
+def _spanning_fallback(view: GraphView, injections: dict[int, float],
+                       tol: float, outcome: PartitionOutcome) -> None:
+    """Cover a peeled graph without supply, appending to ``outcome``.
 
     Only legal when every injection is (numerically) zero; any spanning tree
     then carries zero flow.  A demand node with no supply is infeasible.
     """
-    if any(abs(p) > tol for p in part.injections.values()):
-        raise Infeasible(
-            f"partition {part.index} has demand but no supply",
-            partition_index=part.index, iteration=0)
-    adj = part.graph.adjacency()
-    start = min(part.graph.nodes)
+    adj = view.adj
+    start = min(adj)
+    if any(abs(p) > tol for p in injections.values()):
+        raise Infeasible(f"the subproblem of node {start} has demand but no "
+                         f"supply", iteration=0)
     seen = {start}
     frontier = [start]
     while frontier:

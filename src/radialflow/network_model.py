@@ -150,28 +150,27 @@ class DistributionNetwork:
 
 @dataclass(frozen=True)
 class GraphView:
-    """A subgraph of a network: node subset plus a subset of its edges.
+    """A subgraph of a network, as each node's ``(neighbor, edge index)`` pairs.
 
     Node and edge ids always refer to the parent network, so views produced by
     different stages of the pipeline compose without re-mapping.
     """
 
     net: DistributionNetwork
-    nodes: tuple[int, ...]
-    edge_indices: tuple[int, ...]
+    adj: dict[int, list[tuple[int, int]]]
 
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.nodes}
-        for idx in self.edge_indices:
-            u, v, _ = self.net.edges[idx]
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        return adj
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(sorted(self.adj))
 
 
 def full_view(net: DistributionNetwork) -> GraphView:
-    """The whole network as a view over itself."""
-    return GraphView(net, tuple(range(net.n)), tuple(range(net.m)))
+    """The whole network as a view over itself, edges in index order."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(net.n)}
+    for idx, (u, v, _) in enumerate(net.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    return GraphView(net, adj)
 
 
 @dataclass(frozen=True)

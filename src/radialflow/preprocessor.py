@@ -17,24 +17,24 @@ from .network_model import DistributionNetwork, GraphView, full_view
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    """Forced orientations plus the reduced graph left for the sampler.
+    """Forced orientations plus the peeled graph left for growth.
 
     Attributes:
         presampled: ``(tail, head)`` per settled edge, in peel order.
         presampled_edge_indices: Parent edge index per settled edge.
-        reduced: View of the nodes and edges still unresolved.
-        reduced_injections: Full-length injection vector after pushing; nodes
-            outside the reduced view hold zero.
+        reduced: View of the nodes and edges still unresolved, nodes in
+            ascending order and each node's edges in index order.
+        reduced_injections: Injection per node of ``reduced`` after pushing.
     """
 
     presampled: tuple[tuple[int, int], ...]
     presampled_edge_indices: tuple[int, ...]
     reduced: GraphView
-    reduced_injections: tuple[float, ...]
+    reduced_injections: dict[int, float]
 
     @property
     def fully_reduced(self) -> bool:
-        return not self.reduced.edge_indices
+        return not self.reduced.adj
 
 
 def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
@@ -81,22 +81,18 @@ def preprocess(net: DistributionNetwork) -> PreprocessResult:
     view along with its (empty) edge set.
     """
     p = list(net.injections)
+    adj = full_view(net).adj
     presampled: list[tuple[int, int]] = []
     pre_idx: list[int] = []
-    for i, j, eidx, value in peel(full_view(net).adjacency(), p):
+    for i, j, eidx, value in peel(adj, p):
         presampled.append((i, j) if value >= 0 else (j, i))
         pre_idx.append(eidx)
 
     done = set(pre_idx)
-    remaining = tuple(idx for idx in range(net.m) if idx not in done)
-    keep: set[int] = set()
-    for idx in remaining:
-        u, v, _ = net.edges[idx]
-        keep.add(u)
-        keep.add(v)
-    reduced = GraphView(net, tuple(sorted(keep)), remaining)
-    full_p = [0.0] * net.n
-    for v in keep:
-        full_p[v] = p[v]
-    return PreprocessResult(tuple(presampled), tuple(pre_idx), reduced,
-                            tuple(full_p))
+    kept = {v for idx, edge in enumerate(net.edges) if idx not in done
+            for v in edge[:2]}
+    reduced = {v: [e for e in adj[v] if e[1] not in done]
+               for v in sorted(kept)}
+    return PreprocessResult(tuple(presampled), tuple(pre_idx),
+                            GraphView(net, reduced),
+                            {v: p[v] for v in reduced})

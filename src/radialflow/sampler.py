@@ -53,7 +53,7 @@ class PathCostAccumulator(dict):
 
 
 class ForestState:
-    """Mutable record of the polytrees grown so far in one partition.
+    """Mutable record of the polytrees grown so far in one subproblem.
 
     Tree ids are the node ids of the supplies they grew from; a merge keeps
     the absorbing tree's id.  Each residual is held as an exact running sum
@@ -131,9 +131,9 @@ class Frontier:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in ascending
             edge index order.
         state: Polytrees of the subproblem.
-        adjacency: ``view.adjacency()`` of the subproblem.
+        adjacency: ``view.adj`` of the subproblem.
         cond: Condensation of the subproblem around ``state``.
-        h: Path cost accumulator of the partition.
+        h: Path cost accumulator of the peeled graph.
     """
 
     def __init__(self, pool: Sequence[tuple[int, int, int, float]],

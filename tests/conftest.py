@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from radialflow import GenSpec, build_network, generate, load_network
 from radialflow.forward_engine import default_source_count
@@ -140,3 +141,29 @@ def kruskal_config(net):
             parent[rv] = ru
             picked.append(i)
     return picked
+
+
+@st.composite
+def small_networks(draw):
+    """Connected networks of up to 8 nodes.
+
+    Costs are drawn from a few values, 0 among them, so ties and free edges
+    are common; injections are small integers, many of them 0, balanced
+    exactly.  A random spanning tree plus extra edges leaves cut vertices,
+    and supplies often land on them.
+    """
+    n = draw(st.integers(2, 8))
+    cost = st.sampled_from([0.0, 1.0, 1.0, 2.5])
+    edges = [(draw(st.integers(0, v - 1)), v, draw(cost)) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), cost),
+                          max_size=2 * n))
+    pairs = {(u, v) for u, v, _ in edges}
+    for u, v, c in extra:
+        if u != v and (min(u, v), max(u, v)) not in pairs:
+            pairs.add((min(u, v), max(u, v)))
+            edges.append((min(u, v), max(u, v), c))
+    p = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]),
+                      min_size=n, max_size=n))
+    p[draw(st.integers(0, n - 1))] -= sum(p)
+    return build_network([f"v{i}" for i in range(n)], edges, p)

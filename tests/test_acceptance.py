@@ -145,12 +145,7 @@ def test_criterion_4a_reduced_min_degree():
             pre = preprocess(net)
             if pre.fully_reduced:
                 continue
-            deg = {v: 0 for v in pre.reduced.nodes}
-            for idx in pre.reduced.edge_indices:
-                u, v, _ = net.edges[idx]
-                deg[u] += 1
-                deg[v] += 1
-            low = min(deg.values())
+            low = min(map(len, pre.reduced.adj.values()))
             if low < 2:
                 offenders.append((n, seed, low))
     ok = not offenders

@@ -1,30 +1,33 @@
-"""The benchmark's traced run wraps engine names; they must keep working.
+"""The benchmark's names and fields of the program must keep working.
 
 ``perfbench/spans.py`` replaces functions of ``radialflow.forward_engine`` by
-name and reads a few of their arguments.  This loads it as it is and traces a
-solve that grows and splits.
+name and reads a few of their arguments, and ``perfbench/worker.py`` reads
+fields of the solve report.  This loads both as they are, traces a solve
+that grows and splits, and runs one benchmark operation.
 """
 
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from radialflow import solve, validate_radial
+from radialflow import serialize_network, solve, validate_radial
 
 from test_forward_engine import ring_with_chord
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    """The benchmark module ``name``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_trace_records_every_growth_loop_layer():
-    spans = load_spans()
+    spans = load("spans")
     tracer = spans.Tracer()
     net = ring_with_chord(chord_cost=0.5)
     # a count that raised would have ended the solve
@@ -41,3 +44,13 @@ def test_trace_records_every_growth_loop_layer():
     assert {"nodes": net.n} in counts
     assert any(c.keys() == {"pool", "candidates"} and c["candidates"] > 0
                for c in counts)
+
+
+def test_worker_operation_reads_the_report(monkeypatch):
+    # the worker imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = load("worker")
+    rec = worker.operate(serialize_network(ring_with_chord()), worker.direct)
+    assert "error" not in rec, rec["error"]
+    assert rec["validated"]
+    assert rec["report"]["partitions"] == 1

@@ -10,9 +10,9 @@ import sys
 import pytest
 
 from conftest import data_path
-from radialflow import (GenSpec, config_from_json, config_to_json, generate,
-                        load_network, serialize_network, solve,
-                        validate_radial)
+from radialflow import (GenSpec, build_network, config_from_json,
+                        config_to_json, generate, load_network,
+                        serialize_network, solve, validate_radial)
 from radialflow.cli import LOG_LEVELS, main
 
 GAP_RING = str(data_path("mst_gap_ring.json"))
@@ -97,6 +97,29 @@ def test_oracle_gap_document(tmp_path):
     cfg = config_from_json(net, opt.read_text())
     assert validate_radial(net, cfg).passed
     assert cfg.total_cost == pytest.approx(47.0, rel=1e-12)
+
+
+def test_oracle_gap_is_null_when_the_optimum_is_free(tmp_path):
+    # a spanning tree of free edges exists, but the greedy pick pays for the
+    # n0-n6 edge: the ratio to an optimum of 0 is unbounded, which strict
+    # JSON cannot write as a number
+    p = [0.42118113065632706, 0.42118113065632706, 0.0,
+         -0.20795268277875323, -0.6344095785339009, 0.0, 0.0]
+    edges = [(0, 2, 0.0), (0, 6, 1.0), (1, 2, 0.0), (1, 6, 0.0), (2, 4, 0.0),
+             (2, 5, 0.0), (3, 4, 0.0)]
+    net = build_network([f"n{i}" for i in range(7)], edges, p)
+    network = tmp_path / "net.json"
+    network.write_text(serialize_network(net))
+    out = tmp_path / "gap.json"
+    assert main(["oracle", str(network), "-o", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["optimal_cost"] == 0.0
+    assert doc["forward_cost"] == pytest.approx(0.1774, abs=1e-4)
+    assert doc["gap_ratio"] is None
 
 
 def test_oracle_refuses_large_network(capsys):

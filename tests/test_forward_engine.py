@@ -13,13 +13,11 @@ from radialflow import (Infeasible, InfeasibleSplit, InvalidSpec, NoCandidate,
                         solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
-from radialflow.forward_engine import (HUB_LINK, AdjacencyView,
-                                       PartitionOutcome, _spanning_fallback,
-                                       _subproblem, complexity_probe,
-                                       default_source_count, fit_exponent,
-                                       split_at_cut)
-from radialflow.islander import PartitionView
-from radialflow.network_model import balance_tolerance, full_view
+from radialflow.forward_engine import (HUB_LINK, PartitionOutcome,
+                                       _spanning_fallback, _subproblem,
+                                       complexity_probe, default_source_count,
+                                       fit_exponent, split_at_cut)
+from radialflow.network_model import GraphView, balance_tolerance, full_view
 from radialflow.preprocessor import preprocess
 from radialflow.sampler import ForestState, Frontier, PathCostAccumulator
 
@@ -127,10 +125,11 @@ def test_all_zero_network_spans_for_free():
 
 def test_fallback_rejects_unserved_demand():
     net = build_network(["a", "b"], [(0, 1, 1.0)], [1.0, -1.0])
-    part = PartitionView(0, full_view(net), {0: 2.0, 1: -2.0}, frozenset())
-    with pytest.raises(Infeasible, match="no supply"):
-        _spanning_fallback(part, balance_tolerance([2.0, -2.0]),
-                           PartitionOutcome())
+    with pytest.raises(Infeasible, match="subproblem of node 0 has demand "
+                                         "but no supply") as info:
+        _spanning_fallback(full_view(net), {0: 2.0, 1: -2.0},
+                           balance_tolerance([2.0, -2.0]), PartitionOutcome())
+    assert info.value.iteration == 0
 
 
 def test_fallback_visits_the_smallest_frontier_node_first():
@@ -138,8 +137,7 @@ def test_fallback_visits_the_smallest_frontier_node_first():
     mesh = ws_instance(300, seed=2)
     net = build_network(mesh.names, mesh.edges, [0.0] * mesh.n)
     view = full_view(net)
-    part = PartitionView(0, view, dict.fromkeys(view.nodes, 0.0), frozenset())
-    adj = view.adjacency()
+    adj = view.adj
     seen, frontier, want = {0}, [0], []
     while frontier:
         x = min(frontier)
@@ -150,7 +148,7 @@ def test_fallback_visits_the_smallest_frontier_node_first():
                 frontier.append(y)
                 want.append((x, y, idx))
     outcome = PartitionOutcome()
-    _spanning_fallback(part, 1e-9, outcome)
+    _spanning_fallback(view, dict.fromkeys(adj, 0.0), 1e-9, outcome)
     assert len(want) == net.n - 1
     assert [(*e, idx) for e, idx in zip(outcome.directed,
                                         outcome.edge_indices)] == want
@@ -183,8 +181,9 @@ def test_trace_runs_on_across_partitions():
 
 
 def test_stuck_partition_names_its_own_iteration(monkeypatch):
-    # the square's side gets stuck at its second step; the error names the
-    # one partition and the sampling steps taken before, over every side
+    # the square's side gets stuck at its second step; the error names that
+    # side by its smallest node (s, kept from the hub, so 0) and the
+    # sampling steps taken before, over every side
     net = three_blocks()
     real_sample = forward_engine.sample
     calls = []
@@ -198,7 +197,9 @@ def test_stuck_partition_names_its_own_iteration(monkeypatch):
     monkeypatch.setattr(forward_engine, "sample", stuck_in_last_side)
     with pytest.raises(Infeasible) as info:
         solve(net)
-    assert info.value.partition_index == 0
+    assert str(info.value) == ("the subproblem of node 0 is stuck at "
+                               "iteration 5: no remaining edge touches a "
+                               "polytree")
     assert info.value.iteration == len(calls) - 1 == 5
 
 
@@ -240,7 +241,6 @@ def test_overflowing_cost_is_infeasible(net):
     # the OverflowError that x ** 2 raises
     with pytest.raises(Infeasible, match="overflow") as info:
         solve(net)
-    assert info.value.partition_index is None
     assert info.value.iteration is None
 
 
@@ -313,7 +313,7 @@ def subproblem_of(net, sources, absorbed=()):
         state.absorb(tree, node)
     pool = [(idx, u, v, c) for idx, (u, v, c) in enumerate(net.edges)
             if state.tree_of(u) is None or state.tree_of(u) != state.tree_of(v)]
-    return _subproblem(net, full_view(net).adjacency(), inj, state, pool,
+    return _subproblem(net, full_view(net).adj, inj, state, pool,
                        PathCostAccumulator(), PartitionOutcome())
 
 
@@ -393,7 +393,7 @@ def check_sides(record, sides):
         assert side.injections.keys() == side.adjacency.keys()
         assert all(side.injections[h] == 0.0 for h in side.adjacency
                    if h in hub and h != root)
-        rebuilt = net_concad(AdjacencyView(side.net, want), side.injections,
+        rebuilt = net_concad(GraphView(side.net, want), side.injections,
                              side.state.membership)
         assert side.cond.mismatch(rebuilt) is None
         for t, members in side.state.members.items():
@@ -419,7 +419,7 @@ def split_once(sub):
     hub = SimpleNamespace(members=set(group.members), residual=group.residual)
     record = SplitRecord(sub, cuts[0])
     outcome = PartitionOutcome()
-    sides = split_at_cut(sub, cuts[0], outcome, index=0,
+    sides = split_at_cut(sub, cuts[0], outcome,
                          tol=balance_tolerance(sub.injections.values()))
     check_sides(record, sides)
     return hub, sides, outcome
@@ -519,7 +519,8 @@ def test_unbalanced_split_raises():
     sub = subproblem_of(net, [1], [(1, 3)])
     sub.injections[1] = 2.5
     sub.cond = net_concad(sub.graph, sub.injections, sub.state.membership)
-    with pytest.raises(InfeasibleSplit):
+    with pytest.raises(InfeasibleSplit, match="subproblem of node 0 has "
+                                              "injections summing to 0.5"):
         split_once(sub)
 
 
@@ -537,5 +538,6 @@ def test_stuck_side_names_partition_and_iteration(monkeypatch):
     monkeypatch.setattr(forward_engine, "sample", stuck_after_split)
     with pytest.raises(Infeasible) as info:
         solve(net)
-    assert info.value.partition_index == 0
+    assert str(info.value).startswith(
+        "the subproblem of node 0 is stuck at iteration 1: ")
     assert info.value.iteration == len(steps) == 1

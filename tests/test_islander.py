@@ -1,4 +1,4 @@
-"""Articulation supplies: one partition, split by growth into balanced sides."""
+"""Articulation supplies: the peeled graph, split by growth into balanced sides."""
 
 import math
 from types import SimpleNamespace
@@ -19,7 +19,7 @@ from conftest import ws_instance
 
 def articulation_points(view):
     """The lowpoint walk over a view's distinct neighbors."""
-    adj = {v: {y for y, _ in links} for v, links in view.adjacency().items()}
+    adj = {v: {y for y, _ in links} for v, links in view.adj.items()}
     return lowpoint(sorted(view.nodes), adj)
 
 
@@ -82,21 +82,25 @@ def test_matches_networkx():
         got = articulation_points(view)
         g = nx.Graph()
         g.add_nodes_from(view.nodes)
-        for idx in view.edge_indices:
-            u, v, _ = net.edges[idx]
-            g.add_edge(u, v)
+        g.add_edges_from((u, v) for u, links in view.adj.items()
+                         for v, _ in links)
         assert got == set(nx.articulation_points(g))
 
 
-def test_biconnected_graph_single_partition(gap_ring):
-    view = full_view(gap_ring)
-    parts = islander(view, list(gap_ring.injections))
-    assert len(parts) == 1
-    part = parts[0]
-    assert part.index == 0
-    assert set(part.graph.nodes) == set(view.nodes)
-    assert set(part.graph.edge_indices) == set(view.edge_indices)
-    assert part.injections == {v: gap_ring.injections[v] for v in view.nodes}
+def test_biconnected_graph_single_partition(gap_ring, monkeypatch):
+    # the islander only checks the balance of the peeled graph, which
+    # growth then takes whole, as the one partition the report counts
+    checked = []
+
+    def recording_islander(injections):
+        checked.append(dict(injections))
+        islander(injections)
+
+    monkeypatch.setattr(forward_engine, "islander", recording_islander)
+    cfg, report = solve(gap_ring)
+    assert validate_radial(gap_ring, cfg).passed
+    assert checked == [dict(enumerate(gap_ring.injections))]
+    assert report.partitions == 1 and report.splits == 0
 
 
 def bowtie():
@@ -194,21 +198,18 @@ def test_role_flip_possible(monkeypatch):
 
 
 def test_partition_graphs_are_views(block15):
-    res = preprocess(block15)
-    inj = [0.0] * block15.n
-    for node in res.reduced.nodes:
-        inj[node] = res.reduced_injections[node]
-    (part,) = islander(res.reduced, inj)
-    assert part.graph.nodes == tuple(sorted(res.reduced.nodes))
-    assert set(part.graph.edge_indices) == set(res.reduced.edge_indices)
-    for idx in part.graph.edge_indices:
-        u, v, _ = block15.edges[idx]
-        assert u in set(part.graph.nodes)
-        assert v in set(part.graph.nodes)
+    # the peeled graph growth takes is a view in parent-network ids: every
+    # link names a parent edge between its two ends, both in the view
+    view = preprocess(block15).reduced
+    assert view.net is block15
+    assert view.nodes == tuple(sorted(view.adj))
+    for v, links in view.adj.items():
+        for y, idx in links:
+            assert y in view.adj
+            assert set(block15.edges[idx][:2]) == {v, y}
 
 
 def test_balance_guard():
-    from radialflow.islander import _check_balance
-    with pytest.raises(InfeasibleSplit):
-        _check_balance({0: 1.0, 1: -0.25}, 0)
-    _check_balance({0: 1.0, 1: -1.0}, 0)
+    with pytest.raises(InfeasibleSplit, match="subproblem of node 3 "):
+        islander({3: 1.0, 5: -0.25})
+    islander({3: 1.0, 5: -1.0})

@@ -19,8 +19,8 @@ def test_path_fully_reduced():
     res = preprocess(net)
     assert res.presampled == ((0, 1), (1, 2))
     assert res.fully_reduced
-    assert res.reduced.nodes == ()
-    assert res.reduced.edge_indices == ()
+    assert res.reduced.adj == {}
+    assert res.reduced_injections == {}
 
 
 def test_pendant_direction_rule():
@@ -36,47 +36,54 @@ def test_pendant_direction_rule():
 def test_cycle_untouched(gap_ring):
     res = preprocess(gap_ring)
     assert res.presampled == ()
-    assert set(res.reduced.nodes) == set(range(gap_ring.n))
-    assert len(res.reduced.edge_indices) == gap_ring.m
+    assert res.reduced.adj == full_view(gap_ring).adj
+    assert res.reduced_injections == dict(enumerate(gap_ring.injections))
 
 
 def test_fifteen_node_fixture(block15):
     res = preprocess(block15)
     assert res.presampled == ((9, 8), (10, 12), (14, 13), (2, 8), (13, 5))
-    assert res.reduced.nodes == (0, 1, 2, 3, 4, 5, 6, 7, 10, 11)
+    assert list(res.reduced.adj) == [0, 1, 2, 3, 4, 5, 6, 7, 10, 11]
     want = {0: 2.0, 1: -1.0, 2: -5.0, 3: -1.0, 4: 8.0,
             5: -1.0, 6: 3.0, 7: -2.0, 10: -2.0, 11: -1.0}
-    for node in res.reduced.nodes:
-        assert res.reduced_injections[node] == pytest.approx(want[node])
+    assert res.reduced_injections == pytest.approx(want)
 
 
 def test_reduced_min_degree_two():
     for seed in range(8):
         net = ws_instance(30, seed=seed)
         res = preprocess(net)
-        for node, links in res.reduced.adjacency().items():
+        for node, links in res.reduced.adj.items():
             assert len(links) >= 2, f"seed {seed} node {node} degree {len(links)}"
 
 
 def test_idempotent(block15):
     # the reduced graph has no leaf left to peel
     res = preprocess(block15)
-    inj = list(res.reduced_injections)
-    assert list(peel(res.reduced.adjacency(), inj)) == []
+    inj = dict(res.reduced_injections)
+    assert list(peel(res.reduced.adj, inj)) == []
 
 
 def test_edge_conservation(block15, ieee33):
+    # the settled and the remaining edges partition the network's edges, and
+    # each remaining edge is listed at both its ends, in index order
     for net in (block15, ieee33):
         res = preprocess(net)
-        assert len(res.presampled) + len(res.reduced.edge_indices) == net.m
-        overlap = set(res.presampled_edge_indices) & \
-            set(res.reduced.edge_indices)
-        assert not overlap
+        done = set(res.presampled_edge_indices)
+        remaining = [idx for idx in range(net.m) if idx not in done]
+        assert len(res.presampled) + len(remaining) == net.m
+        want = {}
+        for idx in remaining:
+            u, v, _ = net.edges[idx]
+            want.setdefault(u, []).append((v, idx))
+            want.setdefault(v, []).append((u, idx))
+        assert res.reduced.adj == want
+        assert list(res.reduced_injections) == list(res.reduced.adj)
 
 
 def test_balance_preserved(block15):
     res = preprocess(block15)
-    total = math.fsum(res.reduced_injections[v] for v in res.reduced.nodes)
+    total = math.fsum(res.reduced_injections.values())
     assert abs(total) <= balance_tolerance(block15.injections)
 
 

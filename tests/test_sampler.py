@@ -4,9 +4,9 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from conftest import ws_instance
+from conftest import small_networks, ws_instance
 from radialflow import (Infeasible, NoCandidate, build_network, solve,
                         validate_radial)
 from radialflow import forward_engine
@@ -24,7 +24,7 @@ def pick(net, state, pool=None, h=None):
     """``sample`` over a new subproblem of ``pool`` (default: every edge)."""
     inj = dict(enumerate(net.injections))
     h = PathCostAccumulator() if h is None else h
-    sub = _subproblem(net, full_view(net).adjacency(), inj, state,
+    sub = _subproblem(net, full_view(net).adj, inj, state,
                       pool_of(net) if pool is None else pool, h,
                       PartitionOutcome())
     return sample(sub.graph, inj, state, h, sub.frontier)
@@ -109,7 +109,7 @@ def test_interior_edges_are_deleted():
     inj = dict(enumerate(injections))
     state = ForestState([0], inj)
     h = PathCostAccumulator()
-    sub = _subproblem(net, full_view(net).adjacency(), inj, state,
+    sub = _subproblem(net, full_view(net).adj, inj, state,
                       [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, PartitionOutcome())
     frontier = sub.frontier
     assert frontier.classes == {}
@@ -210,32 +210,6 @@ def test_index_scores_fewer_orientations_than_a_full_scan(monkeypatch):
     assert len(full) == report.iterations
     assert 0 < report.candidates < sum(full)
     assert "candidates" not in json.loads(report.to_json())
-
-
-@st.composite
-def small_networks(draw):
-    """Connected networks of up to 8 nodes.
-
-    Costs are drawn from a few values, 0 among them, so ties and free edges
-    are common; injections are small integers, many of them 0, balanced
-    exactly.  A random spanning tree plus extra edges leaves cut vertices,
-    and supplies often land on them.
-    """
-    n = draw(st.integers(2, 8))
-    cost = st.sampled_from([0.0, 1.0, 1.0, 2.5])
-    edges = [(draw(st.integers(0, v - 1)), v, draw(cost)) for v in range(1, n)]
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1), cost),
-                          max_size=2 * n))
-    pairs = {(u, v) for u, v, _ in edges}
-    for u, v, c in extra:
-        if u != v and (min(u, v), max(u, v)) not in pairs:
-            pairs.add((min(u, v), max(u, v)))
-            edges.append((min(u, v), max(u, v), c))
-    p = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0]),
-                      min_size=n, max_size=n))
-    p[draw(st.integers(0, n - 1))] -= sum(p)
-    return build_network([f"v{i}" for i in range(n)], edges, p)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
