@@ -26,7 +26,7 @@ from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
                          NoCandidate)
 from .islander import _check_balance, islander
 from . import condenser
-from .condenser import Condensation, net_concad, source_cut_vertices
+from .condenser import net_concad, source_cut_vertices
 from .network_model import (DistributionNetwork, GraphView,
                             RadialConfiguration, balance_tolerance)
 from .preprocessor import preprocess
@@ -54,7 +54,8 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass
 class SolveReport:
-    """Solve statistics.  ``to_json`` emits all but the trace.
+    """Solve statistics.  ``to_json`` emits all but ``trace``, ``sampled``
+    and ``edge_indices``.
 
     ``partitions`` is 1, or 0 when peeling settles every edge; ``splits``
     counts the growth splits.  ``timings`` holds the seconds of the four
@@ -64,15 +65,20 @@ class SolveReport:
     (``condense``) and in the sampler's selection (``sample``; keeping the
     frontier's classes current counts as loop time).  ``candidates`` counts
     the orientations whose weight the sampler computed; it is not in the
-    JSON document yet.
+    JSON document yet.  ``sampled`` holds the ``(tail, head)`` each chosen
+    edge was given before the forest solve, settled edges first, and
+    ``edge_indices`` the edges in the same order.  Growth counts into the
+    report as it goes, and :func:`solve` turns ``trace`` into a tuple.
     """
 
-    cost: float
-    iterations: int
-    partitions: int
-    presampled: int
-    flipped_edges: int
-    timings: dict[str, float]
+    cost: float = 0.0
+    iterations: int = 0
+    partitions: int = 0
+    presampled: int = 0
+    flipped_edges: int = 0
+    timings: dict[str, float] = field(default_factory=lambda: dict.fromkeys(
+        ("preprocess", "islander", "loop", "solve_flow", "condense",
+         "sample"), 0.0))
     n: int = 0
     m: int = 0
     zero_flow: int = 0
@@ -80,7 +86,9 @@ class SolveReport:
     reducible_condensations: int = 0
     splits: int = 0
     candidates: int = 0
-    trace: tuple[TraceRow, ...] = field(default_factory=tuple)
+    trace: Sequence[TraceRow] = field(default_factory=list)
+    sampled: list[tuple[int, int]] = field(default_factory=list)
+    edge_indices: list[int] = field(default_factory=list)
 
     def to_json(self) -> str:
         doc = {"schema_version": REPORT_SCHEMA_VERSION, "n": self.n,
@@ -92,23 +100,6 @@ class SolveReport:
                "reducible_condensations": self.reducible_condensations,
                "timings": self.timings}
         return json.dumps(doc, indent=2) + "\n"
-
-
-@dataclass
-class PartitionOutcome:
-    """Chosen edges, counts and seconds of one solve, from the settled edges
-    on; growth appends to it, side after side."""
-
-    directed: list[tuple[int, int]] = field(default_factory=list)
-    edge_indices: list[int] = field(default_factory=list)
-    iterations: int = 0
-    merges: int = 0
-    trace: list[TraceRow] = field(default_factory=list)
-    reducible: int = 0
-    splits: int = 0
-    condense_s: float = 0.0
-    sample_s: float = 0.0
-    candidates: int = 0
 
 
 def solve(net: DistributionNetwork, *, check_invariants: bool = False,
@@ -151,46 +142,36 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     logger.info("preprocess settled %d edges, %d remain",
                 len(pre.presampled), net.m - len(pre.presampled))
 
-    outcome = PartitionOutcome(list(pre.presampled),
-                               list(pre.presampled_edge_indices))
+    report = SolveReport(partitions=int(not pre.fully_reduced),
+                         presampled=len(pre.presampled), n=net.n, m=net.m,
+                         sampled=list(pre.presampled),
+                         edge_indices=list(pre.presampled_edge_indices))
     t2 = t1
     if not pre.fully_reduced:
         islander(pre.reduced_injections)
         t2 = time.perf_counter()
-        run_partition(pre.reduced, pre.reduced_injections, outcome,
+        run_partition(pre.reduced, pre.reduced_injections, report,
                       check_invariants=check_invariants,
                       collect_trace=collect_trace)
     t3 = time.perf_counter()
 
-    solution = solve_forest(net, outcome.edge_indices)
+    solution = solve_forest(net, report.edge_indices)
     t4 = time.perf_counter()
     if not math.isfinite(solution.cost):
         raise Infeasible(f"cost of the solved flows overflows to {solution.cost}")
 
     final_edges: list[tuple[int, int]] = []
-    flipped = 0
-    for k, idx in enumerate(solution.edge_indices):
-        solved = solution.oriented_edges[k]
-        sampled = outcome.directed[k]
-        if solution.flows[k] == 0.0:
-            final_edges.append(sampled)
-        else:
-            final_edges.append(solved)
-            if solved != sampled:
-                flipped += 1
+    for solved, sampled, flow in zip(solution.oriented_edges, report.sampled,
+                                     solution.flows):
+        final_edges.append(sampled if flow == 0.0 else solved)
+        report.flipped_edges += flow != 0.0 and solved != sampled
     cfg = RadialConfiguration(tuple(final_edges), solution.flows, solution.cost)
 
-    report = SolveReport(
-        cost=solution.cost, iterations=outcome.iterations,
-        partitions=int(not pre.fully_reduced), presampled=len(pre.presampled),
-        flipped_edges=flipped,
-        timings={"preprocess": t1 - t0, "islander": t2 - t1,
-                 "loop": t3 - t2, "solve_flow": t4 - t3,
-                 "condense": outcome.condense_s, "sample": outcome.sample_s},
-        n=net.n, m=net.m, zero_flow=len(solution.zero_flow_edges),
-        merges=outcome.merges, reducible_condensations=outcome.reducible,
-        splits=outcome.splits, candidates=outcome.candidates,
-        trace=tuple(outcome.trace))
+    report.cost = solution.cost
+    report.zero_flow = len(solution.zero_flow_edges)
+    report.trace = tuple(report.trace)
+    report.timings.update(preprocess=t1 - t0, islander=t2 - t1, loop=t3 - t2,
+                          solve_flow=t4 - t3)
     logger.info("solved: cost %.6g, %d iterations, %d flips",
                 report.cost, report.iterations, report.flipped_edges)
     if check_invariants:
@@ -212,95 +193,89 @@ class Subproblem:
     """A connected piece of the peeled graph whose polytrees still grow.
 
     :func:`split_at_cut` replaces a subproblem by one per side of a supply
-    super node that has become a cut vertex of the condensation.
-    ``adjacency`` maps each node to its ``(neighbor, edge index)`` pairs and
-    :data:`HUB_LINK` links; a node is uncovered while ``state`` holds no tree
-    over it.  ``cond`` is the condensation around ``state``, ``order`` a heap
-    of the nodes where dropped ones linger, and ``replicas`` the id nodes of
-    trees standing in for split supply super nodes (see :func:`sample`).
-    ``linked`` holds the root, kept hub nodes and smallest hub node of the
-    last split; no edge lies between those nodes.
+    super node that has become a cut vertex of the condensation.  The
+    subproblem reaches its polytrees (``frontier.state``), its condensation
+    (``frontier.cond``), its adjacency (``frontier.cond.adj``: each node's
+    ``(neighbor, edge index)`` pairs and :data:`HUB_LINK` links) and its
+    injections (``frontier.cond.injections``) only through its frontier; a
+    node is uncovered while no tree holds it.  ``order`` is a heap of the
+    nodes where dropped ones linger, and ``linked`` holds the root, kept hub
+    nodes and smallest hub node of the last split; no edge lies between
+    those nodes.
     """
 
     net: DistributionNetwork
-    injections: dict[int, float]
-    state: ForestState
     frontier: Frontier
-    adjacency: dict[int, list[tuple[int, int]]]
-    cond: Condensation
     order: list[int]
-    replicas: frozenset[int] = frozenset()
     linked: tuple[int, set[int], int] | None = None
 
     @property
     def graph(self) -> GraphView:
-        return GraphView(self.net, self.adjacency)
+        return GraphView(self.net, self.frontier.cond.adj)
 
     def name(self) -> str:
         """The subproblem, named in errors by its smallest node id."""
-        return f"the subproblem of node {min(self.adjacency)}"
+        return f"the subproblem of node {min(self.frontier.cond.adj)}"
 
 
 def run_partition(view: GraphView, injections: dict[int, float],
-                  outcome: PartitionOutcome, *,
-                  check_invariants: bool = False,
+                  report: SolveReport, *, check_invariants: bool = False,
                   collect_trace: bool = False) -> None:
     """Grow polytrees over the peeled graph until covered and drained.
 
     Before every step the condensation is searched for supply super nodes
     that are cut vertices.  At the first one the subproblem is split and the
     sides are grown one after another, smallest node id first.  The sampler
-    therefore only ever consults irreducible condensations.  Edges and counts
-    go to ``outcome``; growth adds at most n - 1 edges.  Growth cuts
-    ``view.adj`` and ``injections`` down in place.
+    therefore only ever consults irreducible condensations.  The chosen
+    edges, counts and seconds go straight into ``report``; growth adds at
+    most n - 1 edges.  Growth cuts ``view.adj`` and ``injections`` down in
+    place.
     """
     net, adj, inj = view.net, view.adj, injections
     tol = balance_tolerance(inj.values())
     sources = sorted(v for v, p in inj.items() if p > 0)
 
     if not sources:
-        return _spanning_fallback(view, inj, tol, outcome)
+        return _spanning_fallback(view, inj, tol, report)
 
     pool = [(idx, *net.edges[idx])
             for idx in sorted({i for links in adj.values() for _, i in links})]
-    cap = len(outcome.edge_indices) + len(adj) - 1
-    todo = [_subproblem(net, adj, inj, ForestState(sources, inj), pool,
-                        PathCostAccumulator(), outcome)]
+    cap = len(report.edge_indices) + len(adj) - 1
+    todo = [_subproblem(net, adj, ForestState(sources, inj), pool,
+                        PathCostAccumulator(), report)]
     while todo:
-        todo.extend(reversed(_grow(todo.pop(), tol, cap, outcome,
+        todo.extend(reversed(_grow(todo.pop(), tol, cap, report,
                                    check_invariants, collect_trace)))
 
 
-def _subproblem(net: DistributionNetwork, adj: dict, inj: dict,
-                state: ForestState, pool: list, h: PathCostAccumulator,
-                outcome: PartitionOutcome, replicas: frozenset = frozenset(),
+def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
+                pool: list, h: PathCostAccumulator, report: SolveReport,
                 linked: tuple | None = None) -> Subproblem:
-    """A subproblem over ``adj`` whose condensation is built afresh by
-    :func:`net_concad` and whose frontier holds ``pool``."""
+    """A subproblem over ``adj`` and ``state.injections`` whose condensation
+    is built afresh by :func:`net_concad` and whose frontier holds ``pool``."""
     start = time.perf_counter()
-    cond = net_concad(GraphView(net, adj), inj, state.membership)
-    outcome.condense_s += time.perf_counter() - start
-    return Subproblem(net, inj, state, Frontier(pool, state, adj, cond, h),
-                      adj, cond, sorted(adj), replicas, linked)
+    cond = net_concad(GraphView(net, adj), state.injections, state.membership)
+    report.timings["condense"] += time.perf_counter() - start
+    return Subproblem(net, Frontier(pool, state, cond, h), sorted(adj), linked)
 
 
-def _grow(sub: Subproblem, tol: float, cap: int,
-          outcome: PartitionOutcome, check_invariants: bool,
-          collect_trace: bool) -> list[Subproblem]:
+def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport,
+          check_invariants: bool, collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
     The frontier and the condensation are updated by each step where it
-    changes them.  ``cap`` bounds the edges in ``outcome``.
+    changes them.  ``cap`` bounds the edges in ``report``.
     """
-    net, view = sub.net, sub.graph
-    state, cond, frontier, h = sub.state, sub.cond, sub.frontier, sub.frontier.h
+    net, view, frontier = sub.net, sub.graph, sub.frontier
+    state, cond, h = frontier.state, frontier.cond, frontier.h
+    timings, trace = report.timings, report.trace
     while True:
-        step = outcome.iterations
-        uncovered = len(state.membership) < len(sub.adjacency)
+        step = report.iterations
+        uncovered = len(state.membership) < len(cond.adj)
         drained = all(abs(r) <= tol for r in state.residuals.values())
         if not uncovered and drained:
             return []
-        if len(outcome.edge_indices) >= cap:
+        if len(report.edge_indices) >= cap:
             raise Infeasible(
                 f"{sub.name()} is still "
                 f"{'uncovered' if uncovered else 'imbalanced'} at iteration "
@@ -312,14 +287,14 @@ def _grow(sub: Subproblem, tol: float, cap: int,
 
         start = time.perf_counter()
         cuts = source_cut_vertices(cond)
-        outcome.condense_s += time.perf_counter() - start
+        timings["condense"] += time.perf_counter() - start
         if cuts:
-            return split_at_cut(sub, cuts[0], outcome, tol=tol)
+            return split_at_cut(sub, cuts[0], report, tol=tol)
 
         if check_invariants:
             before = math.fsum(max(r, 0.0) for r in state.residuals.values())
             if _reference_is_reducible(sub, step):
-                outcome.reducible += 1
+                report.reducible_condensations += 1
                 logger.debug("reducible condensation in %s at iteration %d",
                              sub.name(), step)
             expected = _reference_pick(sub, step)
@@ -327,13 +302,12 @@ def _grow(sub: Subproblem, tol: float, cap: int,
         deleted = frontier.flush()
         start = time.perf_counter()
         try:
-            result = sample(view, sub.injections, state, h, frontier,
-                            replicas=sub.replicas)
+            result = sample(view, cond.injections, state, h, frontier)
         except NoCandidate as exc:
             raise Infeasible(f"{sub.name()} is stuck at iteration {step}: "
                              f"{exc}", iteration=step) from exc
-        outcome.sample_s += time.perf_counter() - start
-        outcome.candidates += result.evaluated
+        timings["sample"] += time.perf_counter() - start
+        report.candidates += result.evaluated
         if check_invariants and expected != result.best[:3]:
             raise InvariantViolation(
                 f"selection in {sub.name()} at iteration {step} picked "
@@ -342,9 +316,8 @@ def _grow(sub: Subproblem, tol: float, cap: int,
                 f"({expected[0]} > {expected[1]})")
         i, j, eidx, w, demand, balance, pendant = result.best
         if collect_trace:
-            outcome.trace.append(TraceRow(len(outcome.trace) + 1, eidx,
-                                          result.chosen.weight, balance,
-                                          pendant, deleted))
+            trace.append(TraceRow(len(trace) + 1, eidx, result.chosen.weight,
+                                  balance, pendant, deleted))
 
         frontier.remove(eidx)
         ti = state.tree_of(i)
@@ -357,7 +330,7 @@ def _grow(sub: Subproblem, tol: float, cap: int,
         else:
             smaller = list(min(state.members[ti], state.members[tj], key=len))
             state.merge(ti, tj)
-            outcome.merges += 1
+            report.merges += 1
             frontier.grown(smaller, merged=tj)
         start = time.perf_counter()
         source = state.residuals[ti] > 0
@@ -366,12 +339,12 @@ def _grow(sub: Subproblem, tol: float, cap: int,
         else:
             # a tree changed side, or two trees merged
             relabelled = cond.move(state.members[ti], source)
-        outcome.condense_s += time.perf_counter() - start
+        timings["condense"] += time.perf_counter() - start
         frontier.regroup(relabelled)
 
-        outcome.directed.append((i, j))
-        outcome.edge_indices.append(eidx)
-        outcome.iterations += 1
+        report.sampled.append((i, j))
+        report.edge_indices.append(eidx)
+        report.iterations += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "iter %d: edge %d (%s > %s) raw w=%.4g bal=%s pend=%s",
@@ -393,9 +366,10 @@ def _reference_pick(sub: Subproblem, iteration: int) -> tuple:
     Raises :class:`InvariantViolation` unless the frontier's classes hold
     exactly the live orientations the scan finds, by tail tree and head group.
     """
-    f, member = sub.frontier, sub.cond.membership
-    raw = score(f.pool.values(), sub.state, f.h, sub.cond, sub.replicas)
-    want = {(r[2], r[0]): (sub.state.tree_of(r[0]), member[r[1]]) for r in raw}
+    f = sub.frontier
+    raw = score(f.pool.values(), f)
+    want = {(r[2], r[0]): (f.state.tree_of(r[0]), f.cond.membership[r[1]])
+            for r in raw}
     have = {key: (t, g) for t, row in f.classes.items()
             for g, cls in row.items() for key in cls.members
             if f.where.get(key) is cls}
@@ -419,12 +393,13 @@ def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
     goes through the condenser module, not this module's name, so replacing
     the latter to switch the growth split off leaves the count intact.
     """
-    ref = net_concad(sub.graph, sub.injections, sub.state.membership)
-    problem = sub.cond.mismatch(ref)
-    for t, members in sub.state.members.items():
-        exact = math.fsum(sub.injections[v] for v in members)
-        if problem is None and sub.state.residuals[t] != exact:
-            problem = (f"tree {t} has residual {sub.state.residuals[t]!r}, "
+    state, cond = sub.frontier.state, sub.frontier.cond
+    ref = net_concad(sub.graph, cond.injections, state.membership)
+    problem = cond.mismatch(ref)
+    for t, members in state.members.items():
+        exact = math.fsum(cond.injections[v] for v in members)
+        if problem is None and state.residuals[t] != exact:
+            problem = (f"tree {t} has residual {state.residuals[t]!r}, "
                        f"not {exact!r}")
     if problem is not None:
         raise InvariantViolation(
@@ -433,7 +408,7 @@ def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
     return bool(condenser.source_cut_vertices(ref))
 
 
-def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
+def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
                  tol: float) -> list[Subproblem]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
@@ -441,25 +416,26 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     articulation supplies, later at super nodes that growth made cut
     vertices.  The super node's polytrees (the hub) are first joined into
     one tree over the remaining edges between them, cheapest coefficient
-    first (ties by edge index), recorded in ``outcome`` as merges.  Every
+    first (ties by edge index), recorded in ``report`` as merges.  Every
     side gets that tree as a replica whose root (its id node) holds the
     side's net need from :func:`replica_shares`, the first side as host, so
-    a side with net surplus sees it as a demand.  Side sums come from the
-    groups' exact totals.
+    a side with net surplus sees it as a demand; the root joins the side
+    frontier's ``replicas``.  Side sums come from the groups' exact totals.
 
     A side keeps of the hub its rim (the nodes with an edge into it), the
     root and the hub's smallest node, which keeps cuts and sides in order;
     :data:`HUB_LINK` links from the root hold them together.  The side with
-    the most nodes of its own keeps ``sub`` and drops the rest in place; the
-    others are built afresh.  Of a hub the last split cut down
+    the most nodes of its own keeps ``sub``, its frontier and everything the
+    frontier holds, and drops the rest in place; the others are built afresh.  Of a hub the last split cut down
     (``sub.linked``), only the nodes added since and those next to them or to
     a small side are looked at.  So a split costs a search over the groups,
     the small sides and the new hub nodes (Even and Shiloach 1981).
 
     Args:
         sub: Subproblem to split; it becomes its largest side.
-        cut: Id in ``sub.cond`` of a supply super node that is a cut vertex.
-        outcome: Outcome receiving the joining edges and the seconds spent
+        cut: Id in ``sub.frontier.cond`` of a supply super node that is a
+            cut vertex.
+        report: Report receiving the joining edges and the seconds spent
             condensing the sides.
         tol: Balance tolerance of the peeled graph, the floor for the side
             checks.
@@ -470,7 +446,9 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
     Raises:
         InfeasibleSplit: If a side's injections fail to balance.
     """
-    state, cond, adj, inj = sub.state, sub.cond, sub.adjacency, sub.injections
+    frontier = sub.frontier
+    state, cond = frontier.state, frontier.cond
+    adj, inj = cond.adj, cond.injections
     supers, nbrs = cond.super_nodes, cond.adjacency()
     hub = supers[cut].members
     seen, sides = {cut}, []
@@ -498,19 +476,20 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             old = last_kept
     new = hub - old
     top = min(min(new, default=last_top), last_top) if old else min(hub)
-    links = sub.frontier.take({i for v in new for y, i in adj[v] if y in hub})
+    links = frontier.take({i for v in new for y, i in adj[v] if y in hub})
     for _, idx, u, v in sorted((c, idx, u, v) for idx, u, v, c in links):
         tu, tv = state.tree_of(u), state.tree_of(v)
         if tu != tv:
             if tv < tu:
                 u, v, tu, tv = v, u, tv, tu
             state.merge(tu, tv)
-            sub.frontier.grown((), merged=tv)
-            outcome.directed.append((u, v))
-            outcome.edge_indices.append(idx)
-            outcome.merges += 1
+            frontier.grown((), merged=tv)
+            report.sampled.append((u, v))
+            report.edge_indices.append(idx)
+            report.merges += 1
     root = state.tree_of(top)
-    outcome.splits += 1
+    replicas = frontier.replicas | {root}
+    report.splits += 1
     logger.debug("split at tree %d into %d sides", root, len(sides))
 
     # a small side takes its nodes' edge lists and new ones for its rim; the
@@ -570,11 +549,10 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             side_inj[k])
         side_state.plant(root, hubs[k], share[k])
         built[k] = _subproblem(
-            sub.net, sadj, side_inj[k], side_state,
-            sub.frontier.take(i for v in own for _, i in sadj[v]),
-            sub.frontier.h, outcome,
-            frozenset(r for r in sub.replicas if r in sadj) | {root},
-            (root, set(hubs[k]), top))
+            sub.net, sadj, side_state,
+            frontier.take(i for v in own for _, i in sadj[v]), frontier.h,
+            report, (root, set(hubs[k]), top))
+        built[k].frontier.replicas = frozenset(r for r in replicas if r in sadj)
 
     # the kept side is the subproblem, cut down in place; its hub nodes other
     # than the root hold no injection
@@ -591,9 +569,9 @@ def split_at_cut(sub: Subproblem, cut: int, outcome: PartitionOutcome, *,
             adj[root] = [e for e in adj[root] if e[0] not in gone]
         adj[root].extend((v, HUB_LINK) for v in new & keep)
     state.cut_down(root, gone, share[big])
-    sub.frontier.regroup(cond.cut_down(cut, gone, share[big]))
-    outcome.condense_s += time.perf_counter() - start
-    sub.replicas = frozenset(r for r in sub.replicas if r in adj) | {root}
+    frontier.regroup(cond.cut_down(cut, gone, share[big]))
+    report.timings["condense"] += time.perf_counter() - start
+    frontier.replicas = frozenset(r for r in replicas if r in adj)
     sub.linked = (root, keep, top)
     return [built[k] for k in ordered]
 
@@ -629,8 +607,8 @@ def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
 
 
 def _spanning_fallback(view: GraphView, injections: dict[int, float],
-                       tol: float, outcome: PartitionOutcome) -> None:
-    """Cover a peeled graph without supply, appending to ``outcome``.
+                       tol: float, report: SolveReport) -> None:
+    """Cover a peeled graph without supply, appending to ``report``.
 
     Only legal when every injection is (numerically) zero; any spanning tree
     then carries zero flow.  A demand node with no supply is infeasible.
@@ -648,9 +626,9 @@ def _spanning_fallback(view: GraphView, injections: dict[int, float],
             if y not in seen:
                 seen.add(y)
                 heapq.heappush(frontier, y)
-                outcome.directed.append((x, y))
-                outcome.edge_indices.append(eidx)
-                outcome.iterations += 1
+                report.sampled.append((x, y))
+                report.edge_indices.append(eidx)
+                report.iterations += 1
 
 
 def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,
@@ -665,13 +643,16 @@ def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,
     every solution's ``config_to_json`` text is fed to it, in probe order.
 
     Raises:
-        InvalidSpec: If ``sizes`` is empty, ``seeds`` is below one, or the
+        InvalidSpec: If ``sizes`` is empty or repeats a size (the exponent
+            fit needs distinct sizes), ``seeds`` is below one, or the
             generator rejects a size.
     """
     from .generator import GenSpec, generate
     from .network_model import config_to_json
     if not sizes:
         raise InvalidSpec("no sizes given")
+    if len(set(sizes)) < len(sizes):
+        raise InvalidSpec(f"sizes must be distinct, not {list(sizes)}")
     if seeds < 1:
         raise InvalidSpec(f"seeds must be at least 1, not {seeds}")
     points: list[tuple[int, int, float, float]] = []

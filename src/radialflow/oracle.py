@@ -72,8 +72,7 @@ def enumerate_optimal(net: DistributionNetwork, *,
         if uncovered > 2 * (m - idx):
             return
         if idx == m:
-            if uncovered:
-                return
+            # the prune above has returned unless every node is covered
             enumerated += 1
             try:
                 sol = solve_forest(net, chosen)

@@ -56,14 +56,10 @@ def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
         i = queue.popleft()
         if degree[i] != 1:
             continue
-        j = -1
-        eidx = -1
-        for nb, k in adj[i]:
-            if k not in done:
-                j, eidx = nb, k
+        # a node of degree one has exactly one edge not yet done
+        for j, eidx in adj[i]:
+            if eidx not in done:
                 break
-        if eidx < 0:
-            continue
         yield i, j, eidx, p[i]
         p[j] += p[i]
         p[i] = 0.0

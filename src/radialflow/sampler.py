@@ -125,27 +125,28 @@ class Frontier:
     absorb or a tree merge, :meth:`regroup` with the nodes a condensation
     update relabelled, and :meth:`remove` and :meth:`take`.  An edge that
     becomes internal to a tree leaves its classes at once and the pool at
-    the next :meth:`flush`.
+    the next :meth:`flush`.  ``replicas`` holds the id nodes of trees
+    standing in for supply super nodes split during growth; such a group
+    has other ways out, so it never takes the single-way-out priority.
 
     Args:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in ascending
             edge index order.
         state: Polytrees of the subproblem.
-        adjacency: ``view.adj`` of the subproblem.
-        cond: Condensation of the subproblem around ``state``.
+        cond: Condensation of the subproblem around ``state``; its ``adj``
+            and ``injections`` are the subproblem's.
         h: Path cost accumulator of the peeled graph.
     """
 
     def __init__(self, pool: Sequence[tuple[int, int, int, float]],
-                 state: ForestState,
-                 adjacency: Mapping[int, list[tuple[int, int]]],
-                 cond: Condensation, h: PathCostAccumulator) -> None:
+                 state: ForestState, cond: Condensation,
+                 h: PathCostAccumulator) -> None:
         #: edge index -> ``(edge_index, u, v, cost)``
         self.pool = {e[0]: e for e in pool}
         self.state = state
-        self.adj = adjacency
         self.cond = cond
         self.h = h
+        self.replicas: frozenset[int] = frozenset()
         self.internal: set[int] = set()
         #: tail tree -> receiving group -> class
         self.classes: dict[int, dict[int, _Class]] = {}
@@ -199,22 +200,23 @@ class Frontier:
                     self.where.update(dict.fromkeys(other.members, cls))
                 cls.tree, cls.best = into, None
                 row[g] = cls
+        adj = self.cond.adj
         for v in nodes:
-            for _, idx in self.adj[v]:
+            for _, idx in adj[v]:
                 if idx in self.pool and idx not in self.internal:
                     self._classify(idx)
 
     def regroup(self, nodes: Iterable[int]) -> None:
         """Re-key the orientations into ``nodes``, whose group ids changed."""
-        member = self.cond.membership
+        member, adj = self.cond.membership, self.cond.adj
         for y in nodes:
-            for x, idx in self.adj[y]:
+            for x, idx in adj[y]:
                 key = (idx, x)
                 cls = self.where.get(key)
                 if cls is not None and cls.group != member[y]:
                     self._add(self._drop(key), cls.tree, member[y])
 
-    def select(self, replicas: Collection[int] = ()) -> SampleResult:
+    def select(self) -> SampleResult:
         """The best live orientation: the best of the class winners.
 
         Raises:
@@ -222,7 +224,7 @@ class Frontier:
         """
         residuals, supers = self.state.residuals, self.cond.super_nodes
         nbrs, member = self.cond.adjacency(), self.cond.membership
-        split_supers = {member[r] for r in replicas}
+        split_supers = {member[r] for r in self.replicas}
         best = None
         for t, row in self.classes.items():
             residual, st = residuals[t], member[t]
@@ -243,7 +245,7 @@ class Frontier:
         evaluated, self.scored = self.scored, 0
         return SampleResult((entry[0], entry[1], entry[2], w, abs(receiving),
                              not not_balance, not not_pendant),
-                            evaluated, self, replicas)
+                            evaluated, self)
 
     def _rescan(self, cls: _Class, residual: float, receiving: float) -> None:
         supply, dd = max(residual, 0.0), receiving * receiving
@@ -339,14 +341,12 @@ class SampleResult:
     best: tuple
     evaluated: int
     frontier: Frontier = field(repr=False, compare=False)
-    replicas: Collection[int] = field(repr=False, compare=False)
 
     @cached_property
     def ranked(self) -> tuple[CandidateEdge, ...]:
         f = self.frontier
         live = sorted({idx for idx, _ in f.where})
-        raw = score([f.pool[idx] for idx in live], f.state, f.h, f.cond,
-                    self.replicas)
+        raw = score([f.pool[idx] for idx in live], f)
         top = max((r[3] for r in raw), default=0.0)
         shares = [float(r[3] == top) if math.isinf(top) else r[3] / top
                   if top else 0.0 for r in raw]
@@ -362,18 +362,19 @@ class SampleResult:
                     if (c.tail, c.head, c.edge_index) == self.best[:3])
 
 
-def score(edges: Iterable[tuple[int, int, int, float]], state: ForestState,
-          h: PathCostAccumulator, cond: Condensation,
-          replicas: Collection[int] = ()) -> list[tuple]:
-    """Score every live orientation of ``edges``, one at a time.
+def score(edges: Iterable[tuple[int, int, int, float]],
+          frontier: Frontier) -> list[tuple]:
+    """Score every live orientation of ``edges``, one at a time, against the
+    polytrees, condensation, path costs and replicas of ``frontier``.
 
     Returns ``(tail, head, edge_index, raw_weight, demand, balance_ok,
     pendant_source)`` tuples in the order of ``edges``, ``u > v`` first.
     The winner is the least by ``(not pendant_source, not balance_ok,
     -raw_weight, tail, head)``, the first of equals.
     """
+    state, h, cond = frontier.state, frontier.h, frontier.cond
     neighbor_sets = cond.adjacency()
-    split_supers = {cond.membership[r] for r in replicas}
+    split_supers = {cond.membership[r] for r in frontier.replicas}
     tree_of = state.membership.get
     supers = cond.super_nodes
     member = cond.membership
@@ -396,18 +397,15 @@ def score(edges: Iterable[tuple[int, int, int, float]], state: ForestState,
 
 
 def sample(view: GraphView, injections: Mapping[int, float], state: ForestState,
-           h: PathCostAccumulator, frontier: Frontier, *,
-           replicas: Collection[int] = ()) -> SampleResult:
+           h: PathCostAccumulator, frontier: Frontier) -> SampleResult:
     """Pick the next orientation to grow: :meth:`Frontier.select`.
 
-    ``view``, ``injections``, ``state`` and ``h`` are those the subproblem's
-    ``frontier`` was built over; they are not read, but the benchmark's
-    traced run (``perfbench/spans.py``) reads the frontier as the fifth
-    argument.  ``replicas`` are the nodes standing in for a supply group
-    split during growth; that group has other ways out in the network, so a
-    super node holding one never takes the single-way-out priority.
+    ``view``, ``injections``, ``state`` and ``h`` are the subproblem's
+    graph, injections, polytrees and path costs, all of which ``frontier``
+    holds; they are not read, but the benchmark's traced run
+    (``perfbench/spans.py``) reads the frontier as the fifth argument.
 
     Raises:
         NoCandidate: If no remaining edge touches a polytree.
     """
-    return frontier.select(replicas)
+    return frontier.select()

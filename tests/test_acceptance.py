@@ -68,13 +68,14 @@ def sweep():
     out = SimpleNamespace(failures=[], offenders=[], splits=0, sides=0)
     instance = None
 
-    def checked_split(sub, cut, outcome, **kwargs):
-        sides = real_split(sub, cut, outcome, **kwargs)
+    def checked_split(sub, cut, report, **kwargs):
+        sides = real_split(sub, cut, report, **kwargs)
         out.splits += 1
         for k, side in enumerate(sides):
             out.sides += 1
-            tol = balance_tolerance(side.injections.values())
-            drift = math.fsum(side.injections.values())
+            injections = side.frontier.cond.injections.values()
+            tol = balance_tolerance(injections)
+            drift = math.fsum(injections)
             if abs(drift) > tol:
                 out.offenders.append((*instance, out.splits, k, drift))
         return sides

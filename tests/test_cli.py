@@ -176,7 +176,8 @@ def test_bench_json(tmp_path):
 
 
 @pytest.mark.parametrize("option", [("--sizes", "a"), ("--sizes", "8,1.5"),
-                                    ("--seeds", "0"), ("--seeds", "-2")])
+                                    ("--seeds", "0"), ("--seeds", "-2"),
+                                    ("--sizes", "8,8")])
 def test_bench_rejects_bad_sizes_and_seeds(option, capsys):
     assert main(["bench", "--sizes", "8", *option]) == 1
     err = capsys.readouterr().err

@@ -6,6 +6,8 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialflow import (Infeasible, InvariantViolation, build_network,
                         forward_engine, solve)
@@ -13,7 +15,7 @@ from radialflow.condenser import (Condensation, net_concad,
                                   source_cut_vertices)
 from radialflow.network_model import balance_tolerance, full_view
 
-from conftest import small_instances, ws_instance
+from conftest import small_instances, small_networks, ws_instance
 from test_golden import ring_chain
 
 
@@ -157,6 +159,13 @@ def networkx_condensation(net, trees):
         terms.setdefault(t, []).append(net.injections[v])
     source = {v: (math.fsum(terms[trees[v]]) if v in trees
                   else net.injections[v]) > 0 for v in range(net.n)}
+    return side_condensation(net, source)
+
+
+def side_condensation(net, source):
+    """Groups, membership and crossing counts as :func:`canonical` gives
+    them, from the networkx components of the subgraph of edges whose ends
+    ``source`` puts on one side; a group's kind is its side."""
     same = nx.Graph()
     same.add_nodes_from(range(net.n))
     same.add_edges_from((u, v) for u, v, _ in net.edges if source[u] == source[v])
@@ -257,13 +266,12 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
         return canonical(net_concad(step["view"], step["injections"],
                                     state.membership))
 
-    def checked_sample(view, injections, state, h, frontier, *, replicas):
+    def checked_sample(view, injections, state, h, frontier):
         step.update(view=view, injections=injections, state=state,
                     trees=len(state.residuals))
         step["before"] = rebuilt()
         assert canonical(frontier.cond) == step["before"]
-        return real_sample(view, injections, state, h, frontier,
-                           replicas=replicas)
+        return real_sample(view, injections, state, h, frontier)
 
     def checked_move(cond, nodes, source):
         # the whole tree is passed when it merged or changed side
@@ -316,3 +324,21 @@ def test_reducible_count_reads_the_rebuild(monkeypatch):
             continue
         reducible += report.reducible_condensations
     assert reducible > 0
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(small_networks(), st.integers(0, 2**32))
+def test_random_moves_match_the_side_map(net, seed):
+    # any node subset, moved to either side in any order, leaves the
+    # condensation a fresh build would give for the new sides; moving two
+    # whole groups at once empties both, and moving part of a group whose
+    # rest stays in one piece splits nothing
+    rng = random.Random(seed)
+    cond = condense(net, {})
+    source = dict(cond.source)
+    for _ in range(30):
+        moved = rng.sample(range(net.n), rng.randint(0, net.n))
+        side = rng.random() < 0.5
+        cond.move(moved, side)
+        source.update(dict.fromkeys(moved, side))
+        assert canonical(cond) == side_condensation(net, source)

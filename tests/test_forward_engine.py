@@ -13,7 +13,7 @@ from radialflow import (Infeasible, InfeasibleSplit, InvalidSpec, NoCandidate,
                         solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
-from radialflow.forward_engine import (HUB_LINK, PartitionOutcome,
+from radialflow.forward_engine import (HUB_LINK, SolveReport,
                                        _spanning_fallback, _subproblem,
                                        complexity_probe, default_source_count,
                                        fit_exponent, split_at_cut)
@@ -128,7 +128,7 @@ def test_fallback_rejects_unserved_demand():
     with pytest.raises(Infeasible, match="subproblem of node 0 has demand "
                                          "but no supply") as info:
         _spanning_fallback(full_view(net), {0: 2.0, 1: -2.0},
-                           balance_tolerance([2.0, -2.0]), PartitionOutcome())
+                           balance_tolerance([2.0, -2.0]), SolveReport())
     assert info.value.iteration == 0
 
 
@@ -147,12 +147,12 @@ def test_fallback_visits_the_smallest_frontier_node_first():
                 seen.add(y)
                 frontier.append(y)
                 want.append((x, y, idx))
-    outcome = PartitionOutcome()
-    _spanning_fallback(view, dict.fromkeys(adj, 0.0), 1e-9, outcome)
+    report = SolveReport()
+    _spanning_fallback(view, dict.fromkeys(adj, 0.0), 1e-9, report)
     assert len(want) == net.n - 1
-    assert [(*e, idx) for e, idx in zip(outcome.directed,
-                                        outcome.edge_indices)] == want
-    assert outcome.iterations == len(want)
+    assert [(*e, idx) for e, idx in zip(report.sampled,
+                                        report.edge_indices)] == want
+    assert report.iterations == len(want)
 
 
 def three_blocks():
@@ -307,19 +307,18 @@ def ring_with_chord(chord_cost=1.0):
 
 
 def subproblem_of(net, sources, absorbed=()):
-    inj = dict(enumerate(net.injections))
-    state = ForestState(sources, inj)
+    state = ForestState(sources, dict(enumerate(net.injections)))
     for tree, node in absorbed:
         state.absorb(tree, node)
     pool = [(idx, u, v, c) for idx, (u, v, c) in enumerate(net.edges)
             if state.tree_of(u) is None or state.tree_of(u) != state.tree_of(v)]
-    return _subproblem(net, full_view(net).adj, inj, state, pool,
-                       PathCostAccumulator(), PartitionOutcome())
+    return _subproblem(net, full_view(net).adj, state, pool,
+                       PathCostAccumulator(), SolveReport())
 
 
 def uncovered(sub):
     """The nodes of a subproblem that no tree holds yet."""
-    return set(sub.adjacency) - set(sub.state.membership)
+    return set(sub.frontier.cond.adj) - set(sub.frontier.state.membership)
 
 
 def pool_of(frontier):
@@ -347,12 +346,12 @@ class SplitRecord:
 
     def __init__(self, sub, cut):
         self.sub = sub
-        self.hub = set(sub.cond.super_nodes[cut].members)
+        self.frontier = sub.frontier
+        self.hub = set(sub.frontier.cond.super_nodes[cut].members)
         self.pool = pool_of(sub.frontier)
         self.uncovered = uncovered(sub)
-        self.adjacency = {v: list(links) for v, links in sub.adjacency.items()}
-        self.objects = (sub.state, sub.cond, sub.frontier, sub.adjacency,
-                        sub.injections)
+        self.adjacency = {v: list(links)
+                          for v, links in sub.frontier.cond.adj.items()}
 
 
 def check_sides(record, sides):
@@ -366,63 +365,61 @@ def check_sides(record, sides):
     Returns the own node count of each side.
     """
     hub, parent = record.hub, record.adjacency
-    owns = [set(side.adjacency) - hub for side in sides]
+    owns = [set(side.frontier.cond.adj) - hub for side in sides]
     lows = [min(own) for own in owns]
     assert lows == sorted(lows)
     assert set().union(*owns) == set(parent) - hub
     kept = [side for side in sides if side is record.sub]
     assert len(kept) == 1
     assert max(map(len, owns)) == len(owns[sides.index(kept[0])])
-    assert all(a is b for a, b in zip(
-        (kept[0].state, kept[0].cond, kept[0].frontier, kept[0].adjacency,
-         kept[0].injections), record.objects))
+    assert kept[0].frontier is record.frontier
     for side, own in zip(sides, owns):
-        root = side.state.tree_of(min(hub))
+        state, cond = side.frontier.state, side.frontier.cond
+        adj, inj = cond.adj, cond.injections
+        root = state.tree_of(min(hub))
         rim = {y for v in own for y, _ in parent[v] if y in hub}
-        assert set(side.adjacency) == own | rim | {root, min(hub)}
-        assert set(side.state.members[root]) == rim | {root, min(hub)}
+        assert set(adj) == own | rim | {root, min(hub)}
+        assert set(state.members[root]) == rim | {root, min(hub)}
         want = {v: sorted(parent[v]) for v in own}
         for h in rim | {root, min(hub)}:
             want[h] = sorted([(y, idx) for y, idx in parent[h] if y in own]
                              + [(root, HUB_LINK)] * (h != root))
         want[root] += [(h, HUB_LINK) for h in rim | {min(hub)} if h != root]
-        assert {v: sorted(links) for v, links in side.adjacency.items()} == {
+        assert {v: sorted(links) for v, links in adj.items()} == {
             v: sorted(links) for v, links in want.items()}
-        assert math.fsum(side.injections.values()) == pytest.approx(
-            0.0, abs=1e-9 * max(1.0, math.fsum(map(abs, side.injections.values()))))
-        assert side.injections.keys() == side.adjacency.keys()
-        assert all(side.injections[h] == 0.0 for h in side.adjacency
-                   if h in hub and h != root)
-        rebuilt = net_concad(GraphView(side.net, want), side.injections,
-                             side.state.membership)
-        assert side.cond.mismatch(rebuilt) is None
-        for t, members in side.state.members.items():
-            assert side.state.residuals[t] == math.fsum(
-                side.injections[v] for v in members)
-        assert side.state.membership.keys() <= side.adjacency.keys()
+        assert math.fsum(inj.values()) == pytest.approx(
+            0.0, abs=1e-9 * max(1.0, math.fsum(map(abs, inj.values()))))
+        assert inj.keys() == adj.keys()
+        assert all(inj[h] == 0.0 for h in adj if h in hub and h != root)
+        rebuilt = net_concad(GraphView(side.net, want), inj, state.membership)
+        assert cond.mismatch(rebuilt) is None
+        for t, members in state.members.items():
+            assert state.residuals[t] == math.fsum(inj[v] for v in members)
+        assert state.membership.keys() <= adj.keys()
         pool = [e for e in record.pool if e[1] in own or e[2] in own]
         assert pool_of(side.frontier) == pool
-        fresh = Frontier(pool, side.state, side.adjacency, rebuilt,
-                         side.frontier.h)
+        fresh = Frontier(pool, state, rebuilt, side.frontier.h)
         assert index_of(side.frontier) == index_of(fresh)
         assert side.frontier.internal == fresh.internal
         assert uncovered(side) == record.uncovered & own
-        assert side.replicas <= side.adjacency.keys() and root in side.replicas
+        replicas = side.frontier.replicas
+        assert replicas <= adj.keys() and root in replicas
     return [len(own) for own in owns]
 
 
 def split_once(sub):
-    cuts = source_cut_vertices(sub.cond)
+    cond = sub.frontier.cond
+    cuts = source_cut_vertices(cond)
     assert len(cuts) == 1
-    group = sub.cond.super_nodes[cuts[0]]
+    group = cond.super_nodes[cuts[0]]
     # the kept side updates the hub's group in place
     hub = SimpleNamespace(members=set(group.members), residual=group.residual)
     record = SplitRecord(sub, cuts[0])
-    outcome = PartitionOutcome()
-    sides = split_at_cut(sub, cuts[0], outcome,
-                         tol=balance_tolerance(sub.injections.values()))
+    report = SolveReport()
+    sides = split_at_cut(sub, cuts[0], report,
+                         tol=balance_tolerance(cond.injections.values()))
     check_sides(record, sides)
-    return hub, sides, outcome
+    return hub, sides, report
 
 
 def test_every_growth_split_matches_a_fresh_build(monkeypatch):
@@ -431,9 +428,9 @@ def test_every_growth_split_matches_a_fresh_build(monkeypatch):
     real_split = forward_engine.split_at_cut
     seen = {"splits": 0, "one-node sides": 0}
 
-    def checked_split(sub, cut, outcome, **kwargs):
+    def checked_split(sub, cut, report, **kwargs):
         record = SplitRecord(sub, cut)
-        sides = real_split(sub, cut, outcome, **kwargs)
+        sides = real_split(sub, cut, report, **kwargs)
         owns = check_sides(record, sides)
         seen["splits"] += 1
         seen["one-node sides"] += owns.count(1)
@@ -468,17 +465,17 @@ def test_growth_splits_ring_with_chord():
 
 
 def test_split_gives_each_side_its_need():
-    hub, sides, outcome = split_once(
+    hub, sides, report = split_once(
         subproblem_of(ring_with_chord(), [1], [(1, 3)]))
     assert hub.members == {1, 3}
     assert [side.graph.nodes for side in sides] == [(0, 1, 3), (1, 2, 3)]
-    assert [side.injections[1] for side in sides] == [1.0, 1.0]
+    assert [side.frontier.cond.injections[1] for side in sides] == [1.0, 1.0]
     assert [uncovered(side) for side in sides] == [{0}, {2}]
     for side in sides:
-        assert math.fsum(side.injections.values()) == 0.0
-        assert side.state.residuals == {1: 1.0}
-        assert side.replicas == {1}
-    assert outcome.edge_indices == [] and outcome.splits == 1
+        assert math.fsum(side.frontier.cond.injections.values()) == 0.0
+        assert side.frontier.state.residuals == {1: 1.0}
+        assert side.frontier.replicas == {1}
+    assert report.edge_indices == [] and report.splits == 1
 
 
 def test_surplus_side_replica_is_a_demand():
@@ -488,13 +485,14 @@ def test_surplus_side_replica_is_a_demand():
              (2, 4, 1.0)]
     net = build_network(names, edges, [-3.0, 1.0, -1.0, 0.0, 3.0])
     hub, sides, _ = split_once(subproblem_of(net, [1, 4], [(1, 3)]))
-    shares = [side.injections[1] for side in sides]
+    shares = [side.frontier.cond.injections[1] for side in sides]
     assert shares == [pytest.approx(3.0), pytest.approx(-2.0)]
     assert math.fsum(shares) == pytest.approx(hub.residual)
     surplus = sides[1]
     assert set(surplus.graph.nodes) == {1, 2, 3, 4}
-    assert surplus.state.residuals[1] < 0.0
-    assert surplus.cond.super_nodes[surplus.cond.membership[1]].kind == "sink"
+    assert surplus.frontier.state.residuals[1] < 0.0
+    cond = surplus.frontier.cond
+    assert cond.super_nodes[cond.membership[1]].kind == "sink"
 
 
 def test_split_joins_a_multi_tree_hub():
@@ -503,22 +501,24 @@ def test_split_joins_a_multi_tree_hub():
     names = ["a", "s1", "s2", "b"]
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]
     net = build_network(names, edges, [-1.0, 1.0, 1.0, -1.0])
-    hub, sides, outcome = split_once(subproblem_of(net, [1, 2]))
+    hub, sides, report = split_once(subproblem_of(net, [1, 2]))
     assert hub.members == {1, 2}
-    assert outcome.directed == [(1, 2)]
-    assert outcome.edge_indices == [2] and outcome.merges == 1
+    assert report.sampled == [(1, 2)]
+    assert report.edge_indices == [2] and report.merges == 1
     for side in sides:
-        assert side.state.members[1] == [1, 2]
-        assert side.injections[1] == pytest.approx(1.0)
-        assert side.injections[2] == 0.0
+        assert side.frontier.state.members[1] == [1, 2]
+        assert side.frontier.cond.injections[1] == pytest.approx(1.0)
+        assert side.frontier.cond.injections[2] == 0.0
         assert all(e[0] != 2 for e in pool_of(side.frontier))
 
 
 def test_unbalanced_split_raises():
     net = ring_with_chord()
     sub = subproblem_of(net, [1], [(1, 3)])
-    sub.injections[1] = 2.5
-    sub.cond = net_concad(sub.graph, sub.injections, sub.state.membership)
+    inj = sub.frontier.cond.injections
+    inj[1] = 2.5
+    sub.frontier.cond = net_concad(sub.graph, inj,
+                                   sub.frontier.state.membership)
     with pytest.raises(InfeasibleSplit, match="subproblem of node 0 has "
                                               "injections summing to 0.5"):
         split_once(sub)

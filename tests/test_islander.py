@@ -30,18 +30,19 @@ def record_splits(monkeypatch):
     real_split = forward_engine.split_at_cut
     splits = []
 
-    def recording_split(sub, cut, outcome, **kwargs):
-        hub = set(sub.cond.super_nodes[cut].members)
-        before = len(outcome.edge_indices)
-        sides = real_split(sub, cut, outcome, **kwargs)
+    def recording_split(sub, cut, report, **kwargs):
+        hub = set(sub.frontier.cond.super_nodes[cut].members)
+        before = len(report.edge_indices)
+        sides = real_split(sub, cut, report, **kwargs)
+        conds = [side.frontier.cond for side in sides]
         splits.append(SimpleNamespace(
-            hub=hub, root=sides[0].state.tree_of(min(hub)),
-            joins=outcome.edge_indices[before:],
+            hub=hub, root=sides[0].frontier.state.tree_of(min(hub)),
+            joins=report.edge_indices[before:],
             sides=[SimpleNamespace(
-                nodes=set(side.adjacency), injections=dict(side.injections),
-                edges={i for links in side.adjacency.values()
+                nodes=set(cond.adj), injections=dict(cond.injections),
+                edges={i for links in cond.adj.values()
                        for _, i in links if i != HUB_LINK})
-                for side in sides]))
+                for cond in conds]))
         return sides
 
     monkeypatch.setattr(forward_engine, "split_at_cut", recording_split)

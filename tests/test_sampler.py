@@ -10,7 +10,7 @@ from conftest import small_networks, ws_instance
 from radialflow import (Infeasible, NoCandidate, build_network, solve,
                         validate_radial)
 from radialflow import forward_engine
-from radialflow.forward_engine import PartitionOutcome, _subproblem
+from radialflow.forward_engine import SolveReport, _subproblem
 from radialflow.network_model import full_view
 from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
                                 edge_weight, sample)
@@ -22,12 +22,10 @@ def pool_of(net):
 
 def pick(net, state, pool=None, h=None):
     """``sample`` over a new subproblem of ``pool`` (default: every edge)."""
-    inj = dict(enumerate(net.injections))
     h = PathCostAccumulator() if h is None else h
-    sub = _subproblem(net, full_view(net).adj, inj, state,
-                      pool_of(net) if pool is None else pool, h,
-                      PartitionOutcome())
-    return sample(sub.graph, inj, state, h, sub.frontier)
+    sub = _subproblem(net, full_view(net).adj, state,
+                      pool_of(net) if pool is None else pool, h, SolveReport())
+    return sample(sub.graph, state.injections, state, h, sub.frontier)
 
 
 def test_edge_weight_direct():
@@ -109,8 +107,8 @@ def test_interior_edges_are_deleted():
     inj = dict(enumerate(injections))
     state = ForestState([0], inj)
     h = PathCostAccumulator()
-    sub = _subproblem(net, full_view(net).adj, inj, state,
-                      [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, PartitionOutcome())
+    sub = _subproblem(net, full_view(net).adj, state,
+                      [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, SolveReport())
     frontier = sub.frontier
     assert frontier.classes == {}
     h.extend(0, 1, 1.0, 2.0)
@@ -118,7 +116,7 @@ def test_interior_edges_are_deleted():
     state.absorb(0, 1)
     state.absorb(0, 2)
     frontier.grown((1, 2))
-    frontier.regroup(sub.cond.move((1, 2), True))
+    frontier.regroup(frontier.cond.move((1, 2), True))
     assert frontier.flush() == 1
     assert list(frontier.pool) == [3]
     result = sample(sub.graph, inj, state, h, frontier)
