@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .exceptions import DimensionMismatch, ParseError, ValidationError
@@ -48,11 +50,12 @@ class ExactSum:
     ``value`` always equals ``math.fsum`` of every term added so far, in any
     order; subtracting is adding the negated term.  The terms are kept as a
     list whose exact sum is the total.  Once it holds more than 16 terms, or
-    updates have doubled it since, it is compacted into Shewchuk partials,
-    non-overlapping floats with the same exact sum (Shewchuk 1997, the
-    algorithm inside ``math.fsum``).  So an update costs one ``fsum`` over a
-    list at most about twice as long as the last compacted one, however many
-    terms the sum started with.
+    updates have doubled it since, it is compacted into a few parts with the
+    same exact sum: each part is ``math.fsum`` of the terms less the parts
+    found before it, until that is 0.0.  So an update costs one ``fsum`` over
+    a list at most about twice as long as the last compacted one, however many
+    terms the sum started with.  A compaction raises ``OverflowError`` where
+    ``math.fsum`` of its terms does.
     """
 
     __slots__ = ("terms", "value", "_limit")
@@ -68,32 +71,18 @@ class ExactSum:
         return self._settle()
 
     def _settle(self) -> float:
-        if len(self.terms) > self._limit:
-            self.terms = _partials(self.terms)
-            self._limit = 2 * len(self.terms) + 16
-        self.value = math.fsum(self.terms)
+        terms = self.terms
+        if len(terms) > self._limit:
+            # each part is the exact remainder rounded, so the parts sum
+            # exactly to the terms, each within half an ulp of the last
+            parts = []
+            while part := math.fsum(terms):
+                parts.append(part)
+                terms.append(-part)
+            self.terms = terms = parts
+            self._limit = 2 * len(parts) + 16
+        self.value = math.fsum(terms)
         return self.value
-
-
-def _partials(terms: list[float]) -> list[float]:
-    """Shewchuk partials: non-overlapping floats with the exact sum of ``terms``."""
-    partials: list[float] = []
-    for x in terms:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    # the terms are finite, and every later term passes an overflowed partial
-    if partials and not math.isfinite(partials[-1]):
-        raise OverflowError("intermediate overflow in fsum")
-    return partials
 
 
 def connected(n: int, edges: Iterable[Sequence[int]]) -> bool:
@@ -335,21 +324,56 @@ def serialize_network(net: DistributionNetwork) -> str:
     Loading the serialized text yields a network equal to the input, and
     serializing again reproduces the text byte for byte.
     """
-    order = sorted(range(net.n), key=lambda i: net.names[i])
-    nodes = [{"name": net.names[i], "p": net.injections[i]} for i in order]
-
-    def edge_key(e: tuple[int, int, float]) -> tuple[str, str]:
-        a, b = net.names[e[0]], net.names[e[1]]
-        return (a, b) if a <= b else (b, a)
-
-    edges = []
-    for u, v, c in sorted(net.edges, key=edge_key):
-        a, b = edge_key((u, v, c))
-        edges.append({"u": a, "v": b, "c": c})
-    doc: dict = {"nodes": nodes, "edges": edges}
+    names = net.names
+    text = [_json_value(name, _ROW) for name in names]
+    order = sorted(range(net.n), key=names.__getitem__)
+    nodes = [(text[i], _json_value(net.injections[i], _ROW)) for i in order]
+    ends = []
+    for u, v, c in net.edges:
+        if not names[u] <= names[v]:
+            u, v = v, u
+        ends.append((names[u], names[v], text[u], text[v], c))
+    ends.sort(key=itemgetter(0, 1))
+    edges = [(a, b, _json_value(c, _ROW)) for _, _, a, b, c in ends]
+    fields = [("nodes", _json_objects(("name", "p"), nodes)),
+              ("edges", _json_objects(("u", "v", "c"), edges))]
     if net.metadata is not None:
-        doc["meta"] = net.metadata
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append(("meta", _json_value(net.metadata, _FIELD)))
+    return _json_document(fields)
+
+
+# The network and configuration documents are ``json.dumps(doc, indent=2)``
+# of a dict of lists of flat objects.  That call always runs json's pure
+# Python encoder, which takes most of the time of writing a large network, so
+# the writer below lays the same text out itself from C-level pieces.
+# ``tests/test_network_model.py`` holds both documents to ``json.dumps``.
+
+#: The indent of a top-level field, and of a key inside a listed object.
+_FIELD = "  "
+_ROW = "      "
+
+
+def _json_value(x: Any, indent: str) -> str:
+    """``x`` as ``json.dumps(doc, indent=2)`` writes it at ``indent``."""
+    if type(x) is float and x - x == 0.0:
+        return float.__repr__(x)        # json's text for a finite float
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_objects(keys: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    """A top-level list of objects, each row the written values of ``keys``."""
+    if not rows:
+        return "[]"
+    row = "{\n" + ",\n".join(f'{_ROW}"{key}": %s' for key in keys) + "\n    }"
+    return "[\n    " + ",\n    ".join(map(row.__mod__, rows)) + "\n  ]"
+
+
+def _json_document(fields: list[tuple[str, str]]) -> str:
+    """The document of the ``(key, written value)`` pairs, with its newline."""
+    return "{\n" + ",\n".join(f'{_FIELD}"{key}": {text}'
+                                for key, text in fields) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +407,13 @@ def config_to_json(net: DistributionNetwork, cfg: RadialConfiguration) -> str:
     ``u`` is the tail name and ``v`` the head name of each directed edge;
     entries are sorted by (tail id, head id) so output is deterministic.
     """
-    order = sorted(range(len(cfg.directed_edges)),
-                   key=lambda i: cfg.directed_edges[i])
-    edges = [{"u": net.names[cfg.directed_edges[i][0]],
-              "v": net.names[cfg.directed_edges[i][1]],
-              "flow": cfg.flows[i]} for i in order]
-    return json.dumps({"edges": edges, "cost": cfg.total_cost}, indent=2) + "\n"
+    directed, flows = cfg.directed_edges, cfg.flows
+    text = [_json_value(name, _ROW) for name in net.names]
+    edges = [(text[directed[i][0]], text[directed[i][1]],
+              _json_value(flows[i], _ROW))
+             for i in sorted(range(len(directed)), key=directed.__getitem__)]
+    return _json_document([("edges", _json_objects(("u", "v", "flow"), edges)),
+                           ("cost", _json_value(cfg.total_cost, _FIELD))])
 
 
 def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> RadialConfiguration:

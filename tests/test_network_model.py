@@ -6,16 +6,19 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
                         ValidationError, build_network, config_from_json,
                         config_to_json, export_dot, load_network,
                         serialize_network, solve, solve_forest,
                         validate_radial)
-from radialflow.network_model import (FLOW_ATOL, ExactSum, balance_tolerance,
-                                      full_view, incidence_apply)
+from radialflow.network_model import (FLOW_ATOL, DistributionNetwork, ExactSum,
+                                      balance_tolerance, full_view,
+                                      incidence_apply)
 
-from conftest import random_tree_network, ws_instance
+from conftest import DATA_DIR, random_tree_network, ws_instance
 
 
 def path3(b_injection=-1.0):
@@ -104,6 +107,76 @@ def test_serialization_is_canonical():
     parsed = json.loads(text)
     assert [n["name"] for n in parsed["nodes"]] == ["aa", "zz"]
     assert parsed["edges"][0] == {"u": "aa", "v": "zz", "c": 1.0}
+
+
+def test_shipped_networks_are_canonical():
+    # the files in data/ are what serialize_network writes, byte for byte
+    paths = sorted(DATA_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert serialize_network(load_network(text)) == text, path.name
+
+
+# Names with every character json escapes or writes as \u escapes, and
+# values of every type json writes, at the edges of the float range.
+json_names = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té€\u2028\U0001d11e'),
+                     max_size=4) | st.text(max_size=3)
+json_numbers = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                                 math.nan, math.inf, -math.inf, 0, -7, 2 ** 80,
+                                 True, False])
+                | st.floats() | st.integers())
+json_meta = st.recursive(
+    st.none() | st.booleans() | json_numbers | json_names,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(json_names, inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def hand_built(draw):
+    """A network and configuration that skip every model check: repeated
+    names and edges, self-loops, and costs, injections and flows of any
+    type json writes."""
+    n = draw(st.integers(1, 6))
+    names = tuple(draw(st.lists(json_names, min_size=n, max_size=n)))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = tuple((u, v, c) for (u, v), c in
+                  draw(st.lists(st.tuples(ends, json_numbers), max_size=6)))
+    injections = tuple(draw(st.lists(json_numbers, min_size=n, max_size=n)))
+    meta = draw(st.none() | st.dictionaries(json_names, json_meta, max_size=3))
+    directed = draw(st.lists(ends, max_size=6))
+    directed += directed[:draw(st.integers(0, 2))]
+    flows = draw(st.lists(json_numbers, min_size=len(directed),
+                          max_size=len(directed)))
+    return (DistributionNetwork(names, edges, injections, meta),
+            RadialConfiguration(tuple(directed), tuple(flows),
+                                draw(json_numbers)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hand_built())
+def test_documents_are_json_dumps_indent_2(case):
+    net, cfg = case
+    names = net.names
+
+    def pair(u, v):
+        return (names[u], names[v]) if names[u] <= names[v] else (names[v], names[u])
+
+    doc = {"nodes": [{"name": names[i], "p": net.injections[i]}
+                     for i in sorted(range(net.n), key=lambda i: names[i])],
+           "edges": [{"u": a, "v": b, "c": c} for (a, b), c in sorted(
+               ((pair(u, v), c) for u, v, c in net.edges),
+               key=lambda e: e[0])]}
+    if net.metadata is not None:
+        doc["meta"] = net.metadata
+    assert serialize_network(net) == json.dumps(doc, indent=2) + "\n"
+    # a stable sort: repeated directed edges keep their order
+    order = sorted(range(len(cfg.flows)), key=lambda i: cfg.directed_edges[i])
+    doc = {"edges": [{"u": names[cfg.directed_edges[i][0]],
+                      "v": names[cfg.directed_edges[i][1]],
+                      "flow": cfg.flows[i]} for i in order],
+           "cost": cfg.total_cost}
+    assert config_to_json(net, cfg) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_balance_tolerance_scales():
@@ -336,6 +409,41 @@ def test_exact_sum_compacts_its_starting_terms():
     assert len(total.terms) < 50
     assert total.add([-0.1]) == math.fsum(terms + [-0.1])
 
+
+
+# Terms from the smallest subnormal to 1e308 of either sign, some of them
+# the negation of an earlier term so that sums cancel.
+exact_terms = st.floats(min_value=5e-324, max_value=1e308) | st.floats(
+    min_value=-1e308, max_value=-5e-324) | st.just(0.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(exact_terms, max_size=20),
+                          st.lists(st.integers(0, 10 ** 6), max_size=3)),
+                max_size=12))
+def test_exact_sum_is_fsum_of_every_add(batches):
+    added: list[float] = []
+    total = None
+    for fresh, picks in batches:
+        # negate earlier terms, picked by position
+        batch = fresh + [-added[k % len(added)] for k in picks if added]
+        added += batch
+        try:
+            want = math.fsum(added)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                grow(total, batch)
+            return
+        total = grow(total, batch)
+        assert total.value == want
+
+
+def grow(total: ExactSum | None, batch: list[float]) -> ExactSum:
+    """``total`` with ``batch`` added; the first batch starts the sum."""
+    if total is None:
+        return ExactSum(batch)
+    total.add(batch)
+    return total
 
 
 def test_build_names_an_overflowing_injection_sum():
