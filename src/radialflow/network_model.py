@@ -153,15 +153,6 @@ class GraphView:
         return tuple(sorted(self.adj))
 
 
-def full_view(net: DistributionNetwork) -> GraphView:
-    """The whole network as a view over itself, edges in index order."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(net.n)}
-    for idx, (u, v, _) in enumerate(net.edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    return GraphView(net, adj)
-
-
 @dataclass(frozen=True)
 class RadialConfiguration:
     """A directed forest with per-edge flows and its quadratic cost."""

@@ -3,16 +3,18 @@
 A degree-one node has no routing choice, so its single edge is oriented
 immediately from the sign of the node's accumulated injection and the value is
 pushed onto the neighbor.  Peeling cascades until no degree-one node remains;
-on a tree input this settles everything.
+on a tree input this settles everything.  One array kernel, :func:`peel`,
+does this for preprocessing and for the forest solve: per node it keeps the
+degree and the XOR of its neighbor ids and of its edge indices, so a node of
+degree one reads its last edge straight off the two XORs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable
 
-from .network_model import DistributionNetwork, GraphView, full_view
+from .network_model import DistributionNetwork, GraphView
 
 
 @dataclass(frozen=True)
@@ -37,37 +39,51 @@ class PreprocessResult:
         return not self.reduced.adj
 
 
-def peel(adj: Mapping[int, list[tuple[int, int]]], p: list[float],
-         ) -> Iterator[tuple[int, int, int, float]]:
-    """Eliminate degree-one nodes, pushing each leaf's injection inward.
+def peel(net: DistributionNetwork, chosen: Iterable[int], p: list[float],
+         ) -> tuple[list[tuple[int, int, int, float]], list[int]]:
+    """Eliminate degree-one nodes of the ``chosen`` edges of ``net``.
 
-    ``adj`` holds every node's ``(neighbor, edge_index)`` pairs and ``p`` the
-    injection per node id, updated in place.  Leaves go in ascending id
-    order, cascade-created leaves queued behind.  Yields ``(leaf, neighbor,
-    edge_index, value)`` in peel order, ``value`` being the leaf's whole
-    accumulated injection: the edge carries ``abs(value)``, from leaf to
-    neighbor when ``value >= 0``.
+    ``p`` holds the injection per node id and is updated in place: each
+    leaf's injection is pushed onto its neighbor.  Leaves go in ascending id
+    order, cascade-created leaves queued behind.  Returns the steps
+    ``(leaf, neighbor, edge_index, value)`` in peel order, ``value`` being
+    the leaf's whole accumulated injection (the edge carries ``abs(value)``,
+    from leaf to neighbor when ``value >= 0``), and the degree per node id
+    left once no leaf remains.  A repeated index or a self-loop counts twice
+    at its ends, so such an edge is never settled.
     """
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    done: set[int] = set()
-    queue: deque[int] = deque(v for v in sorted(adj) if degree[v] == 1)
+    edges = net.edges
+    degree = [0] * net.n
+    nbrs = [0] * net.n
+    idxs = [0] * net.n
+    for idx in chosen:
+        u, v, _ = edges[idx]
+        degree[u] += 1
+        degree[v] += 1
+        nbrs[u] ^= v
+        nbrs[v] ^= u
+        idxs[u] ^= idx
+        idxs[v] ^= idx
 
-    while queue:
-        i = queue.popleft()
+    steps = []
+    queue = [v for v, d in enumerate(degree) if d == 1]
+    for i in queue:
         if degree[i] != 1:
             continue
-        # a node of degree one has exactly one edge not yet done
-        for j, eidx in adj[i]:
-            if eidx not in done:
-                break
-        yield i, j, eidx, p[i]
-        p[j] += p[i]
+        # the XORs of a degree-one node are its last neighbor and edge
+        j = nbrs[i]
+        idx = idxs[i]
+        value = p[i]
+        steps.append((i, j, idx, value))
+        p[j] += value
         p[i] = 0.0
-        done.add(eidx)
-        degree[i] -= 1
+        degree[i] = 0
+        nbrs[j] ^= i
+        idxs[j] ^= idx
         degree[j] -= 1
         if degree[j] == 1:
             queue.append(j)
+    return steps, degree
 
 
 def preprocess(net: DistributionNetwork) -> PreprocessResult:
@@ -77,18 +93,17 @@ def preprocess(net: DistributionNetwork) -> PreprocessResult:
     view along with its (empty) edge set.
     """
     p = list(net.injections)
-    adj = full_view(net).adj
-    presampled: list[tuple[int, int]] = []
-    pre_idx: list[int] = []
-    for i, j, eidx, value in peel(adj, p):
-        presampled.append((i, j) if value >= 0 else (j, i))
-        pre_idx.append(eidx)
+    steps, degree = peel(net, range(net.m), p)
+    presampled = tuple((i, j) if value >= 0 else (j, i)
+                       for i, j, _, value in steps)
+    pre_idx = tuple(idx for _, _, idx, _ in steps)
 
-    done = set(pre_idx)
-    kept = {v for idx, edge in enumerate(net.edges) if idx not in done
-            for v in edge[:2]}
-    reduced = {v: [e for e in adj[v] if e[1] not in done]
-               for v in sorted(kept)}
-    return PreprocessResult(tuple(presampled), tuple(pre_idx),
-                            GraphView(net, reduced),
+    reduced = {v: [] for v, d in enumerate(degree) if d}
+    if reduced:
+        done = set(pre_idx)
+        for idx, (u, v, _) in enumerate(net.edges):
+            if idx not in done:
+                reduced[u].append((v, idx))
+                reduced[v].append((u, idx))
+    return PreprocessResult(presampled, pre_idx, GraphView(net, reduced),
                             {v: p[v] for v in reduced})

@@ -50,19 +50,12 @@ def solve_forest(net: DistributionNetwork,
     """
     edge_list = list(forest_edges)
     p = list(net.injections)
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for idx in edge_list:
-        u, v, _ = net.edges[idx]
-        adj.setdefault(u, []).append((v, idx))
-        adj.setdefault(v, []).append((u, idx))
-
-    covered = sorted(adj)
     tol = balance_tolerance(p)
+    steps, _ = peel(net, edge_list, p)
 
     oriented: dict[int, tuple[int, int]] = {}
     flow: dict[int, float] = {}
-    for i, j, eidx, value in peel(adj, p):
+    for i, j, eidx, value in steps:
         if value >= 0:
             oriented[eidx] = (i, j)
             flow[eidx] = value
@@ -76,6 +69,8 @@ def solve_forest(net: DistributionNetwork,
         raise CycleError(
             f"edge subset is not a forest: cycle through ({net.names[u]}, {net.names[v]})")
 
+    # ascending, so that the error names the first node of largest residual
+    covered = sorted({v for i, j, _, _ in steps for v in (i, j)})
     worst = max((abs(p[v]) for v in covered), default=0.0)
     if worst > tol:
         bad = max(covered, key=lambda v: abs(p[v]))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from radialflow import GenSpec, build_network, generate, load_network
 from radialflow.forward_engine import default_source_count
+from radialflow.network_model import GraphView
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -38,6 +39,15 @@ def block15():
 @pytest.fixture(scope="session")
 def ieee33():
     return load_network(data_path("ieee33_synthetic.json").read_bytes())
+
+
+def full_view(net):
+    """The whole network as a view over itself, edges in index order."""
+    adj = {v: [] for v in range(net.n)}
+    for idx, (u, v, _) in enumerate(net.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    return GraphView(net, adj)
 
 
 def ws_instance(n, seed, n_sources=None, k=4, beta=0.2):

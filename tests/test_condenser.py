@@ -13,9 +13,9 @@ from radialflow import (Infeasible, InvariantViolation, build_network,
                         forward_engine, solve)
 from radialflow.condenser import (Condensation, net_concad,
                                   source_cut_vertices)
-from radialflow.network_model import balance_tolerance, full_view
+from radialflow.network_model import balance_tolerance
 
-from conftest import small_instances, small_networks, ws_instance
+from conftest import full_view, small_instances, small_networks, ws_instance
 from test_golden import ring_chain
 
 

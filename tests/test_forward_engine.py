@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_tree_network, small_instances, ws_instance
+from conftest import full_view, random_tree_network, small_instances, ws_instance
 from radialflow import (Infeasible, InfeasibleSplit, InvalidSpec, NoCandidate,
                         build_network, config_to_json, load_network, solve,
                         solve_forest, validate_radial)
@@ -17,7 +17,7 @@ from radialflow.forward_engine import (HUB_LINK, SolveReport,
                                        _spanning_fallback, _subproblem,
                                        complexity_probe, default_source_count,
                                        fit_exponent, split_at_cut)
-from radialflow.network_model import GraphView, balance_tolerance, full_view
+from radialflow.network_model import GraphView, balance_tolerance
 from radialflow.preprocessor import preprocess
 from radialflow.sampler import ForestState, Frontier, PathCostAccumulator
 

@@ -9,8 +9,9 @@ purpose records them again and says why.
 """
 
 import hashlib
+import random
 
-from conftest import DATA_DIR, small_instances, ws_instance
+from conftest import DATA_DIR, random_tree_network, small_instances, ws_instance
 from radialflow import build_network, config_to_json, load_network, solve
 
 
@@ -49,6 +50,10 @@ def corpus():
             yield f"ws{n}-{s}", ws_instance(n, s)
     yield from small_instances(50)
     yield "ring_chain", ring_chain()
+    # peeling settles every edge of the tree and 275 of the 300 edges of the
+    # sparse ring, leaving growth 24 steps
+    yield "tree2000", random_tree_network(random.Random(5), 2000)
+    yield "ws300-3-k2", ws_instance(300, 3, k=2, beta=0.5)
 
 
 def fingerprint(net):
@@ -324,6 +329,12 @@ GOLDEN = {
     "ring_chain": (
         "785e3f00c0abd95ffb9f2a57688bb81d37fd3ca66566859d8ae7470664e1c76b",
         (16, 2, 3, 2, 1, 0)),
+    "tree2000": (
+        "3f5f663453da77a4a09532b9f3bf55f779f3383567c28f9b3a941334100c2e1c",
+        (0, 0, 0, 0, 0, 1999)),
+    "ws300-3-k2": (
+        "0adf90614c8043e4a7bacd55ff2395d0d3165582813998c625ffa1860e96368b",
+        (24, 3, 0, 3, 1, 275)),
 }
 
 

@@ -11,10 +11,10 @@ from radialflow import forward_engine
 from radialflow.forward_engine import HUB_LINK
 from radialflow.condenser import lowpoint
 from radialflow.islander import islander
-from radialflow.network_model import balance_tolerance, full_view
+from radialflow.network_model import balance_tolerance
 from radialflow.preprocessor import preprocess
 
-from conftest import ws_instance
+from conftest import full_view, ws_instance
 
 
 def articulation_points(view):

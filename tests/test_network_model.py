@@ -15,8 +15,7 @@ from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
                         serialize_network, solve, solve_forest,
                         validate_radial)
 from radialflow.network_model import (FLOW_ATOL, DistributionNetwork, ExactSum,
-                                      balance_tolerance, full_view,
-                                      incidence_apply)
+                                      balance_tolerance, incidence_apply)
 
 from conftest import DATA_DIR, random_tree_network, ws_instance
 

@@ -3,13 +3,15 @@
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from radialflow import build_network, solve_forest
-from radialflow.network_model import balance_tolerance, full_view
+from radialflow.network_model import balance_tolerance
 from radialflow.preprocessor import peel, preprocess
 
-from conftest import random_tree_network, ws_instance
+from conftest import full_view, random_tree_network, small_networks, ws_instance
 
 
 def test_path_fully_reduced():
@@ -60,8 +62,10 @@ def test_reduced_min_degree_two():
 def test_idempotent(block15):
     # the reduced graph has no leaf left to peel
     res = preprocess(block15)
-    inj = dict(res.reduced_injections)
-    assert list(peel(res.reduced.adj, inj)) == []
+    remaining = {idx for links in res.reduced.adj.values() for _, idx in links}
+    steps, degree = peel(block15, remaining, list(block15.injections))
+    assert steps == []
+    assert degree == [len(res.reduced.adj.get(v, ())) for v in range(block15.n)]
 
 
 def test_edge_conservation(block15, ieee33):
@@ -110,3 +114,25 @@ def test_presampled_order_is_ascending_cascade():
                         [-1.0, -1.0, 4.0, -1.0, -1.0])
     res = preprocess(net)
     assert res.presampled == ((1, 0), (3, 4), (2, 1), (2, 3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_networks())
+def test_reduced_graph_is_the_two_core(net):
+    # the reduced nodes are the 2-core; the settled and the remaining edges
+    # partition the edge set, and each remaining edge is listed at both its
+    # ends, in index order
+    res = preprocess(net)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(net.n))
+    graph.add_edges_from(edge[:2] for edge in net.edges)
+    assert list(res.reduced.adj) == sorted(nx.k_core(graph, 2))
+    settled = res.presampled_edge_indices
+    remaining = [idx for idx in range(net.m) if idx not in set(settled)]
+    assert sorted(settled + tuple(remaining)) == list(range(net.m))
+    want = {}
+    for idx in remaining:
+        u, v, _ = net.edges[idx]
+        want.setdefault(u, []).append((v, idx))
+        want.setdefault(v, []).append((u, idx))
+    assert res.reduced.adj == want

@@ -6,12 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_networks, ws_instance
+from conftest import full_view, small_networks, ws_instance
 from radialflow import (Infeasible, NoCandidate, build_network, solve,
                         validate_radial)
 from radialflow import forward_engine
 from radialflow.forward_engine import SolveReport, _subproblem
-from radialflow.network_model import full_view
 from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
                                 edge_weight, sample)
 

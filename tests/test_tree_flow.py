@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -50,6 +51,12 @@ def test_cycle_rejected():
                         [2.0, -1.0, -1.0])
     with pytest.raises(CycleError):
         solve_forest(net, [0, 1, 2])
+    # a repeated index is a two-edge cycle: it never reaches degree one
+    path = build_network(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)],
+                         [2.0, -1.0, -1.0])
+    for chosen, names in (([0, 0], "(a, b)"), ([1, 0, 1], "(b, c)")):
+        with pytest.raises(CycleError, match=rf"through {re.escape(names)}"):
+            solve_forest(path, chosen)
 
 
 def test_imbalanced_component_rejected():
