@@ -91,6 +91,147 @@ def test_build_rejects_nonfinite():
         build_network(["a", "b"], [(0, 1, float("inf"))], [1.0, -1.0])
 
 
+DEEP = 2000
+
+
+def deep_document():
+    """A 2,000-node path, node n0000 supplying every other node 1.0."""
+    return {"nodes": [{"name": f"n{i:04d}", "p": -1.0 if i else DEEP - 1.0}
+                      for i in range(DEEP)],
+            "edges": [{"u": f"n{i - 1:04d}", "v": f"n{i:04d}", "c": 1.0}
+                      for i in range(1, DEEP)]}
+
+
+def at(part, index, **fields):
+    """A fault: entry ``index`` of ``part`` takes ``fields``."""
+    return lambda doc: doc[part][index].update(fields)
+
+
+def put(part, index, value):
+    """A fault: entry ``index`` of ``part`` becomes ``value``."""
+    return lambda doc: doc[part].__setitem__(index, value)
+
+
+def drop(part, index, key):
+    return lambda doc: doc[part][index].pop(key)
+
+
+def extra_edge(u, v):
+    return lambda doc: doc["edges"].insert(1700, {"u": u, "v": v, "c": 2.0})
+
+
+HUGE = 10 ** 400
+E1500 = "{'u': 'n1500', 'v': 'n1501', 'c': %s}"
+DEEP_FAULTS = {
+    "node not an object": ([put("nodes", 1500, ["n1500", -1.0])], ParseError,
+                           "node entry must have 'name' and 'p': ['n1500', -1.0]"),
+    "node without p": ([drop("nodes", 1500, "p")], ParseError,
+                       "node entry must have 'name' and 'p': {'name': 'n1500'}"),
+    "name not a string": ([at("nodes", 1500, name=1500)], ParseError,
+                          "node name must be a string: 1500"),
+    "injection a bool": ([at("nodes", 1500, p=True)], ParseError,
+                         "injection must be a number at node 'n1500'"),
+    "injection a string": ([at("nodes", 1500, p="-1")], ParseError,
+                           "injection must be a number at node 'n1500'"),
+    "injection beyond float range": (
+        [at("nodes", 1500, p=HUGE)], ParseError,
+        "injection must be a number at node 'n1500': int too large to "
+        "convert to float"),
+    "injection NaN": ([at("nodes", 1500, p=math.nan)], ValidationError,
+                      "non-finite injection at node 'n1500'"),
+    "injection -Infinity": ([at("nodes", 1500, p=-math.inf)], ValidationError,
+                            "non-finite injection at node 'n1500'"),
+    "duplicate name": ([at("nodes", 1500, name="n0700")], ValidationError,
+                       "duplicate node name 'n0700'"),
+    "edge not an object": ([put("edges", 1500, "n1500")], ParseError,
+                           "edge entry must have 'u', 'v' and 'c': 'n1500'"),
+    "edge without c": ([drop("edges", 1500, "c")], ParseError,
+                       "edge entry must have 'u', 'v' and 'c': "
+                       "{'u': 'n1500', 'v': 'n1501'}"),
+    "endpoint not a string": ([at("edges", 1500, v=1501)], ParseError,
+                              "edge endpoints must be node names: "
+                              "{'u': 'n1500', 'v': 1501, 'c': 1.0}"),
+    "cost a bool": ([at("edges", 1500, c=False)], ParseError,
+                    "cost coefficient must be a number: " + E1500 % False),
+    "cost beyond float range": (
+        [at("edges", 1500, c=-HUGE)], ParseError,
+        "cost coefficient must be a number: " + E1500 % -HUGE
+        + ": int too large to convert to float"),
+    "cost NaN": ([at("edges", 1500, c=math.nan)], ValidationError,
+                 "negative or non-finite cost coefficient on edge "
+                 "('n1500', 'n1501')"),
+    "cost Infinity": ([at("edges", 1500, c=math.inf)], ValidationError,
+                      "negative or non-finite cost coefficient on edge "
+                      "('n1500', 'n1501')"),
+    "unknown node": ([at("edges", 1500, v="zz")], ValidationError,
+                     "unknown node 'zz' in edge list"),
+    "self-loop": ([at("edges", 1500, v="n1500")], ValidationError,
+                  "self-loop at node 'n1500'"),
+    "duplicate edge": ([extra_edge("n1200", "n1201")], ValidationError,
+                       "duplicate edge ('n1200', 'n1201')"),
+    "duplicate edge reversed": ([extra_edge("n1201", "n1200")],
+                                ValidationError,
+                                "duplicate edge ('n1200', 'n1201')"),
+    "negative cost": ([at("edges", 1500, c=-0.5)], ValidationError,
+                      "negative or non-finite cost coefficient on edge "
+                      "('n1500', 'n1501')"),
+    # with two faults, nodes are checked before edges and each list in order
+    "self-loop after a negative cost": (
+        [at("edges", 1500, v="n1500"), at("edges", 600, c=-1.0)],
+        ValidationError,
+        "negative or non-finite cost coefficient on edge ('n0600', 'n0601')"),
+    "endpoint before a bool injection": (
+        [at("edges", 10, u=3), at("nodes", 1900, p=False)], ParseError,
+        "injection must be a number at node 'n1900'"),
+    "NaN injection before a bad endpoint": (
+        [at("nodes", 100, p=math.nan), at("edges", 1500, u=None)], ParseError,
+        "edge endpoints must be node names: "
+        "{'u': None, 'v': 'n1501', 'c': 1.0}"),
+    "duplicate name after a string injection": (
+        [at("nodes", 1500, name="n0300"), at("nodes", 1200, p="x")],
+        ParseError, "injection must be a number at node 'n1200'"),
+    "imbalance": ([at("nodes", 1500, p=-2.0)], ValidationError,
+                  "injection imbalance: sum(p) = -1.0"),
+    "disconnected": ([lambda doc: doc["edges"].pop(1500)], ValidationError,
+                     "disconnected network"),
+}
+
+
+@pytest.mark.parametrize("faults, error, message", DEEP_FAULTS.values(),
+                         ids=DEEP_FAULTS)
+def test_load_names_the_first_fault_deep_in_a_document(faults, error, message):
+    doc = deep_document()
+    for fault in faults:
+        fault(doc)
+    with pytest.raises(error) as info:
+        load_network(json.dumps(doc))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda names, edges, p: edges.insert(1500, (1500, DEEP, 1.0)),
+     f"edge (1500, {DEEP}) references an unknown node id"),
+    (lambda names, edges, p: names.__setitem__(1500, "n0700"),
+     "duplicate node name"),
+    (lambda names, edges, p: p.pop(), "injection vector length does not "
+     "match node count"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1501, 1500, -1.0)),
+     "negative or non-finite cost coefficient on edge ('n1501', 'n1500')"),
+    (lambda names, edges, p: edges.insert(1700, (1201, 1200, 1.0)),
+     "duplicate edge ('n1200', 'n1201')"),
+], ids=["unknown id", "duplicate name", "short injections", "negative cost",
+        "duplicate edge reversed"])
+def test_build_names_the_first_fault_deep_in_its_input(change, message):
+    names = [f"n{i:04d}" for i in range(DEEP)]
+    edges = [(i - 1, i, 1.0) for i in range(1, DEEP)]
+    p = [DEEP - 1.0] + [-1.0] * (DEEP - 1)
+    change(names, edges, p)
+    with pytest.raises(ValidationError) as info:
+        build_network(names, edges, p)
+    assert str(info.value) == message
+
+
 def test_round_trip_is_identity(gap_ring):
     for net in (gap_ring, ws_instance(30, seed=1)):
         text = serialize_network(net)
