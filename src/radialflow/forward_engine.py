@@ -20,6 +20,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Any, Sequence
 
 from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
@@ -60,15 +61,17 @@ class SolveReport:
     ``partitions`` is 1, or 0 when peeling settles every edge; ``splits``
     counts the growth splits.  ``timings`` holds the seconds of the four
     stages (``preprocess``, ``islander``, the balance check, ``loop``,
-    ``solve_flow``) and, inside the loop, the seconds spent building
-    condensations, keeping them current and searching them for cut vertices
-    (``condense``) and in the sampler's selection (``sample``; keeping the
-    frontier's classes current counts as loop time).  ``candidates`` counts
-    the orientations whose weight the sampler computed; it is not in the
-    JSON document yet.  ``sampled`` holds the ``(tail, head)`` each chosen
-    edge was given before the forest solve, settled edges first, and
-    ``edge_indices`` the edges in the same order.  Growth counts into the
-    report as it goes, and :func:`solve` turns ``trace`` into a tuple.
+    ``solve_flow``, which only builds the result from the peel's steps when
+    peeling settles every edge) and, inside the loop, the seconds spent
+    building condensations, keeping them current and searching them for cut
+    vertices (``condense``) and in the sampler's selection (``sample``;
+    keeping the frontier's classes current counts as loop time).
+    ``candidates`` counts the orientations whose weight the sampler
+    computed; it is not in the JSON document yet.  ``sampled`` holds the
+    ``(tail, head)`` each chosen edge was given before the forest solve,
+    settled edges first, and ``edge_indices`` the edges in the same order.
+    Growth counts into the report as it goes, and :func:`solve` turns
+    ``trace`` into a tuple.
     """
 
     cost: float = 0.0
@@ -148,23 +151,31 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
                          edge_indices=list(pre.presampled_edge_indices))
     t2 = t1
     if not pre.fully_reduced:
-        islander(pre.reduced_injections)
+        # peeling adds in floats, so the core balances to the network's tolerance
+        floor = balance_tolerance(net.injections)
+        islander(pre.reduced_injections, floor)
         t2 = time.perf_counter()
-        run_partition(pre.reduced, pre.reduced_injections, report,
+        run_partition(pre.reduced, pre.reduced_injections, report, floor=floor,
                       check_invariants=check_invariants,
                       collect_trace=collect_trace)
+        # a supply within tolerance of zero may stay alone: an edge joins it
+        ends = {net.edges[idx][k] for idx in report.edge_indices for k in (0, 1)}
+        for idx, (u, v, _) in enumerate(net.edges if len(ends) < net.n else ()):
+            if not ends.issuperset((u, v)):
+                report.sampled.append((u, v) if u not in ends else (v, u))
+                report.edge_indices.append(idx)
+                ends.update((u, v))
     t3 = time.perf_counter()
 
-    solution = solve_forest(net, report.edge_indices)
+    solution = solve_forest(net, report.edge_indices, peeled=pre.peeled)
     t4 = time.perf_counter()
     if not math.isfinite(solution.cost):
         raise Infeasible(f"cost of the solved flows overflows to {solution.cost}")
 
-    final_edges: list[tuple[int, int]] = []
-    for solved, sampled, flow in zip(solution.oriented_edges, report.sampled,
-                                     solution.flows):
-        final_edges.append(sampled if flow == 0.0 else solved)
-        report.flipped_edges += flow != 0.0 and solved != sampled
+    final_edges = list(solution.oriented_edges)
+    for k in solution.zero_flow_edges:
+        final_edges[k] = report.sampled[k]
+    report.flipped_edges = sum(map(ne, final_edges, report.sampled))
     cfg = RadialConfiguration(tuple(final_edges), solution.flows, solution.cost)
 
     report.cost = solution.cost
@@ -219,7 +230,7 @@ class Subproblem:
 
 
 def run_partition(view: GraphView, injections: dict[int, float],
-                  report: SolveReport, *, check_invariants: bool = False,
+                  report: SolveReport, *, floor: float, check_invariants: bool = False,
                   collect_trace: bool = False) -> None:
     """Grow polytrees over the peeled graph until covered and drained.
 
@@ -229,10 +240,10 @@ def run_partition(view: GraphView, injections: dict[int, float],
     therefore only ever consults irreducible condensations.  The chosen
     edges, counts and seconds go straight into ``report``; growth adds at
     most n - 1 edges.  Growth cuts ``view.adj`` and ``injections`` down in
-    place.
+    place.  The balance tolerance is at least ``floor``.
     """
     net, adj, inj = view.net, view.adj, injections
-    tol = balance_tolerance(inj.values())
+    tol = max(floor, balance_tolerance(inj.values()))
     sources = sorted(v for v, p in inj.items() if p > 0)
 
     if not sources:

@@ -15,14 +15,14 @@ from .exceptions import InfeasibleSplit
 from .network_model import balance_tolerance
 
 
-def islander(injections: dict[int, float]) -> None:
-    """Check that the peeled graph's injections balance.
+def islander(injections: dict[int, float], floor: float = 0.0) -> None:
+    """Check that the peeled graph's injections balance within at least ``floor``.
 
     Raises:
         InfeasibleSplit: If they do not, which indicates corrupt input
             rather than a property of valid networks.
     """
-    _check_balance(injections)
+    _check_balance(injections, floor)
 
 
 def _check_balance(inj: dict[int, float], floor: float = 0.0,

@@ -33,7 +33,7 @@ COST_RTOL = 1e-9
 
 def balance_tolerance(values: Iterable[float]) -> float:
     """Absolute balance tolerance for a collection of injections."""
-    return BALANCE_RTOL * max(1.0, math.fsum(abs(v) for v in values))
+    return BALANCE_RTOL * max(1.0, math.fsum(map(abs, values)))
 
 
 def find(parent: list[int], x: int) -> int:
@@ -189,9 +189,40 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
         raise ValidationError("duplicate node name")
     if len(injections) != n:
         raise ValidationError("injection vector length does not match node count")
-    for name, p in zip(names, injections):
-        if not math.isfinite(p):
-            raise ValidationError(f"non-finite injection at node {name!r}")
+    if not all(map(math.isfinite, injections)):
+        for name, p in zip(names, injections):
+            if not math.isfinite(p):
+                raise ValidationError(f"non-finite injection at node {name!r}")
+
+    normalized = _normalized(names, edges)
+    try:
+        total, tol = math.fsum(injections), balance_tolerance(injections)
+    except OverflowError:
+        raise ValidationError("injections overflow: their sum exceeds the "
+                              "float range") from None
+    if abs(total) > tol:
+        raise ValidationError(f"injection imbalance: sum(p) = {total!r}")
+
+    if not connected(n, normalized):
+        raise ValidationError("disconnected network")
+    return DistributionNetwork(tuple(names), tuple(normalized),
+                               tuple(map(float, injections)), metadata)
+
+
+def _normalized(names: Sequence[str], edges: Sequence) -> list[tuple[int, int, float]]:
+    """``(u, v, float(cost))`` per edge with ``u < v``.  C-level passes check
+    the edges; only if one fails are they walked, to raise on the first."""
+    n = len(names)
+    try:
+        # None marks a self-loop, an unknown id, or ends that do not compare
+        keys = [(u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
+                for u, v, _ in edges]
+        costs = list(map(itemgetter(2), edges))
+        if (None not in keys and len(set(keys)) == len(keys)
+                and all(map(math.isfinite, costs)) and min(costs, default=0) >= 0):
+            return [(u, v, c) for (u, v), c in zip(keys, map(float, costs))]
+    except (TypeError, ValueError, OverflowError):
+        pass
 
     normalized: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
@@ -210,19 +241,7 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
                 f"duplicate edge ({names[key[0]]!r}, {names[key[1]]!r})")
         seen.add(key)
         normalized.append((key[0], key[1], float(c)))
-
-    try:
-        total, tol = math.fsum(injections), balance_tolerance(injections)
-    except OverflowError:
-        raise ValidationError("injections overflow: their sum exceeds the "
-                              "float range") from None
-    if abs(total) > tol:
-        raise ValidationError(f"injection imbalance: sum(p) = {total!r}")
-
-    if not connected(n, normalized):
-        raise ValidationError("disconnected network")
-    return DistributionNetwork(tuple(names), tuple(normalized),
-                               tuple(float(p) for p in injections), metadata)
+    return normalized
 
 
 def load_network(source: str | bytes | IO) -> DistributionNetwork:
@@ -245,10 +264,33 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
     for key in ("nodes", "edges"):
         if key not in doc or not isinstance(doc[key], list):
             raise ParseError(f"missing or non-list {key!r} entry")
+    names, injections, edges = _parse(doc["nodes"], doc["edges"])
+    meta = doc.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ParseError("'meta' entry must be an object")
+    return build_network(names, edges, injections, meta)
 
-    names: list[str] = []
+
+def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
+    """Sorted names, and injections and edges by id.  C-level passes check
+    the entries; only if one fails are they walked, to raise on the first."""
+    try:
+        names, ps = (list(map(itemgetter(key), nodes)) for key in ("name", "p"))
+        us, vs, cs = (list(map(itemgetter(key), edge_items)) for key in "uvc")
+        # ids holds only names, so an endpoint found there is a string
+        if set(map(type, names)) <= {str} and set(map(type, ps + cs)) <= {int, float}:
+            raw_p = dict(zip(names, map(float, ps)))
+            ids = {name: i for i, name in enumerate(sorted(raw_p))}
+            if len(ids) == len(names):
+                return (list(ids), list(map(raw_p.__getitem__, ids)),
+                        list(zip(map(ids.__getitem__, us),
+                                 map(ids.__getitem__, vs), map(float, cs))))
+    except (LookupError, TypeError, OverflowError):
+        pass
+
+    names = []
     raw_p: dict[str, float] = {}
-    for item in doc["nodes"]:
+    for item in nodes:
         if not isinstance(item, dict) or "name" not in item or "p" not in item:
             raise ParseError(f"node entry must have 'name' and 'p': {item!r}")
         name, p = item["name"], item["p"]
@@ -264,7 +306,7 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
     ids = {name: i for i, name in enumerate(names)}
 
     edges: list[tuple[int, int, float]] = []
-    for item in doc["edges"]:
+    for item in edge_items:
         if not isinstance(item, dict) or not {"u", "v", "c"} <= set(item):
             raise ParseError(f"edge entry must have 'u', 'v' and 'c': {item!r}")
         u, v, c = item["u"], item["v"], item["c"]
@@ -275,11 +317,7 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
             missing = u if u not in ids else v
             raise ValidationError(f"unknown node {missing!r} in edge list")
         edges.append((ids[u], ids[v], c))
-
-    meta = doc.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise ParseError("'meta' entry must be an object")
-    return build_network(names, edges, [raw_p[name] for name in names], meta)
+    return names, [raw_p[name] for name in names], edges
 
 
 def _read_json(source: str | bytes | IO, what: str) -> Any:
@@ -316,20 +354,20 @@ def serialize_network(net: DistributionNetwork) -> str:
     serializing again reproduces the text byte for byte.
     """
     names = net.names
-    text = [_json_value(name, _ROW) for name in names]
-    order = sorted(range(net.n), key=names.__getitem__)
-    nodes = [(text[i], _json_value(net.injections[i], _ROW)) for i in order]
+    text = _json_values(names, _ROW)
+    values = _json_values(net.injections, _ROW)
+    nodes = [(text[i], values[i]) for i in sorted(range(net.n), key=names.__getitem__)]
     ends = []
-    for u, v, c in net.edges:
+    for (u, v, _), c in zip(net.edges, _json_values([e[2] for e in net.edges], _ROW)):
         if not names[u] <= names[v]:
             u, v = v, u
         ends.append((names[u], names[v], text[u], text[v], c))
     ends.sort(key=itemgetter(0, 1))
-    edges = [(a, b, _json_value(c, _ROW)) for _, _, a, b, c in ends]
+    edges = [end[2:] for end in ends]
     fields = [("nodes", _json_objects(("name", "p"), nodes)),
               ("edges", _json_objects(("u", "v", "c"), edges))]
     if net.metadata is not None:
-        fields.append(("meta", _json_value(net.metadata, _FIELD)))
+        fields.append(("meta", _json_values([net.metadata], _FIELD)[0]))
     return _json_document(fields)
 
 
@@ -344,13 +382,14 @@ _FIELD = "  "
 _ROW = "      "
 
 
-def _json_value(x: Any, indent: str) -> str:
-    """``x`` as ``json.dumps(doc, indent=2)`` writes it at ``indent``."""
-    if type(x) is float and x - x == 0.0:
-        return float.__repr__(x)        # json's text for a finite float
-    if type(x) is str:
-        return encode_basestring_ascii(x)
-    return json.dumps(x, indent=2).replace("\n", "\n" + indent)
+def _json_values(xs: Sequence[Any], indent: str) -> list[str]:
+    """Each of ``xs`` as ``json.dumps(doc, indent=2)`` writes it at ``indent``."""
+    kinds = set(map(type, xs))
+    if kinds <= {str}:
+        return list(map(encode_basestring_ascii, xs))
+    if kinds == {float} and math.isfinite(sum(xs)):
+        return list(map(float.__repr__, xs))
+    return [json.dumps(x, indent=2).replace("\n", "\n" + indent) for x in xs]
 
 
 def _json_objects(keys: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -398,13 +437,13 @@ def config_to_json(net: DistributionNetwork, cfg: RadialConfiguration) -> str:
     ``u`` is the tail name and ``v`` the head name of each directed edge;
     entries are sorted by (tail id, head id) so output is deterministic.
     """
-    directed, flows = cfg.directed_edges, cfg.flows
-    text = [_json_value(name, _ROW) for name in net.names]
-    edges = [(text[directed[i][0]], text[directed[i][1]],
-              _json_value(flows[i], _ROW))
+    directed = cfg.directed_edges
+    text = _json_values(net.names, _ROW)
+    flows = _json_values(cfg.flows, _ROW)
+    edges = [(text[directed[i][0]], text[directed[i][1]], flows[i])
              for i in sorted(range(len(directed)), key=directed.__getitem__)]
     return _json_document([("edges", _json_objects(("u", "v", "flow"), edges)),
-                           ("cost", _json_value(cfg.total_cost, _FIELD))])
+                           ("cost", _json_values([cfg.total_cost], _FIELD)[0])])
 
 
 def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> RadialConfiguration:

@@ -6,7 +6,8 @@ pushed onto the neighbor.  Peeling cascades until no degree-one node remains;
 on a tree input this settles everything.  One array kernel, :func:`peel`,
 does this for preprocessing and for the forest solve: per node it keeps the
 degree and the XOR of its neighbor ids and of its edge indices, so a node of
-degree one reads its last edge straight off the two XORs.
+degree one reads its last edge straight off the two XORs.  When peeling
+settles every edge, as on a radial feeder, the forest solve reuses its steps.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ class PreprocessResult:
         reduced: View of the nodes and edges still unresolved, nodes in
             ascending order and each node's edges in index order.
         reduced_injections: Injection per node of ``reduced`` after pushing.
+        peeled: The steps of :func:`peel` over every edge and the injection
+            per node id it left, if they settle every edge; else None.
     """
 
     presampled: tuple[tuple[int, int], ...]
     presampled_edge_indices: tuple[int, ...]
     reduced: GraphView
     reduced_injections: dict[int, float]
+    peeled: tuple[list[tuple[int, int, int, float]], list[float]] | None
 
     @property
     def fully_reduced(self) -> bool:
@@ -106,4 +110,4 @@ def preprocess(net: DistributionNetwork) -> PreprocessResult:
                 reduced[u].append((v, idx))
                 reduced[v].append((u, idx))
     return PreprocessResult(presampled, pre_idx, GraphView(net, reduced),
-                            {v: p[v] for v in reduced})
+                            {v: p[v] for v in reduced}, None if reduced else (steps, p))

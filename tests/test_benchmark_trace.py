@@ -7,11 +7,14 @@ that grows and splits, and runs one benchmark operation.
 """
 
 import importlib.util
+import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 from radialflow import serialize_network, solve, validate_radial
 
+from conftest import random_tree_network
 from test_forward_engine import ring_with_chord
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,3 +57,24 @@ def test_worker_operation_reads_the_report(monkeypatch):
     assert "error" not in rec, rec["error"]
     assert rec["validated"]
     assert rec["report"]["partitions"] == 1
+
+
+def test_fully_peeled_operation_traces_each_stage_once(monkeypatch):
+    # peeling settles every edge of a tree, and the forest solve still runs,
+    # so the spans that bound the loop are there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = load("worker")
+    tracer = worker.spans.Tracer()
+    net = random_tree_network(random.Random(8), 40)
+    doc = serialize_network(net)
+    ops = [dict(worker.operate(doc, worker.direct), item=0, traced=False)]
+    tracer.begin_op(len(ops))
+    with tracer.installed():
+        ops.append(dict(worker.operate(doc, tracer.call), item=0, traced=True))
+    assert all(op["validated"] and op["report"]["partitions"] == 0 for op in ops)
+    named = Counter(span[1] for span in tracer.spans)
+    assert named["preprocessor.preprocess"] == 1
+    assert named["tree_flow.solve_forest"] == 1
+    layers = tracer.layers([SimpleNamespace(n=net.n)], ops, 1)
+    assert layers["preprocessor.presampled_edges"] == net.m
+    assert layers["forward_engine.iterations"] == 0

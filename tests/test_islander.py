@@ -93,9 +93,9 @@ def test_biconnected_graph_single_partition(gap_ring, monkeypatch):
     # growth then takes whole, as the one partition the report counts
     checked = []
 
-    def recording_islander(injections):
+    def recording_islander(injections, *floor):
         checked.append(dict(injections))
-        islander(injections)
+        islander(injections, *floor)
 
     monkeypatch.setattr(forward_engine, "islander", recording_islander)
     cfg, report = solve(gap_ring)

@@ -143,6 +143,9 @@ DEEP_FAULTS = {
                             "non-finite injection at node 'n1500'"),
     "duplicate name": ([at("nodes", 1500, name="n0700")], ValidationError,
                        "duplicate node name 'n0700'"),
+    "repeated node": ([lambda doc: doc["nodes"].insert(1500, {"name": "n0700",
+                                                             "p": 0.0})],
+                      ValidationError, "duplicate node name 'n0700'"),
     "edge not an object": ([put("edges", 1500, "n1500")], ParseError,
                            "edge entry must have 'u', 'v' and 'c': 'n1500'"),
     "edge without c": ([drop("edges", 1500, "c")], ParseError,

@@ -7,11 +7,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radialflow import CycleError, ImbalanceError, build_network, solve_forest
-from radialflow.network_model import FLOW_ATOL
+from radialflow import (CycleError, ImbalanceError, build_network, solve,
+                        solve_forest)
+from radialflow.network_model import FLOW_ATOL, balance_tolerance
+from radialflow.preprocessor import peel
 
-from conftest import random_forest_case, random_tree_network
+from conftest import random_forest_case, random_tree_network, small_networks
 
 
 def two_branch(c_left, c_right, p_left, p_right):
@@ -171,3 +175,56 @@ def test_overflowing_cost_is_infinite():
     assert sol.cost == math.inf
     free = build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200])
     assert solve_forest(free, [0]).cost == 0.0
+
+
+@st.composite
+def forest_cases(draw):
+    """A random tree with its edges in any order, or any subset of the edges
+    of a small network, which may hold cycles or unbalanced components."""
+    if draw(st.booleans()):
+        net = random_tree_network(random.Random(draw(st.integers(0, 2 ** 32))),
+                                  draw(st.integers(2, 30)))
+        return net, draw(st.permutations(range(net.m)))
+    net = draw(small_networks())
+    return net, draw(st.lists(st.sampled_from(range(net.m)), unique=True))
+
+
+def outcome(net, edges, **kwargs):
+    """The solution, or the type and message of the error."""
+    try:
+        return solve_forest(net, edges, **kwargs)
+    except (CycleError, ImbalanceError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(forest_cases())
+def test_forest_solve_from_the_steps_of_a_peel(case):
+    net, edges = case
+    p = list(net.injections)
+    steps, _ = peel(net, edges, p)
+    got = outcome(net, edges, peeled=(steps, p))
+    assert got == outcome(net, edges)
+
+    # the error names the first edge in the input that peeling left, or the
+    # smallest node of largest residual
+    settled = {idx for _, _, idx, _ in steps}
+    covered = sorted({v for i, j, _, _ in steps for v in (i, j)})
+    bad = max(covered, key=lambda v: abs(p[v]), default=None)
+    if len(settled) < len(edges):
+        u, v, _ = net.edges[next(i for i in edges if i not in settled)]
+        assert got == (CycleError, "edge subset is not a forest: cycle "
+                                   f"through ({net.names[u]}, {net.names[v]})")
+    elif bad is not None and abs(p[bad]) > balance_tolerance(net.injections):
+        assert got == (ImbalanceError, "component injections do not cancel: "
+                                       f"residual {p[bad]!r} at {net.names[bad]}")
+    else:
+        assert got.edge_indices == tuple(edges)
+        for (tail, head), idx, flow in zip(got.oriented_edges, edges, got.flows):
+            assert {tail, head} == set(net.edges[idx][:2]) and flow >= 0
+
+    if net.m == len(edges) == net.n - 1 and not isinstance(got, tuple):
+        # a tree: solve reuses the steps of its own peel, and flips nothing
+        config, report = solve(net)
+        assert report.partitions == 0 and report.flipped_edges == 0
+        assert config.flows == solve_forest(net, report.edge_indices).flows
