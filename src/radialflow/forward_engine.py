@@ -20,7 +20,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from operator import ne
+from operator import itemgetter, ne
 from typing import Any, Sequence
 
 from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
@@ -61,17 +61,16 @@ class SolveReport:
     ``partitions`` is 1, or 0 when peeling settles every edge; ``splits``
     counts the growth splits.  ``timings`` holds the seconds of the four
     stages (``preprocess``, ``islander``, the balance check, ``loop``,
-    ``solve_flow``, which only builds the result from the peel's steps when
-    peeling settles every edge) and, inside the loop, the seconds spent
-    building condensations, keeping them current and searching them for cut
-    vertices (``condense``) and in the sampler's selection (``sample``;
-    keeping the frontier's classes current counts as loop time).
-    ``candidates`` counts the orientations whose weight the sampler
-    computed; it is not in the JSON document yet.  ``sampled`` holds the
-    ``(tail, head)`` each chosen edge was given before the forest solve,
-    settled edges first, and ``edge_indices`` the edges in the same order.
-    Growth counts into the report as it goes, and :func:`solve` turns
-    ``trace`` into a tuple.
+    ``solve_flow``, only building the result if peeling settles every edge)
+    and, inside the loop, the seconds spent building condensations, keeping
+    them current and searching them for cut vertices (``condense``) and in
+    the sampler's selection (``sample``; keeping the frontier's classes
+    current counts as loop time).  ``candidates`` counts the orientations
+    whose weight the sampler computed; it is not in the JSON document yet.
+    ``sampled`` holds the ``(tail, head)`` each chosen edge was given before
+    the forest solve, settled edges first, and ``edge_indices`` the edges in
+    the same order.  Growth counts into the report as it goes, and
+    :func:`solve` turns ``trace`` into a tuple.
     """
 
     cost: float = 0.0
@@ -135,7 +134,8 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
         Infeasible: If the construction gets stuck; the message names the
             subproblem by its smallest node id and gives the iteration, which
             ``iteration`` carries.  Also raised, with ``iteration`` None, when
-            the cost of the solved flows overflows.
+            the cost of the solved flows overflows, or when they leave a
+            demand node a root because rounding lost a supply.
         InfeasibleSplit: If the peeled graph or a side of a growth split
             fails to balance.
     """
@@ -151,20 +151,12 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
                          edge_indices=list(pre.presampled_edge_indices))
     t2 = t1
     if not pre.fully_reduced:
-        # peeling adds in floats, so the core balances to the network's tolerance
-        floor = balance_tolerance(net.injections)
+        floor = balance_tolerance(net.injections)  # peeling adds in floats
         islander(pre.reduced_injections, floor)
         t2 = time.perf_counter()
-        run_partition(pre.reduced, pre.reduced_injections, report, floor=floor,
+        run_partition(pre.reduced, pre.reduced_injections, report, tol=floor,
                       check_invariants=check_invariants,
                       collect_trace=collect_trace)
-        # a supply within tolerance of zero may stay alone: an edge joins it
-        ends = {net.edges[idx][k] for idx in report.edge_indices for k in (0, 1)}
-        for idx, (u, v, _) in enumerate(net.edges if len(ends) < net.n else ()):
-            if not ends.issuperset((u, v)):
-                report.sampled.append((u, v) if u not in ends else (v, u))
-                report.edge_indices.append(idx)
-                ends.update((u, v))
     t3 = time.perf_counter()
 
     solution = solve_forest(net, report.edge_indices, peeled=pre.peeled)
@@ -176,6 +168,11 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
     for k in solution.zero_flow_edges:
         final_edges[k] = report.sampled[k]
     report.flipped_edges = sum(map(ne, final_edges, report.sampled))
+    # rounding can lose a supply under a huge injection; no root may be a demand
+    roots = set(range(net.n)).difference(map(itemgetter(1), final_edges))
+    bad = [v for v in roots if net.injections[v] < 0] if final_edges else []
+    if bad:
+        raise Infeasible(f"the solved flows leave demand node {net.names[min(bad)]} a root")
     cfg = RadialConfiguration(tuple(final_edges), solution.flows, solution.cost)
 
     report.cost = solution.cost
@@ -230,7 +227,7 @@ class Subproblem:
 
 
 def run_partition(view: GraphView, injections: dict[int, float],
-                  report: SolveReport, *, floor: float, check_invariants: bool = False,
+                  report: SolveReport, *, tol: float, check_invariants: bool = False,
                   collect_trace: bool = False) -> None:
     """Grow polytrees over the peeled graph until covered and drained.
 
@@ -240,10 +237,9 @@ def run_partition(view: GraphView, injections: dict[int, float],
     therefore only ever consults irreducible condensations.  The chosen
     edges, counts and seconds go straight into ``report``; growth adds at
     most n - 1 edges.  Growth cuts ``view.adj`` and ``injections`` down in
-    place.  The balance tolerance is at least ``floor``.
+    place.  ``tol`` is the balance tolerance, the whole network's.
     """
     net, adj, inj = view.net, view.adj, injections
-    tol = max(floor, balance_tolerance(inj.values()))
     sources = sorted(v for v, p in inj.items() if p > 0)
 
     if not sources:
@@ -254,9 +250,30 @@ def run_partition(view: GraphView, injections: dict[int, float],
     cap = len(report.edge_indices) + len(adj) - 1
     todo = [_subproblem(net, adj, ForestState(sources, inj), pool,
                         PathCostAccumulator(), report)]
+    lone: list[int] = []
     while todo:
-        todo.extend(reversed(_grow(todo.pop(), tol, cap, report,
+        todo.extend(reversed(_grow(todo.pop(), tol, cap, report, lone,
                                    check_invariants, collect_trace)))
+    if lone:
+        # a supply within tolerance of zero counts as drained, so growth may
+        # leave it a tree of its own: each such node that no chosen edge
+        # reaches gets the first edge to one that does (if none does, the
+        # smallest such node is reached first)
+        reached = {v for idx in report.edge_indices for v in net.edges[idx][:2]}
+        left = set(lone) - reached
+        reached = reached or {min(left)}
+        left -= reached
+        while left:
+            join = next(((idx, u, v) for idx, (a, b, _) in enumerate(net.edges)
+                         for u, v in ((a, b), (b, a)) if u in left and v in reached), None)
+            if join is None:
+                raise Infeasible(f"supply node {net.names[min(left)]} is left with "
+                                 f"no edge", iteration=report.iterations)
+            idx, tail, head = join
+            left.remove(tail)
+            reached.add(tail)
+            report.sampled.append((tail, head))
+            report.edge_indices.append(idx)
 
 
 def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
@@ -270,12 +287,13 @@ def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
     return Subproblem(net, Frontier(pool, state, cond, h), sorted(adj), linked)
 
 
-def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport,
+def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list[int],
           check_invariants: bool, collect_trace: bool) -> list[Subproblem]:
     """Grow one subproblem until done (returns ``[]``) or split (its sides).
 
     The frontier and the condensation are updated by each step where it
-    changes them.  ``cap`` bounds the edges in ``report``.
+    changes them.  ``cap`` bounds the edges in ``report``.  When done, the
+    node of every one-node tree goes into ``lone``.
     """
     net, view, frontier = sub.net, sub.graph, sub.frontier
     state, cond, h = frontier.state, frontier.cond, frontier.h
@@ -285,6 +303,7 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport,
         uncovered = len(state.membership) < len(cond.adj)
         drained = all(abs(r) <= tol for r in state.residuals.values())
         if not uncovered and drained:
+            lone.extend(m[0] for m in state.members.values() if len(m) == 1)
             return []
         if len(report.edge_indices) >= cap:
             raise Infeasible(

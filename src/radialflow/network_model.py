@@ -224,7 +224,6 @@ def _normalized(names: Sequence[str], edges: Sequence) -> list[tuple[int, int, f
     except (TypeError, ValueError, OverflowError):
         pass
 
-    normalized: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for u, v, c in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -240,8 +239,7 @@ def _normalized(names: Sequence[str], edges: Sequence) -> list[tuple[int, int, f
             raise ValidationError(
                 f"duplicate edge ({names[key[0]]!r}, {names[key[1]]!r})")
         seen.add(key)
-        normalized.append((key[0], key[1], float(c)))
-    return normalized
+    raise ValidationError("invalid edge list")
 
 
 def load_network(source: str | bytes | IO) -> DistributionNetwork:
@@ -288,7 +286,6 @@ def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
     except (LookupError, TypeError, OverflowError):
         pass
 
-    names = []
     raw_p: dict[str, float] = {}
     for item in nodes:
         if not isinstance(item, dict) or "name" not in item or "p" not in item:
@@ -299,25 +296,19 @@ def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
         p = _number(p, "injection must be a number at node %r", name)
         if name in raw_p:
             raise ValidationError(f"duplicate node name {name!r}")
-        names.append(name)
         raw_p[name] = p
 
-    names.sort()
-    ids = {name: i for i, name in enumerate(names)}
-
-    edges: list[tuple[int, int, float]] = []
     for item in edge_items:
         if not isinstance(item, dict) or not {"u", "v", "c"} <= set(item):
             raise ParseError(f"edge entry must have 'u', 'v' and 'c': {item!r}")
         u, v, c = item["u"], item["v"], item["c"]
         if not isinstance(u, str) or not isinstance(v, str):
             raise ParseError(f"edge endpoints must be node names: {item!r}")
-        c = _number(c, "cost coefficient must be a number: %r", item)
-        if u not in ids or v not in ids:
-            missing = u if u not in ids else v
+        _number(c, "cost coefficient must be a number: %r", item)
+        if u not in raw_p or v not in raw_p:
+            missing = u if u not in raw_p else v
             raise ValidationError(f"unknown node {missing!r} in edge list")
-        edges.append((ids[u], ids[v], c))
-    return names, [raw_p[name] for name in names], edges
+    raise ParseError("malformed network document")
 
 
 def _read_json(source: str | bytes | IO, what: str) -> Any:

@@ -38,8 +38,7 @@ class ForestFlowSolution:
 
 
 def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
-                 peeled: tuple[list, list[float]] | None = None,
-                 ) -> ForestFlowSolution:
+                 peeled: tuple[list, list[float]] | None = None) -> ForestFlowSolution:
     """Solve conservation on a forest-shaped subset of network edges.
 
     Args:
