@@ -84,8 +84,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.report is not None:
         _write_text(args.report, report.to_json())
     if args.trace is not None:
-        rows = ["iter,edge,weight,balance_ok,pendant,deleted_count"]
-        rows += [f"{r.iteration},{r.edge_index},{r.weight!r},"
+        rows = ["iter,edge,raw_weight,balance_ok,pendant,deleted_count"]
+        rows += [f"{r.iteration},{r.edge_index},{r.raw_weight!r},"
                  f"{int(r.balance_ok)},{int(r.pendant)},{r.deleted_count}"
                  for r in report.trace]
         _write_text(args.trace, "\n".join(rows) + "\n")

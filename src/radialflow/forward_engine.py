@@ -39,11 +39,15 @@ logger = logging.getLogger("radialflow.engine")
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One sampling decision, for the optional CSV trace."""
+    """One sampling decision, for the optional CSV trace.
+
+    ``raw_weight``, ``balance_ok`` and ``pendant`` are the pick's own: its
+    two priority flags and then its raw weight decided the pick.
+    """
 
     iteration: int
     edge_index: int
-    weight: float
+    raw_weight: float
     balance_ok: bool
     pendant: bool
     deleted_count: int
@@ -346,8 +350,8 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list
                 f"({expected[0]} > {expected[1]})")
         i, j, eidx, w, demand, balance, pendant = result.best
         if collect_trace:
-            trace.append(TraceRow(len(trace) + 1, eidx, result.chosen.weight,
-                                  balance, pendant, deleted))
+            trace.append(TraceRow(len(trace) + 1, eidx, w, balance, pendant,
+                                  deleted))
 
         frontier.remove(eidx)
         ti = state.tree_of(i)

@@ -13,13 +13,12 @@ and receiving condensation group.  A class shares supply, demand and both
 priorities; only ``c·d² + h[tail]`` differs inside it.  So a step rescores
 only the classes whose tree residual, group residual or members changed and
 takes the best of the class winners.  :func:`score` is the full scan, kept
-for :attr:`SampleResult.ranked`, the normalized trace weight and invariant
-mode.
+for invariant mode and for :attr:`SampleResult.ranked`, which the
+benchmark's traced run reads (``perfbench/spans.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
@@ -311,31 +310,15 @@ class _Class:
         self.seen: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class CandidateEdge:
-    """One scored orientation of a remaining edge."""
-
-    tail: int
-    head: int
-    edge_index: int
-    raw_weight: float
-    weight: float
-    balance_ok: bool
-    pendant_source: bool
-    demand: float
-
-
 @dataclass
 class SampleResult:
     """The winning orientation of one step.
 
-    ``best`` is the winner as a :func:`score` tuple and ``evaluated`` counts
-    the orientations whose weight the selection computed.  ``ranked`` (every
-    live orientation, by edge index, with its weight normalized by the sum
-    of raw weights) and ``chosen`` (the winner, normalized alike) are built
-    from the frontier when first read, so read them before the step is
-    applied.  The raw weights are divided by the largest before they are
-    summed, so the sum cannot overflow; infinite ones share the mass equally.
+    ``best`` is the winner as a :func:`score` tuple, whose two flags and raw
+    weight decided the pick, and ``evaluated`` counts the orientations whose
+    weight the selection computed.  ``ranked`` holds the :func:`score` tuples of every
+    live orientation, by edge index; it runs the full scan when first read,
+    so read it before the step is applied.
     """
 
     best: tuple
@@ -343,23 +326,10 @@ class SampleResult:
     frontier: Frontier = field(repr=False, compare=False)
 
     @cached_property
-    def ranked(self) -> tuple[CandidateEdge, ...]:
+    def ranked(self) -> list[tuple]:
         f = self.frontier
         live = sorted({idx for idx, _ in f.where})
-        raw = score([f.pool[idx] for idx in live], f)
-        top = max((r[3] for r in raw), default=0.0)
-        shares = [float(r[3] == top) if math.isinf(top) else r[3] / top
-                  if top else 0.0 for r in raw]
-        total = math.fsum(shares) or 1.0
-        return tuple(CandidateEdge(i, j, eidx, w, share / total, balance,
-                                   pendant, demand)
-                     for (i, j, eidx, w, demand, balance, pendant), share
-                     in zip(raw, shares))
-
-    @property
-    def chosen(self) -> CandidateEdge:
-        return next(c for c in self.ranked
-                    if (c.tail, c.head, c.edge_index) == self.best[:3])
+        return score([f.pool[idx] for idx in live], f)
 
 
 def score(edges: Iterable[tuple[int, int, int, float]],

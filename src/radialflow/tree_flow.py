@@ -14,7 +14,8 @@ from operator import itemgetter
 from typing import Iterable
 
 from .exceptions import CycleError, ImbalanceError
-from .network_model import DistributionNetwork, balance_tolerance
+from .network_model import (BALANCE_RTOL, DistributionNetwork,
+                            balance_tolerance)
 from .preprocessor import peel
 
 
@@ -62,9 +63,10 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
         raise CycleError(
             f"edge subset is not a forest: cycle through ({net.names[u]}, {net.names[v]})")
 
-    # a leaf keeps 0.0, so a residual can only stay on a neighbor
+    # a leaf keeps 0.0, so a residual can only stay on a neighbor; the
+    # tolerance, a sum over every injection, is never below BALANCE_RTOL
     worst = max([abs(p[j]) for _, j, _, _ in steps], default=0.0)
-    if worst > balance_tolerance(net.injections):
+    if worst > BALANCE_RTOL and worst > balance_tolerance(net.injections):
         # ascending, so that the error names the first node of largest residual
         covered = sorted({v for i, j, _, _ in steps for v in (i, j)})
         bad = max(covered, key=lambda v: abs(p[v]))

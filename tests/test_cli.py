@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import platform
 import sys
 
@@ -11,8 +12,9 @@ import pytest
 
 from conftest import data_path
 from radialflow import (GenSpec, build_network, config_from_json,
-                        config_to_json, generate, load_network,
-                        serialize_network, solve, validate_radial)
+                        config_to_json, forward_engine, generate,
+                        load_network, serialize_network, solve,
+                        validate_radial)
 from radialflow.cli import LOG_LEVELS, main
 
 GAP_RING = str(data_path("mst_gap_ring.json"))
@@ -69,7 +71,7 @@ def test_solve_report_and_trace(tmp_path):
     assert set(report["timings"]) == {"preprocess", "islander", "loop",
                                       "solve_flow", "condense", "sample"}
     lines = tr.read_text().splitlines()
-    assert lines[0] == "iter,edge,weight,balance_ok,pendant,deleted_count"
+    assert lines[0] == "iter,edge,raw_weight,balance_ok,pendant,deleted_count"
     assert len(lines) == 1 + report["iterations"]
     assert [row.split(",")[0] for row in lines[1:]] == [
         str(i + 1) for i in range(report["iterations"])]
@@ -253,9 +255,19 @@ def test_log_level_table():
 @pytest.mark.parametrize("p", [(1.5e296, -0.75e296, -0.75e296),
                                (1e300, -5e299, -5e299)],
                          ids=["sum overflows", "weights infinite"])
-def test_traced_solve_at_overflowing_weights(tmp_path, p):
-    # the normalizing sum of the raw weights once overflowed (an untyped
-    # OverflowError) or divided inf by inf (nan weights in the trace)
+def test_traced_solve_at_overflowing_weights(tmp_path, monkeypatch, p):
+    # a weight normalized by the sum of the raw weights once overflowed (an
+    # untyped OverflowError) or divided inf by inf (nan weights in the trace);
+    # each row reads the pick's own raw weight
+    picks = []
+    real_sample = forward_engine.sample
+
+    def recorded(*args):
+        result = real_sample(*args)
+        picks.append(result.best)
+        return result
+
+    monkeypatch.setattr(forward_engine, "sample", recorded)
     doc = {"nodes": [{"name": name, "p": x} for name, x in zip("abc", p)],
            "edges": [{"u": "a", "v": "b", "c": 0.0},
                      {"u": "a", "v": "c", "c": 0.0},
@@ -265,11 +277,15 @@ def test_traced_solve_at_overflowing_weights(tmp_path, p):
     traced, plain = tmp_path / "traced.json", tmp_path / "plain.json"
     tr = tmp_path / "trace.csv"
     assert main(["solve", str(net), "-o", str(traced), "--trace", str(tr)]) == 0
+    traced_picks = picks[:]
     assert main(["solve", str(net), "-o", str(plain)]) == 0
     assert traced.read_bytes() == plain.read_bytes()
     rows = [row.split(",") for row in tr.read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == ["0", "1"]
-    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+    assert len(traced_picks) == len(rows)
+    for row, best in zip(rows, traced_picks):
+        assert not math.isnan(float(row[2]))
+        assert float(row[2]) == best[3]
 
 
 @pytest.mark.parametrize("config", [

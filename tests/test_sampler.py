@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import full_view, small_networks, ws_instance
-from radialflow import (Infeasible, NoCandidate, build_network, solve,
-                        validate_radial)
-from radialflow import forward_engine
+from radialflow import (Infeasible, NoCandidate, build_network,
+                        config_to_json, solve, validate_radial)
+from radialflow import forward_engine, sampler
 from radialflow.forward_engine import SolveReport, _subproblem
 from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
                                 edge_weight, sample)
@@ -51,18 +51,17 @@ def test_weight_decreases_with_cost_and_path():
 
 
 def test_normalization_identity():
-    # raw weights 2.5 and 7.5 must surface as 0.25 and 0.75
+    # the raw weights are 2.5 and 7.5, and the larger wins
     net = build_network(["s", "x", "y"],
                         [(0, 1, 1.2), (0, 2, 0.1)],
                         [3.0, -1.0, -2.0])
     state = ForestState([0], {0: 3.0, 1: -1.0, 2: -2.0})
     result = pick(net, state)
-    by_head = {c.head: c for c in result.ranked}
-    assert by_head[1].raw_weight == pytest.approx(2.5, rel=1e-9)
-    assert by_head[2].raw_weight == pytest.approx(7.5, rel=1e-9)
-    assert by_head[1].weight == pytest.approx(0.25, rel=1e-9)
-    assert by_head[2].weight == pytest.approx(0.75, rel=1e-9)
-    assert result.chosen.head == 2
+    by_head = {c[1]: c for c in result.ranked}
+    assert by_head[1][3] == pytest.approx(2.5, rel=1e-9)
+    assert by_head[2][3] == pytest.approx(7.5, rel=1e-9)
+    assert result.best[1] == 2
+    assert result.best[3] == by_head[2][3]
 
 
 def test_pendant_super_source_pops_first():
@@ -74,9 +73,9 @@ def test_pendant_super_source_pops_first():
     net = build_network(names, edges, injections)
     state = ForestState([0, 1], dict(enumerate(injections)))
     result = pick(net, state)
-    assert result.chosen.pendant_source
-    assert (result.chosen.tail, result.chosen.head) == (0, 2)
-    assert result.chosen.weight < max(c.weight for c in result.ranked)
+    assert result.best[6]
+    assert result.best[:2] == (0, 2)
+    assert result.best[3] < max(c[3] for c in result.ranked)
 
 
 def test_balance_outranks_weight():
@@ -89,11 +88,11 @@ def test_balance_outranks_weight():
     state = ForestState([0, 1], dict(enumerate(injections)))
     result = pick(net, state)
     ranked = result.ranked
-    heavy = max(ranked, key=lambda c: c.weight)
-    assert not heavy.balance_ok
-    assert result.chosen.balance_ok
-    assert result.chosen != heavy
-    assert (result.chosen.tail, result.chosen.head) == (1, 3)
+    heavy = max(ranked, key=lambda c: c[3])
+    assert not heavy[5]
+    assert result.best[5]
+    assert result.best != heavy
+    assert result.best[:2] == (1, 3)
 
 
 def test_interior_edges_are_deleted():
@@ -119,9 +118,9 @@ def test_interior_edges_are_deleted():
     assert frontier.flush() == 1
     assert list(frontier.pool) == [3]
     result = sample(sub.graph, inj, state, h, frontier)
-    assert (result.chosen.tail, result.chosen.head) == (2, 3)
-    assert result.chosen.balance_ok
-    assert all(c.edge_index != 2 for c in result.ranked)
+    assert result.best[:2] == (2, 3)
+    assert result.best[5]
+    assert all(c[2] != 2 for c in result.ranked)
 
 
 def test_no_candidate_raises():
@@ -139,7 +138,7 @@ def test_deterministic():
     state_b = ForestState([0], dict(enumerate(net.injections)))
     first = pick(net, state_a)
     second = pick(net, state_b)
-    assert first.chosen == second.chosen
+    assert first.best == second.best
     assert first.ranked == second.ranked
 
 
@@ -149,7 +148,7 @@ def test_tie_breaks_on_node_ids():
                         [2.0, -1.0, -1.0])
     state = ForestState([0], dict(enumerate(net.injections)))
     result = pick(net, state)
-    assert (result.chosen.tail, result.chosen.head) == (0, 1)
+    assert result.best[:2] == (0, 1)
 
 
 def test_scale_free_ranking():
@@ -158,7 +157,7 @@ def test_scale_free_ranking():
         net = build_network(["s", "x", "y"], edges, [2.0, -1.0, -1.0])
         state = ForestState([0], dict(enumerate(net.injections)))
         result = pick(net, state)
-        return (result.chosen.tail, result.chosen.head)
+        return result.best[:2]
 
     assert run(1.0) == run(3.0) == run(0.25)
 
@@ -176,20 +175,20 @@ def test_merge_candidates_allowed():
     result = pick(net, state, [(0, 0, 1, 1.0), (1, 1, 2, 1.0),
                                (3, 0, 3, 1.0)], h)
     bridging = [c for c in result.ranked
-                if state.tree_of(c.head) is not None]
+                if state.tree_of(c[1]) is not None]
     assert bridging
-    assert result.chosen.edge_index == 3
-    assert state.tree_of(result.chosen.head) is not None
+    assert result.best[2] == 3
+    assert state.tree_of(result.best[1]) is not None
 
 
 def test_free_edge_wins_at_extreme_injections():
-    # the raw weights are 0.0 and inf; their sum is inf, so ranking by the
-    # normalized weight compared 0.0 with inf / inf = nan
+    # the raw weights are 0.0 and inf; ranking by a weight normalized by
+    # their sum once compared 0.0 with inf / inf = nan
     net = build_network(["s", "a", "b"], [(0, 1, 1.0), (0, 2, 0.0)],
                         [1e300, -5e299, -5e299])
     inj = dict(enumerate(net.injections))
     result = pick(net, ForestState([0], inj))
-    assert [c.raw_weight for c in result.ranked] == [0.0, math.inf]
+    assert [c[3] for c in result.ranked] == [0.0, math.inf]
     assert result.best[2:4] == (1, math.inf)
 
 
@@ -207,6 +206,40 @@ def test_index_scores_fewer_orientations_than_a_full_scan(monkeypatch):
     assert len(full) == report.iterations
     assert 0 < report.candidates < sum(full)
     assert "candidates" not in json.loads(report.to_json())
+
+
+def test_traced_solve_runs_no_full_scan(monkeypatch):
+    # a trace row reads the pick's own raw weight and flags, so a traced
+    # solve scores no more of the frontier than an untraced one
+    def no_scan(*args):
+        raise AssertionError("the full scan ran outside invariant mode")
+
+    monkeypatch.setattr(sampler, "score", no_scan)
+    net = ws_instance(120, 0)
+    plain_cfg, plain = solve(net)
+    picks = []
+    real_sample = forward_engine.sample
+
+    def recorded(*args):
+        result = real_sample(*args)
+        picks.append(result.best)
+        return result
+
+    monkeypatch.setattr(forward_engine, "sample", recorded)
+    cfg, report = solve(net, collect_trace=True)
+    assert len(report.trace) == report.iterations == len(picks) > 0
+    for number, (row, best) in enumerate(zip(report.trace, picks), 1):
+        assert row.iteration == number
+        assert (row.edge_index, row.raw_weight, row.balance_ok,
+                row.pendant) == (best[2], best[3], best[5], best[6])
+    assert config_to_json(net, cfg) == config_to_json(net, plain_cfg)
+
+    def counters(r):
+        doc = json.loads(r.to_json())
+        del doc["timings"]
+        return doc, r.candidates, r.sampled, r.edge_indices
+
+    assert counters(report) == counters(plain)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -230,4 +263,4 @@ def test_parallel_orientations_tie_on_edge_index():
                  [(5, 0, 1, 1.0), (0, 0, 1, 1.0)]):
         result = pick(net, ForestState([0], inj), pool)
         assert result.best[2] == 0
-        assert [c.edge_index for c in result.ranked] == [0, 5]
+        assert [c[2] for c in result.ranked] == [0, 5]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from radialflow import (CycleError, ImbalanceError, build_network, solve,
                         solve_forest)
-from radialflow.network_model import FLOW_ATOL, balance_tolerance
+from radialflow.network_model import (BALANCE_RTOL, FLOW_ATOL,
+                                      balance_tolerance)
 from radialflow.preprocessor import peel
 
 from conftest import random_forest_case, random_tree_network, small_networks
@@ -69,6 +70,32 @@ def test_imbalanced_component_rejected():
                         [2.0, -1.0, -1.0])
     with pytest.raises(ImbalanceError):
         solve_forest(net, [0])
+
+
+def split_pairs(r):
+    """Two pairs a-b and c-d, with residuals r and -r, joined by a b-c edge
+    that the forest [0, 2] leaves out; sum(|p|) is about 3072."""
+    return build_network(["a", "b", "c", "d"],
+                         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+                         [1024.0, -1024.0 + r, 512.0, -512.0 - r])
+
+
+def test_residual_within_the_whole_tolerance_solves():
+    # 2**-22 is above BALANCE_RTOL but below the tolerance of ~3.1e-6
+    net = split_pairs(2.0 ** -22)
+    assert BALANCE_RTOL < 2.0 ** -22 < balance_tolerance(net.injections)
+    sol = solve_forest(net, [0, 2])
+    assert sol.oriented_edges == ((0, 1), (2, 3))
+    assert sol.flows == (1024.0, 512.0)
+
+
+def test_residual_above_the_whole_tolerance_raises():
+    net = split_pairs(2.0 ** -16)
+    assert 2.0 ** -16 > balance_tolerance(net.injections)
+    with pytest.raises(ImbalanceError) as info:
+        solve_forest(net, [0, 2])
+    assert str(info.value) == ("component injections do not cancel: "
+                               "residual 1.52587890625e-05 at b")
 
 
 def test_orientation_points_along_flow():
