@@ -5,9 +5,9 @@ tree sits on the supply side while its residual injection is positive and on
 the demand side once drained.  Same-side connected groups collapse into super
 nodes; only edges crossing sides survive, counted per pair of super nodes.
 
-:func:`net_concad` builds a :class:`Condensation` from scratch, once for
-the peeled graph and once per small side of a growth split; the growth
-loop then updates it where each step changes it.
+:func:`net_concad` builds a :class:`Condensation` from scratch once per
+solve; each growth step updates it, and a growth split hands each small
+side its groups, so that only the side's rim group is new.
 Invariant mode rebuilds it with :func:`net_concad` before every step and
 compares the two; the updates share none of its grouping code.
 """
@@ -93,9 +93,9 @@ class Condensation:
     ``super_nodes`` maps id to group, ``membership`` maps node to id,
     ``source`` maps node to its side, and :meth:`adjacency` maps id to
     ``{neighbor id: crossing edge count}``.  :func:`net_concad` builds it once
-    per subproblem; after that :meth:`move` changes it only where a step moves
-    nodes across sides, and a growth split cuts it down to the side it keeps
-    (:meth:`drop`, :meth:`cut_down`).
+    per solve; then :meth:`move` changes it where a step moves nodes across
+    sides, and a growth split hands each small side its groups
+    (:meth:`split_off`) and cuts the hub down (:meth:`cut_down`).
 
     Args:
         adjacency: Adjacency of the graph, kept and read by every update.
@@ -173,13 +173,39 @@ class Condensation:
             self._place(piece, gid)
         return self._relabelled
 
-    def drop(self, groups: Iterable[int]) -> None:
-        """Remove whole groups, with their members, from the condensation."""
+    def split_off(self, groups: Iterable[int], cut: int,
+                  adj: Mapping[int, list[tuple[int, int]]],
+                  injections: Mapping[int, float], hub: list[int],
+                  ) -> tuple[Condensation, int, list[int]]:
+        """Move ``groups``, a side of supply group ``cut``, into a condensation
+        over the side's ``adj`` and ``injections`` that shares the id counter.
+
+        The groups keep their ids, members, totals and crossing counts.  The
+        ``hub`` nodes form a new rim group with the groups' counts into
+        ``cut``; if its injections sum to zero or less, it is a sink and
+        merges with its neighbors.  Returns the condensation, the rim's id and
+        the nodes whose group id that merge changed.
+        """
+        out = Condensation(adj, injections)
+        out._ids = self._ids
+        rim = next(self._ids)
+        row = out._nbrs[rim] = {}
+        into_cut = self._nbrs[cut]
         for gid in groups:
-            for v in self.super_nodes.pop(gid).members:
-                del self.membership[v], self.source[v]
-            for other in self._nbrs.pop(gid):
-                self._nbrs.get(other, {}).pop(gid, None)
+            group = out.super_nodes[gid] = self.super_nodes.pop(gid)
+            nbrs = out._nbrs[gid] = self._nbrs.pop(gid)
+            for v in group.members:
+                out.membership[v] = self.membership.pop(v)
+                out.source[v] = self.source.pop(v)
+            if gid in into_cut:
+                del into_cut[gid]
+                nbrs[rim] = row[gid] = nbrs.pop(cut)
+        group = out.super_nodes[rim] = Group("source", hub, injections)
+        out.membership.update(dict.fromkeys(hub, rim))
+        out.source.update(dict.fromkeys(hub, True))
+        if group.residual <= 0:
+            out._turn(rim, hub, False)
+        return out, rim, out._relabelled
 
     def cut_down(self, gid: int, nodes: Collection[int],
                  residual: float) -> list[int]:

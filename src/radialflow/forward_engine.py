@@ -163,15 +163,17 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
                       collect_trace=collect_trace)
     t3 = time.perf_counter()
 
-    solution = solve_forest(net, report.edge_indices, peeled=pre.peeled)
+    solution = solve_forest(net, report.edge_indices, peeled=pre.peeled, oriented=pre.presampled)
     t4 = time.perf_counter()
     if not math.isfinite(solution.cost):
         raise Infeasible(f"cost of the solved flows overflows to {solution.cost}")
 
-    final_edges = list(solution.oriented_edges)
-    for k in solution.zero_flow_edges:
-        final_edges[k] = report.sampled[k]
-    report.flipped_edges = sum(map(ne, final_edges, report.sampled))
+    final_edges = solution.oriented_edges
+    if pre.peeled is None:  # else the peel's own steps oriented every edge
+        final_edges = list(final_edges)
+        for k in solution.zero_flow_edges:
+            final_edges[k] = report.sampled[k]
+        report.flipped_edges = sum(map(ne, final_edges, report.sampled))
     # rounding can lose a supply under a huge injection; no root may be a demand
     roots = set(range(net.n)).difference(map(itemgetter(1), final_edges))
     bad = [v for v in roots if net.injections[v] < 0] if final_edges else []
@@ -281,14 +283,13 @@ def run_partition(view: GraphView, injections: dict[int, float],
 
 
 def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
-                pool: list, h: PathCostAccumulator, report: SolveReport,
-                linked: tuple | None = None) -> Subproblem:
-    """A subproblem over ``adj`` and ``state.injections`` whose condensation
-    is built afresh by :func:`net_concad` and whose frontier holds ``pool``."""
+                pool: list, h: PathCostAccumulator, report: SolveReport) -> Subproblem:
+    """The first subproblem, over the peeled graph ``adj``: :func:`net_concad`
+    builds its condensation, and its frontier holds ``pool``."""
     start = time.perf_counter()
     cond = net_concad(GraphView(net, adj), state.injections, state.membership)
     report.timings["condense"] += time.perf_counter() - start
-    return Subproblem(net, Frontier(pool, state, cond, h), sorted(adj), linked)
+    return Subproblem(net, Frontier(pool, state, cond, h), sorted(adj))
 
 
 def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list[int],
@@ -460,17 +461,19 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     root and the hub's smallest node, which keeps cuts and sides in order;
     :data:`HUB_LINK` links from the root hold them together.  The side with
     the most nodes of its own keeps ``sub``, its frontier and everything the
-    frontier holds, and drops the rest in place; the others are built afresh.  Of a hub the last split cut down
-    (``sub.linked``), only the nodes added since and those next to them or to
-    a small side are looked at.  So a split costs a search over the groups,
-    the small sides and the new hub nodes (Even and Shiloach 1981).
+    frontier holds, cut down in place.  Every other side is handed its
+    trees, groups, pool edges and classes (the ``split_off`` methods); only
+    its rim group is new.  Of a hub the last split cut down (``sub.linked``),
+    only the nodes added since and those next to them or to a small side are
+    looked at.  So a split costs a search over the groups, the small sides
+    and the new hub nodes (Even and Shiloach 1981).
 
     Args:
         sub: Subproblem to split; it becomes its largest side.
         cut: Id in ``sub.frontier.cond`` of a supply super node that is a
             cut vertex.
         report: Report receiving the joining edges and the seconds spent
-            condensing the sides.
+            handing the sides their condensations.
         tol: Balance tolerance of the peeled graph, the floor for the side
             checks.
 
@@ -540,7 +543,9 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
                     rim.setdefault(y, []).append((v, idx))
         touched.update(rim)
         hubs[k] = [*rim, *{root, top}.difference(rim)]
-        side_adj[k].update((v, rim.get(v, [])) for v in hubs[k])
+        spokes = [(v, HUB_LINK) for v in hubs[k] if v != root]
+        side_adj[k].update((v, [*rim.get(v, ()), (root, HUB_LINK)]) for v, _ in spokes)
+        side_adj[k][root] = [*rim.get(root, ()), *spokes]
         side_inj[k].update(dict.fromkeys(hubs[k], 0.0))
     redo = set(new)
     if old:
@@ -574,24 +579,20 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     built = {big: sub}
     for k, own in small.items():
         sadj = side_adj[k]
-        for v in hubs[k]:
-            if v != root:
-                sadj[root].append((v, HUB_LINK))
-                sadj[v].append((root, HUB_LINK))
-        side_state = state.take(
+        side_state = state.split_off(
             sorted({t for t in map(state.tree_of, own) if t is not None}),
-            side_inj[k])
-        side_state.plant(root, hubs[k], share[k])
-        built[k] = _subproblem(
-            sub.net, sadj, side_state,
-            frontier.take(i for v in own for _, i in sadj[v]), frontier.h,
-            report, (root, set(hubs[k]), top))
-        built[k].frontier.replicas = frozenset(r for r in replicas if r in sadj)
+            side_inj[k], root, hubs[k], share[k])
+        start = time.perf_counter()
+        side_cond, rim, relabelled = cond.split_off(sides[k], cut, sadj, side_inj[k], hubs[k])
+        report.timings["condense"] += time.perf_counter() - start
+        side = frontier.split_off({i for v in own for _, i in sadj[v]}, side_state,
+                                  side_cond, set(sides[k]), cut, rim, relabelled)
+        side.replicas = frozenset(r for r in replicas if r in sadj)
+        built[k] = Subproblem(sub.net, side, sorted(sadj), (root, set(hubs[k]), top))
 
     # the kept side is the subproblem, cut down in place; its hub nodes other
     # than the root hold no injection
     start = time.perf_counter()
-    cond.drop(g for k in small for g in sides[k])
     for v in redo & keep:
         adj[v] = outward[v]
         if v != root:

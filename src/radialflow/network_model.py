@@ -431,10 +431,15 @@ def config_to_json(net: DistributionNetwork, cfg: RadialConfiguration) -> str:
     directed = cfg.directed_edges
     text = _json_values(net.names, _ROW)
     flows = _json_values(cfg.flows, _ROW)
+    n = net.n
+    keys = [u * n + v for u, v in directed]  # orders as (u, v) does
     edges = [(text[directed[i][0]], text[directed[i][1]], flows[i])
-             for i in sorted(range(len(directed)), key=directed.__getitem__)]
+             for i in sorted(range(len(directed)), key=keys.__getitem__)]
+    cost = cfg.total_cost
     return _json_document([("edges", _json_objects(("u", "v", "flow"), edges)),
-                           ("cost", _json_values([cfg.total_cost], _FIELD)[0])])
+                           ("cost", float.__repr__(cost)
+                            if type(cost) is float and math.isfinite(cost)
+                            else _json_values([cost], _FIELD)[0])])
 
 
 def config_from_json(net: DistributionNetwork, source: str | bytes | IO) -> RadialConfiguration:

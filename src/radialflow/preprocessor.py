@@ -98,9 +98,9 @@ def preprocess(net: DistributionNetwork) -> PreprocessResult:
     """
     p = list(net.injections)
     steps, degree = peel(net, range(net.m), p)
-    presampled = tuple((i, j) if value >= 0 else (j, i)
-                       for i, j, _, value in steps)
-    pre_idx = tuple(idx for _, _, idx, _ in steps)
+    presampled = tuple([(i, j) if value >= 0 else (j, i)
+                        for i, j, _, value in steps])
+    pre_idx = tuple([idx for _, _, idx, _ in steps])
 
     reduced = {v: [] for v, d in enumerate(degree) if d}
     if reduced:

@@ -78,10 +78,11 @@ class ForestState:
         self.members[tree].append(node)
         self.residuals[tree] = self._sums[tree].add((self.injections[node],))
 
-    def take(self, trees: Iterable[int],
-             injections: Mapping[int, float]) -> "ForestState":
-        """Move ``trees``, with their exact sums, into a new state over
-        ``injections``, which must give their members the same values."""
+    def split_off(self, trees: Iterable[int], injections: Mapping[int, float],
+                  root: int, hub: list[int], residual: float) -> "ForestState":
+        """Move ``trees`` with their exact sums, and a new tree ``root`` over
+        ``hub`` whose injections sum to ``residual``, into a new state over
+        ``injections``, which must give the members the same values."""
         out = ForestState((), injections)
         for t in trees:
             out.members[t] = members = self.members.pop(t)
@@ -89,14 +90,11 @@ class ForestState:
                 out.membership[v] = self.membership.pop(v)
             out._sums[t] = self._sums.pop(t)
             out.residuals[t] = self.residuals.pop(t)
+        out.members[root] = hub
+        out.membership.update(dict.fromkeys(hub, root))
+        out._sums[root] = ExactSum((residual,))
+        out.residuals[root] = out._sums[root].value
         return out
-
-    def plant(self, tree: int, members: list[int], residual: float) -> None:
-        """Add ``tree`` over ``members``, whose injections sum to ``residual``."""
-        self.members[tree] = members
-        self.membership.update(dict.fromkeys(members, tree))
-        self._sums[tree] = ExactSum((residual,))
-        self.residuals[tree] = self._sums[tree].value
 
     def cut_down(self, tree: int, nodes: Collection[int],
                  residual: float) -> None:
@@ -122,11 +120,11 @@ class Frontier:
     h[i])``: the cost and ``h[i]`` never change while it is live.  The
     growth loop keeps the classes current through :meth:`grown` after an
     absorb or a tree merge, :meth:`regroup` with the nodes a condensation
-    update relabelled, and :meth:`remove` and :meth:`take`.  An edge that
-    becomes internal to a tree leaves its classes at once and the pool at
-    the next :meth:`flush`.  ``replicas`` holds the id nodes of trees
-    standing in for supply super nodes split during growth; such a group
-    has other ways out, so it never takes the single-way-out priority.
+    update relabelled, and :meth:`remove`, :meth:`take` and :meth:`split_off`.
+    An edge that becomes internal to a tree leaves its classes at once and
+    the pool at the next :meth:`flush`.  ``replicas`` holds the id nodes of
+    trees standing in for supply super nodes split during growth; such a
+    group has other ways out, so it never takes the single-way-out priority.
 
     Args:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in ascending
@@ -180,6 +178,31 @@ class Frontier:
             self._unlive(idx)
             self.internal.discard(idx)
         return [self.pool.pop(idx) for idx in taken]
+
+    def split_off(self, edges: Collection[int], state: ForestState,
+                  cond: Condensation, groups: Collection[int], cut: int,
+                  rim: int, relabelled: Iterable[int]) -> Frontier:
+        """Move a side of a growth split into a frontier over ``state`` and
+        ``cond``: its ``edges`` (each index once) in ascending order, their
+        internal marks, and the classes of its trees into its ``groups`` or
+        into ``cut``, re-keyed to the ``rim``, each with its cached winner.
+        The orientations into ``relabelled`` nodes are then re-keyed."""
+        out = Frontier((), state, cond, self.h)
+        for idx in sorted([i for i in edges if i in self.pool]):
+            out.pool[idx] = self.pool.pop(idx)
+        out.internal = self.internal.intersection(out.pool)
+        self.internal -= out.internal
+        for t in state.members:
+            row = self.classes.get(t, {})
+            for g in [g for g in row if g == cut or g in groups]:
+                cls = row.pop(g)
+                cls.group = rim if g == cut else g
+                out.classes.setdefault(t, {})[cls.group] = cls
+                out.where.update((key, self.where.pop(key)) for key in cls.members)
+            if not row:
+                self.classes.pop(t, None)
+        out.regroup(relabelled)
+        return out
 
     def grown(self, nodes: Iterable[int], merged: int | None = None) -> None:
         """Update the edges at ``nodes`` after their trees grew or merged.

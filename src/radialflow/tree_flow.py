@@ -39,7 +39,8 @@ class ForestFlowSolution:
 
 
 def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
-                 peeled: tuple[list, list[float]] | None = None) -> ForestFlowSolution:
+                 peeled: tuple[list, list[float]] | None = None,
+                 oriented: tuple | None = None) -> ForestFlowSolution:
     """Solve conservation on a forest-shaped subset of network edges.
 
     Args:
@@ -48,6 +49,8 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
         peeled: The steps of :func:`~radialflow.preprocessor.peel` over
             exactly these edges, in any order, and the injections it left;
             the edges are then not peeled again.
+        oriented: The ``(tail, head)`` that ``peeled``'s steps give their
+            edges; kept if the steps come in ``forest_edges`` order.
 
     Raises:
         CycleError: If the edge subset contains a cycle.
@@ -75,8 +78,10 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
 
     if idxs != edge_list:
         steps = list(map(dict(zip(idxs, steps)).__getitem__, edge_list))
+        oriented = None
     flows = tuple([x if x >= 0 else -x for _, _, _, x in steps])
-    oriented = tuple([(i, j) if x >= 0 else (j, i) for i, j, _, x in steps])
+    if peeled is None or oriented is None:
+        oriented = tuple([(i, j) if x >= 0 else (j, i) for i, j, _, x in steps])
     # x * x rather than x ** 2: a square too large for a float is inf, where
     # the power raises OverflowError; a zero coefficient skips the square, as
     # 0 * inf is nan

@@ -572,6 +572,53 @@ def test_surplus_side_replica_is_a_demand():
     assert cond.super_nodes[cond.membership[1]].kind == "sink"
 
 
+def two_sided_hub(p, a_side):
+    # the tree {s, t} (supply 1) parts the demands a, c, d from b (-1) and
+    # p, which hangs off b only; the a side has more nodes, so the b side is
+    # the one handed over
+    names = ["a", "s", "b", "t", "p", "c", "d"]
+    edges = [(0, 1, 1.0), (0, 3, 1.0), (1, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+             (2, 4, 1.0), (0, 5, 1.0), (5, 6, 1.0), (3, 6, 1.0)]
+    return build_network(names, edges, [a_side[0], 1.0, -1.0, 0.0, p, *a_side[1:]])
+
+
+@pytest.mark.parametrize("p, a_side, absorbed, share, members", [
+    # the b side pushes 2 into the hub
+    (3.0, [-1.0, -1.0, -1.0], [(1, 3)], -2.0, {1, 2, 3}),
+    # p has drained into b, so the tree {b, p} faces the hub, and the b side
+    # sums to 0.0
+    (1.0, [-0.5, -0.25, -0.25], [(1, 3), (4, 2)], 0.0, {1, 2, 3, 4}),
+], ids=["surplus", "balanced"])
+def test_small_side_rim_is_a_sink(p, a_side, absorbed, share, members):
+    # a handed-over side whose share is not positive has a sink rim, which
+    # merges with the groups it touches; every class of p's tree is re-keyed
+    sub = subproblem_of(two_sided_hub(p, a_side), [1, 4], absorbed)
+    _, (kept, small), _ = split_once(sub)
+    cond = small.frontier.cond
+    rim = cond.membership[1]
+    assert kept is sub and set(small.graph.nodes) == {1, 2, 3, 4}
+    assert cond.injections[1] == share
+    assert (cond.super_nodes[rim].kind, cond.super_nodes[rim].members) == (
+        "sink", members)
+    assert {cls.group for cls in small.frontier.classes[4].values()} == {rim}
+
+
+@pytest.mark.parametrize("net", [ws_instance(400, 0), ring_chain()],
+                         ids=["ws400", "ring_chain"])
+def test_grown_solve_condenses_from_scratch_once(monkeypatch, net):
+    # every side of a growth split is handed its groups, not condensed again
+    calls = []
+    real = forward_engine.net_concad
+
+    def counted(*args):
+        calls.append(len(args[0].nodes))
+        return real(*args)
+
+    monkeypatch.setattr(forward_engine, "net_concad", counted)
+    _, report = solve(net)
+    assert report.splits > 0 and len(calls) == 1
+
+
 def test_split_joins_a_multi_tree_hub():
     # two adjacent supplies form one super node between a and b; the split
     # joins them over their only edge and replicates the joined tree

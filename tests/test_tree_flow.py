@@ -255,3 +255,17 @@ def test_forest_solve_from_the_steps_of_a_peel(case):
         config, report = solve(net)
         assert report.partitions == 0 and report.flipped_edges == 0
         assert config.flows == solve_forest(net, report.edge_indices).flows
+
+
+def test_forest_solve_keeps_the_given_orientation_only_in_peel_order():
+    # solve hands over the orientation preprocess built from the same steps;
+    # edges in another order are oriented afresh
+    net = random_tree_network(random.Random(3), 12)
+    p = list(net.injections)
+    steps, _ = peel(net, range(net.m), p)
+    oriented = tuple((i, j) if x >= 0 else (j, i) for i, j, _, x in steps)
+    order = [idx for _, _, idx, _ in steps]
+    for edges in (order, order[::-1]):
+        got = solve_forest(net, edges, peeled=(steps, p), oriented=oriented)
+        assert got == solve_forest(net, edges)
+        assert (got.oriented_edges is oriented) == (edges == order)
