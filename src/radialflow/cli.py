@@ -30,7 +30,7 @@ from .network_model import (config_from_json, config_to_json, export_dot,
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_NODES, enumerate_optimal
 
 #: Version of the ``bench --json`` document.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}

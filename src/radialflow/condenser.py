@@ -5,11 +5,15 @@ tree sits on the supply side while its residual injection is positive and on
 the demand side once drained.  Same-side connected groups collapse into super
 nodes; only edges crossing sides survive, counted per pair of super nodes.
 
+Each fact is stored once: a :class:`Group` holds its members, its side, its
+crossing counts and the exact sum of its injections, whose value is its
+residual, and the :class:`Condensation` maps nodes and ids to groups.
+
 :func:`net_concad` builds a :class:`Condensation` from scratch once per
 solve; each growth step updates it, and a growth split hands each small
-side its groups, so that only the side's rim group is new.
-Invariant mode rebuilds it with :func:`net_concad` before every step and
-compares the two; the updates share none of its grouping code.
+side its groups, so that only the side's rim group is new.  Invariant mode
+rebuilds it with :func:`net_concad`, which keeps its own side per node,
+before every step and compares the two; they share no grouping code.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
             trees.setdefault(polytrees[v], []).append(injections[v])
     residual = {t: math.fsum(terms) for t, terms in trees.items()}
     out = Condensation(adj, injections)
-    source, membership = out.source, out.membership
-    for v in nodes:
-        source[v] = residual.get(polytrees.get(v), injections[v]) > 0
+    membership, supers = out.membership, out.super_nodes
+    source = {v: residual.get(polytrees.get(v), injections[v]) > 0 for v in nodes}
     for start in nodes:
         if start in membership:
             continue
@@ -61,11 +64,10 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
                     membership[y] = gid
                     found.append(y)
                     stack.append(y)
-        out.super_nodes[gid] = Group(_KIND[side], found, injections)
-        out._nbrs[gid] = {}
+        supers[gid] = Group(side, found, injections)
     for v in nodes:
         side = source[v]
-        row = out._nbrs[membership[v]]
+        row = supers[membership[v]].nbrs
         for y, _ in adj[v]:
             if source[y] != side:
                 other = membership[y]
@@ -74,28 +76,34 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
 
 
 class Group:
-    """A super node of a :class:`Condensation`, updated in place."""
+    """A super node of a :class:`Condensation`, updated in place.
 
-    __slots__ = ("members", "kind", "total", "residual")
+    It holds its ``members``, its side (``source``: True on the supply side),
+    its crossing counts (``nbrs``: ``{neighbor id: crossing edge count}``)
+    and the exact sum of its injections (``total``), whose ``value`` is its
+    residual.
+    """
 
-    def __init__(self, kind: str, members: list[int],
+    __slots__ = ("members", "source", "nbrs", "total")
+
+    def __init__(self, source: bool, members: list[int],
                  injections: Mapping[int, float] | Sequence[float]) -> None:
         self.members = set(members)
-        self.kind = kind
+        self.source = source
+        self.nbrs: dict[int, int] = {}
         self.total = ExactSum(injections[v] for v in members)
-        self.residual = self.total.value
 
 
 class Condensation:
     """The condensation of a growing forest, kept current step by step.
 
     Its super nodes are :class:`Group` objects under ids that carry no order:
-    ``super_nodes`` maps id to group, ``membership`` maps node to id,
-    ``source`` maps node to its side, and :meth:`adjacency` maps id to
-    ``{neighbor id: crossing edge count}``.  :func:`net_concad` builds it once
-    per solve; then :meth:`move` changes it where a step moves nodes across
-    sides, and a growth split hands each small side its groups
-    (:meth:`split_off`) and cuts the hub down (:meth:`cut_down`).
+    ``super_nodes`` maps id to group and ``membership`` maps node to id.
+    Everything else, a node's side included, is its group's.
+    :func:`net_concad` builds it once per solve; then :meth:`move` changes it
+    where a step moves nodes across sides, and a growth split hands each
+    small side its groups (:meth:`split_off`) and cuts the hub down
+    (:meth:`cut_down`).
 
     Args:
         adjacency: Adjacency of the graph, kept and read by every update.
@@ -106,16 +114,10 @@ class Condensation:
                  injections: Mapping[int, float] | Sequence[float]) -> None:
         self.adj = adjacency
         self.injections = injections
-        self.source: dict[int, bool] = {}
         self.membership: dict[int, int] = {}
         self.super_nodes: dict[int, Group] = {}
-        self._nbrs: dict[int, dict[int, int]] = {}
         self._ids = itertools.count()
         self._relabelled: list[int] = []
-
-    def adjacency(self) -> dict[int, dict[int, int]]:
-        """Neighboring groups of each group, with their crossing edge counts."""
-        return self._nbrs
 
     def move(self, nodes: Iterable[int], source: bool) -> list[int]:
         """Put ``nodes`` on the supply side (``source``) or the demand side.
@@ -129,28 +131,26 @@ class Condensation:
         Returns the nodes whose group id changed, with repeats: the moved
         ones and the smaller side of every split and merge.
         """
-        side, member, adj = self.source, self.membership, self.adj
+        supers, member, adj = self.super_nodes, self.membership, self.adj
         self._relabelled = []
-        moved = [v for v in nodes if side[v] != source]
+        moved = [v for v in nodes if supers[member[v]].source != source]
         if not moved:
             return self._relabelled
         gid = member[moved[0]]
-        if (len(self.super_nodes[gid].members) == len(moved)
+        if (len(supers[gid].members) == len(moved)
                 and all(member[v] == gid for v in moved)):
-            self._turn(gid, moved, source)
+            self._turn(gid, source)
             return self._relabelled
         self._detach(moved)
         left = set(moved)
         seeds: dict[int, list[int]] = {}
         for v in moved:
             for y, _ in adj[v]:
-                if y not in left and side[y] != source:
+                if y not in left and supers[member[y]].source != source:
                     seeds.setdefault(member[y], []).append(y)
         for gid, ys in seeds.items():
             if len(ys) > 1:
                 self._split(gid, ys)
-        for v in moved:
-            side[v] = source
         for v in moved:
             if v in member:
                 continue
@@ -162,15 +162,15 @@ class Condensation:
                     if y in left:
                         left.discard(y)
                         piece.append(y)
-                    elif y in member and side[y] == source:
+                    elif y in member and supers[member[y]].source == source:
                         touched[member[y]] = None
             gid = None
             if touched:
-                gid = max(touched, key=lambda g: len(self.super_nodes[g].members))
+                gid = max(touched, key=lambda g: len(supers[g].members))
                 for other in touched:
                     if other != gid:
                         self._union(gid, other)
-            self._place(piece, gid)
+            self._place(piece, gid, source)
         return self._relabelled
 
     def split_off(self, groups: Iterable[int], cut: int,
@@ -189,22 +189,19 @@ class Condensation:
         out = Condensation(adj, injections)
         out._ids = self._ids
         rim = next(self._ids)
-        row = out._nbrs[rim] = {}
-        into_cut = self._nbrs[cut]
+        rim_group = Group(True, hub, injections)
+        into_cut = self.super_nodes[cut].nbrs
         for gid in groups:
             group = out.super_nodes[gid] = self.super_nodes.pop(gid)
-            nbrs = out._nbrs[gid] = self._nbrs.pop(gid)
             for v in group.members:
                 out.membership[v] = self.membership.pop(v)
-                out.source[v] = self.source.pop(v)
             if gid in into_cut:
                 del into_cut[gid]
-                nbrs[rim] = row[gid] = nbrs.pop(cut)
-        group = out.super_nodes[rim] = Group("source", hub, injections)
+                group.nbrs[rim] = rim_group.nbrs[gid] = group.nbrs.pop(cut)
+        out.super_nodes[rim] = rim_group
         out.membership.update(dict.fromkeys(hub, rim))
-        out.source.update(dict.fromkeys(hub, True))
-        if group.residual <= 0:
-            out._turn(rim, hub, False)
+        if rim_group.total.value <= 0:
+            out._turn(rim, False)
         return out, rim, out._relabelled
 
     def cut_down(self, gid: int, nodes: Collection[int],
@@ -218,77 +215,63 @@ class Condensation:
         self._relabelled = []
         group = self.super_nodes[gid]
         for v in nodes:
-            del self.membership[v], self.source[v]
+            del self.membership[v]
         group.members.difference_update(nodes)
         group.total = ExactSum((residual,))
-        group.residual = group.total.value
-        source = group.residual > 0
-        if source != (group.kind == "source"):
-            self._turn(gid, list(group.members), source)
+        if (group.total.value > 0) != group.source:
+            self._turn(gid, not group.source)
         return self._relabelled
 
     def mismatch(self, ref: Condensation) -> str | None:
         """The first way this differs from ``ref``, or None if it matches."""
-        groups, membership, crossing = self._keyed()
-        want, want_membership, want_crossing = ref._keyed()
-        odd = sorted(groups.keys() ^ want.keys())
-        if odd:
-            return (f"super node {list(odd[0])} is "
-                    f"{'extra' if odd[0] in groups else 'missing'}")
-        for members, value in sorted(groups.items()):
-            if value != want[members]:
-                return (f"super node {list(members)} has residual and kind "
-                        f"{value}, not {want[members]}")
-        if membership.keys() != want_membership.keys():
-            return "membership covers other nodes"
-        for v, members in sorted(membership.items()):
-            if members != want_membership[v]:
-                return f"node {v} is in {list(members)}"
-        if crossing != want_crossing:
-            return (f"crossing edge counts {sorted(crossing.items())} "
-                    f"differ from {sorted(want_crossing.items())}")
+        for what, have, want in zip(("residual and side of super node",
+                                     "super node of node", "crossing edge count of"),
+                                    self._keyed(), ref._keyed()):
+            if have != want:
+                key = min(k for k in have.keys() | want.keys() if have.get(k) != want.get(k))
+                return f"{what} {key} is {have.get(key)}, not {want.get(key)}"
         return None
 
     def _keyed(self) -> tuple[dict, dict, dict]:
         """Groups, membership and crossing counts, keyed by sorted members."""
         names = {gid: tuple(sorted(g.members))
                  for gid, g in self.super_nodes.items()}
-        groups = {names[gid]: (g.residual, g.kind)
+        groups = {names[gid]: (g.total.value, "supply" if g.source else "demand")
                   for gid, g in self.super_nodes.items()}
         membership = {v: names[gid] for v, gid in self.membership.items()}
-        crossing = {(names[a], names[b]): count
-                    for a, row in self._nbrs.items() for b, count in row.items()}
+        crossing = {(names[a], names[b]): count for a, g in self.super_nodes.items()
+                    for b, count in g.nbrs.items()}
         return groups, membership, crossing
 
     def _cross(self, nodes: list[int], gid: int, delta: int) -> None:
         """Add ``delta`` to the crossing counts of ``nodes`` as members of ``gid``.
 
-        Only edges to nodes that are in a group count.
+        Only edges to nodes in another group count: all through an update,
+        nodes of two groups that an edge joins are on opposite sides.
         """
-        row = self._nbrs[gid]
+        supers = self.super_nodes
+        row = supers[gid].nbrs
         for v in nodes:
-            side = self.source[v]
             for y, _ in self.adj[v]:
                 other = self.membership.get(y)
-                if other is not None and self.source[y] != side:
-                    back = self._nbrs[other]
+                if other is not None and other != gid:
+                    back = supers[other].nbrs
                     count = row.get(other, 0) + delta
                     if count:
                         row[other] = back[gid] = count
                     else:
                         del row[other], back[gid]
 
-    def _place(self, nodes: list[int], gid: int | None = None) -> None:
-        """Put detached ``nodes`` into group ``gid``, or a new group of theirs."""
+    def _place(self, nodes: list[int], gid: int | None, source: bool) -> None:
+        """Put detached ``nodes`` into group ``gid`` on their side ``source``,
+        or into a new group of theirs if ``gid`` is None."""
         if gid is None:
             gid = next(self._ids)
-            self.super_nodes[gid] = Group(_KIND[self.source[nodes[0]]], nodes,
-                                          self.injections)
-            self._nbrs[gid] = {}
+            self.super_nodes[gid] = Group(source, nodes, self.injections)
         else:
             group = self.super_nodes[gid]
             group.members.update(nodes)
-            group.residual = group.total.add(self.injections[v] for v in nodes)
+            group.total.add(self.injections[v] for v in nodes)
         self._cross(nodes, gid, 1)
         for v in nodes:
             self.membership[v] = gid
@@ -304,9 +287,9 @@ class Condensation:
             group = self.super_nodes[gid]
             group.members.difference_update(vs)
             if group.members:
-                group.residual = group.total.add(-self.injections[v] for v in vs)
+                group.total.add(-self.injections[v] for v in vs)
             else:
-                del self.super_nodes[gid], self._nbrs[gid]
+                del self.super_nodes[gid]
 
     def _union(self, into: int, gid: int) -> None:
         """Merge group ``gid`` into group ``into`` on the same side."""
@@ -316,22 +299,21 @@ class Condensation:
             self.membership[v] = into
         self._relabelled.extend(group.members)
         target.members |= group.members
-        target.residual = target.total.add(group.total.terms)
-        row = self._nbrs[into]
-        for other, count in self._nbrs.pop(gid).items():
-            back = self._nbrs[other]
+        target.total.add(group.total.terms)
+        row = target.nbrs
+        for other, count in group.nbrs.items():
+            back = self.super_nodes[other].nbrs
             del back[gid]
             row[other] = back[into] = row.get(other, 0) + count
 
-    def _turn(self, gid: int, members: list[int], source: bool) -> None:
+    def _turn(self, gid: int, source: bool) -> None:
         """Move a whole group across; it merges with all its neighbors."""
-        for v in members:
-            self.source[v] = source
-        self.super_nodes[gid].kind = _KIND[source]
-        row = self._nbrs[gid]
+        group = self.super_nodes[gid]
+        group.source = source
+        row = group.nbrs
         merged = [gid, *row]
         for other in row:
-            del self._nbrs[other][gid]
+            del self.super_nodes[other].nbrs[gid]
         row.clear()
         target = max(merged, key=lambda g: len(self.super_nodes[g].members))
         for other in merged:
@@ -381,12 +363,10 @@ class Condensation:
             active = [k for k in running if parent[k] == k]
         if not active:
             pieces.remove(max(pieces, key=len))
+        source = self.super_nodes[gid].source
         for piece in pieces:
             self._detach(piece)
-            self._place(piece)
-
-
-_KIND = {True: "source", False: "sink"}
+            self._place(piece, None, source)
 
 
 def source_cut_vertices(cond: Condensation) -> list[int]:
@@ -396,13 +376,11 @@ def source_cut_vertices(cond: Condensation) -> list[int]:
     condensed graph, so the remaining subproblem can be split there like an
     articulation supply.
     """
-    adj = cond.adjacency()
     supers = cond.super_nodes
-    if len(adj) <= 2 or all(len(adj[g]) < 2 for g in adj
-                            if supers[g].kind == "source"):
+    if len(supers) <= 2 or all(len(g.nbrs) < 2 for g in supers.values() if g.source):
         return []
-    artics = lowpoint(adj, adj)
-    return sorted((a for a in artics if supers[a].kind == "source"),
+    artics = lowpoint(supers, {gid: g.nbrs for gid, g in supers.items()})
+    return sorted((a for a in artics if supers[a].source),
                   key=lambda a: min(supers[a].members))
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from sys import float_info
 from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .exceptions import DimensionMismatch, ParseError, ValidationError
@@ -172,27 +173,38 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
     """Validate raw network data and build a :class:`DistributionNetwork`.
 
     Args:
-        names: Node names; ids are assigned by position.
-        edges: ``(u, v, cost)`` triples over node ids, any endpoint order.
+        names: Node names, strings; ids are assigned by position.
+        edges: ``(u, v, cost)`` triples over int node ids, any endpoint order.
         injections: Signed injection per node id.
         metadata: Optional mapping carried through serialization.
 
     Raises:
-        ValidationError: On duplicate names or edges, self-loops, negative or
-            non-finite coefficients, injection imbalance, or a disconnected
-            graph.
+        ValidationError: Naming the first fault: a name that is not a string,
+            duplicate names or edges, an edge that is no such triple,
+            self-loops, a cost or injection that is not an int or float (a
+            bool is neither), negative or non-finite coefficients, injection
+            imbalance, or a disconnected graph.
     """
     n = len(names)
     if n == 0:
         raise ValidationError("empty network: at least one node is required")
-    if len(set(names)) != n:
-        raise ValidationError("duplicate node name")
     if len(injections) != n:
         raise ValidationError("injection vector length does not match node count")
-    if not all(map(math.isfinite, injections)):
+    try:
+        plain = (set(map(type, names)) <= {str} and set(map(type, injections)) <= {int, float}
+                 and all(map(math.isfinite, injections)))
+    except OverflowError:  # an int beyond float range
+        plain = False
+    if not plain:
         for name, p in zip(names, injections):
-            if not math.isfinite(p):
+            if not isinstance(name, str):
+                raise ValidationError(f"node name must be a string: {name!r}")
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValidationError(f"injection must be a number at node {name!r}")
+            if not abs(p) <= float_info.max:
                 raise ValidationError(f"non-finite injection at node {name!r}")
+    if len(set(names)) != n:
+        raise ValidationError("duplicate node name")
 
     normalized = _normalized(names, edges)
     try:
@@ -211,35 +223,45 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
 
 def _normalized(names: Sequence[str], edges: Sequence) -> list[tuple[int, int, float]]:
     """``(u, v, float(cost))`` per edge with ``u < v``.  C-level passes check
-    the edges; only if one fails are they walked, to raise on the first."""
+    the edges; only if one fails are they walked, raising on the first fault."""
     n = len(names)
     try:
-        # None marks a self-loop, an unknown id, or ends that do not compare
-        keys = [(u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
-                for u, v, _ in edges]
+        # None marks a self-loop, or an id that is unknown or not an int
+        keys = [((u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None)
+                if type(u) is int and type(v) is int else None for u, v, _ in edges]
         costs = list(map(itemgetter(2), edges))
         if (None not in keys and len(set(keys)) == len(keys)
+                and set(map(type, costs)) <= {int, float}
                 and all(map(math.isfinite, costs)) and min(costs, default=0) >= 0):
             return [(u, v, c) for (u, v), c in zip(keys, map(float, costs))]
     except (TypeError, ValueError, OverflowError):
         pass
 
+    out: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
-    for u, v, c in edges:
+    for edge in edges:
+        try:
+            u, v, c = edge
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {edge!r} is not a (u, v, cost) triple") from None
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+            raise ValidationError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u}, {v}) references an unknown node id")
         if u == v:
             raise ValidationError(f"self-loop at node {names[u]!r}")
-        if not math.isfinite(c) or c < 0:
-            raise ValidationError(
-                f"negative or non-finite cost coefficient on edge "
-                f"({names[u]!r}, {names[v]!r})")
+        ends = (names[u], names[v])
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValidationError(f"cost coefficient must be a number on edge {ends}")
+        if not abs(c) <= float_info.max or c < 0:
+            raise ValidationError(f"negative or non-finite cost coefficient on edge {ends}")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ValidationError(
                 f"duplicate edge ({names[key[0]]!r}, {names[key[1]]!r})")
         seen.add(key)
-    raise ValidationError("invalid edge list")
+        out.append((*key, float(c)))
+    return out
 
 
 def load_network(source: str | bytes | IO) -> DistributionNetwork:

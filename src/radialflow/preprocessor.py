@@ -28,15 +28,15 @@ class PreprocessResult:
         reduced: View of the nodes and edges still unresolved, nodes in
             ascending order and each node's edges in index order.
         reduced_injections: Injection per node of ``reduced`` after pushing.
-        peeled: The steps of :func:`peel` over every edge and the injection
-            per node id it left, if they settle every edge; else None.
+        peeled: The steps of :func:`peel`, the injection per node id they
+            left and ``presampled``, if they settle every edge; else None.
     """
 
     presampled: tuple[tuple[int, int], ...]
     presampled_edge_indices: tuple[int, ...]
     reduced: GraphView
     reduced_injections: dict[int, float]
-    peeled: tuple[list[tuple[int, int, int, float]], list[float]] | None
+    peeled: tuple[list[tuple[int, int, int, float]], list[float], tuple] | None
 
     @property
     def fully_reduced(self) -> bool:
@@ -110,4 +110,5 @@ def preprocess(net: DistributionNetwork) -> PreprocessResult:
                 reduced[u].append((v, idx))
                 reduced[v].append((u, idx))
     return PreprocessResult(presampled, pre_idx, GraphView(net, reduced),
-                            {v: p[v] for v in reduced}, None if reduced else (steps, p))
+                            {v: p[v] for v in reduced},
+                            None if reduced else (steps, p, presampled))

@@ -55,10 +55,10 @@ class ForestState:
     """Mutable record of the polytrees grown so far in one subproblem.
 
     Tree ids are the node ids of the supplies they grew from; a merge keeps
-    the absorbing tree's id.  Each residual is held as an exact running sum
-    (:class:`~radialflow.network_model.ExactSum`): an absorb or a merge adds
-    to it instead of re-summing the whole tree, and it still equals
-    ``math.fsum`` over the tree's members, so it never drifts.
+    the absorbing tree's id.  ``sums`` holds each tree's exact running sum
+    (:class:`~radialflow.network_model.ExactSum`), whose ``value`` is its
+    residual: an absorb or a merge adds to it instead of re-summing the
+    tree, and it equals ``math.fsum`` over the members, so it never drifts.
     """
 
     def __init__(self, sources: Sequence[int],
@@ -66,9 +66,7 @@ class ForestState:
         self.injections = injections
         self.membership: dict[int, int] = {s: s for s in sources}
         self.members: dict[int, list[int]] = {s: [s] for s in sources}
-        self._sums = {s: ExactSum((injections[s],)) for s in sources}
-        self.residuals: dict[int, float] = {
-            s: self._sums[s].value for s in sources}
+        self.sums = {s: ExactSum((injections[s],)) for s in sources}
 
     def tree_of(self, node: int) -> int | None:
         return self.membership.get(node)
@@ -76,7 +74,7 @@ class ForestState:
     def absorb(self, tree: int, node: int) -> None:
         self.membership[node] = tree
         self.members[tree].append(node)
-        self.residuals[tree] = self._sums[tree].add((self.injections[node],))
+        self.sums[tree].add((self.injections[node],))
 
     def split_off(self, trees: Iterable[int], injections: Mapping[int, float],
                   root: int, hub: list[int], residual: float) -> "ForestState":
@@ -88,12 +86,10 @@ class ForestState:
             out.members[t] = members = self.members.pop(t)
             for v in members:
                 out.membership[v] = self.membership.pop(v)
-            out._sums[t] = self._sums.pop(t)
-            out.residuals[t] = self.residuals.pop(t)
+            out.sums[t] = self.sums.pop(t)
         out.members[root] = hub
         out.membership.update(dict.fromkeys(hub, root))
-        out._sums[root] = ExactSum((residual,))
-        out.residuals[root] = out._sums[root].value
+        out.sums[root] = ExactSum((residual,))
         return out
 
     def cut_down(self, tree: int, nodes: Collection[int],
@@ -102,15 +98,13 @@ class ForestState:
         for v in nodes:
             del self.membership[v]
         self.members[tree] = [v for v in self.members[tree] if v not in nodes]
-        self._sums[tree] = ExactSum((residual,))
-        self.residuals[tree] = self._sums[tree].value
+        self.sums[tree] = ExactSum((residual,))
 
     def merge(self, into: int, other: int) -> None:
         for v in self.members[other]:
             self.membership[v] = into
         self.members[into].extend(self.members.pop(other))
-        del self.residuals[other]
-        self.residuals[into] = self._sums[into].add(self._sums.pop(other).terms)
+        self.sums[into].add(self.sums.pop(other).terms)
 
 
 class Frontier:
@@ -244,16 +238,15 @@ class Frontier:
         Raises:
             NoCandidate: If no orientation is live.
         """
-        residuals, supers = self.state.residuals, self.cond.super_nodes
-        nbrs, member = self.cond.adjacency(), self.cond.membership
+        sums, supers, member = self.state.sums, self.cond.super_nodes, self.cond.membership
         split_supers = {member[r] for r in self.replicas}
         best = None
         for t, row in self.classes.items():
-            residual, st = residuals[t], member[t]
-            pendant = (supers[st].kind == "source" and len(nbrs[st]) == 1
+            residual, st = sums[t].value, member[t]
+            pendant = (supers[st].source and len(supers[st].nbrs) == 1
                        and st not in split_supers)
             for g, cls in row.items():
-                receiving = supers[g].residual
+                receiving = supers[g].total.value
                 if cls.best is None or cls.seen != (residual, receiving):
                     self._rescan(cls, residual, receiving)
                 w, entry = cls.best
@@ -366,7 +359,6 @@ def score(edges: Iterable[tuple[int, int, int, float]],
     -raw_weight, tail, head)``, the first of equals.
     """
     state, h, cond = frontier.state, frontier.h, frontier.cond
-    neighbor_sets = cond.adjacency()
     split_supers = {cond.membership[r] for r in frontier.replicas}
     tree_of = state.membership.get
     supers = cond.super_nodes
@@ -377,12 +369,11 @@ def score(edges: Iterable[tuple[int, int, int, float]],
             if ti is None or ti == tree_of(j):
                 continue
             si = member[i]
-            residual = state.residuals[ti]
-            receiving = supers[member[j]].residual
+            residual = state.sums[ti].value
+            receiving = supers[member[j]].total.value
             demand = abs(receiving)
             w = edge_weight(c, demand, max(residual, 0.0), h.get(i, 0.0))
-            pendant = (supers[si].kind == "source"
-                       and len(neighbor_sets[si]) == 1
+            pendant = (supers[si].source and len(supers[si].nbrs) == 1
                        and si not in split_supers)
             raw.append((i, j, eidx, w, demand, residual + receiving >= 0.0,
                         pendant))

@@ -39,26 +39,27 @@ class ForestFlowSolution:
 
 
 def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
-                 peeled: tuple[list, list[float]] | None = None,
-                 oriented: tuple | None = None) -> ForestFlowSolution:
+                 peeled: tuple[list, list[float], tuple] | None = None) -> ForestFlowSolution:
     """Solve conservation on a forest-shaped subset of network edges.
 
     Args:
         net: Parent network supplying edge endpoints and cost coefficients.
         forest_edges: Edge indices forming the forest (order is irrelevant).
         peeled: The steps of :func:`~radialflow.preprocessor.peel` over
-            exactly these edges, in any order, and the injections it left;
-            the edges are then not peeled again.
-        oriented: The ``(tail, head)`` that ``peeled``'s steps give their
-            edges; kept if the steps come in ``forest_edges`` order.
+            exactly these edges, in any order, the injections it left and
+            the ``(tail, head)`` the steps give their edges; the edges are
+            then not peeled again, and that orientation is kept if the steps
+            come in ``forest_edges`` order.
 
     Raises:
         CycleError: If the edge subset contains a cycle.
         ImbalanceError: If some component's injections do not cancel.
     """
     edge_list = list(forest_edges)
-    p = list(net.injections) if peeled is None else peeled[1]
-    steps = peel(net, edge_list, p)[0] if peeled is None else peeled[0]
+    if peeled is None:
+        p = list(net.injections)
+        peeled = peel(net, edge_list, p)[0], p, None
+    steps, p, oriented = peeled
     idxs = list(map(itemgetter(2), steps))
     if len(idxs) != len(edge_list):
         settled = set(idxs)
@@ -80,7 +81,7 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
         steps = list(map(dict(zip(idxs, steps)).__getitem__, edge_list))
         oriented = None
     flows = tuple([x if x >= 0 else -x for _, _, _, x in steps])
-    if peeled is None or oriented is None:
+    if oriented is None:
         oriented = tuple([(i, j) if x >= 0 else (j, i) for i, j, _, x in steps])
     # x * x rather than x ** 2: a square too large for a float is inf, where
     # the power raises OverflowError; a zero coefficient skips the square, as

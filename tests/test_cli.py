@@ -162,7 +162,7 @@ def test_bench_json(tmp_path):
     assert set(doc) == {"schema_version", "sizes", "seeds", "k", "beta",
                         "sources", "edges", "median_s", "median_cost",
                         "exponent", "solutions_sha256", "python", "nproc"}
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["sizes"] == [8, 12] and doc["edges"] == [8, 12]
     assert len(doc["median_s"]) == 2 and all(t > 0 for t in doc["median_s"])
     assert isinstance(doc["exponent"], float)

@@ -35,15 +35,20 @@ def super_of(cond, node):
     return cond.super_nodes[cond.membership[node]]
 
 
+def crossings(cond):
+    """Each group's neighboring groups, with their crossing edge counts."""
+    return {gid: g.nbrs for gid, g in cond.super_nodes.items()}
+
+
 def test_initial_condensation():
     cond = condense(two_sources_one_sink_chain(), {})
-    kinds = [g.kind for g in cond.super_nodes.values()]
-    assert kinds.count("source") == 2
-    assert kinds.count("sink") == 1
+    sides = [g.source for g in cond.super_nodes.values()]
+    assert sides.count(True) == 2
+    assert sides.count(False) == 1
     members = sorted(tuple(sorted(g.members)) for g in cond.super_nodes.values())
     assert members == [(0,), (1, 2, 3), (4,)]
-    assert super_of(cond, 2).residual == pytest.approx(-4.0)
-    assert super_of(cond, 0).residual == pytest.approx(2.0)
+    assert super_of(cond, 2).total.value == pytest.approx(-4.0)
+    assert super_of(cond, 0).total.value == pytest.approx(2.0)
 
 
 def test_polytree_grouping_and_residual():
@@ -51,8 +56,8 @@ def test_polytree_grouping_and_residual():
     cond = condense(two_sources_one_sink_chain(), {0: 0, 1: 0})
     grown = super_of(cond, 0)
     assert grown.members == {0, 1}
-    assert grown.kind == "source"
-    assert grown.residual == pytest.approx(1.0)
+    assert grown.source is True
+    assert grown.total.value == pytest.approx(1.0)
     assert super_of(cond, 2).members == {2, 3}
 
 
@@ -64,8 +69,8 @@ def test_drained_tree_counts_as_sink():
     net = build_network(names, edges, [2.0, -2.0, 1.0, -1.0])
     grown = super_of(condense(net, {0: 0, 1: 0}), 0)
     assert grown.members == {0, 1}
-    assert grown.residual == pytest.approx(0.0)
-    assert grown.kind == "sink"
+    assert grown.total.value == pytest.approx(0.0)
+    assert grown.source is False
 
 
 def test_cross_edges_only_and_conserved():
@@ -73,9 +78,9 @@ def test_cross_edges_only_and_conserved():
     net = two_sources_one_sink_chain()
     cond = condense(net, {})
     s1, sink, s2 = (cond.membership[v] for v in (0, 2, 4))
-    assert cond.adjacency() == {s1: {sink: 1}, sink: {s1: 1, s2: 1},
-                                s2: {sink: 1}}
-    total = math.fsum(g.residual for g in cond.super_nodes.values())
+    assert crossings(cond) == {s1: {sink: 1}, sink: {s1: 1, s2: 1},
+                               s2: {sink: 1}}
+    total = math.fsum(g.total.value for g in cond.super_nodes.values())
     assert abs(total) <= balance_tolerance(net.injections)
 
 
@@ -87,7 +92,7 @@ def test_parallel_super_edges_kept():
     cond = condense(net, {})
     source, sink = cond.membership[0], cond.membership[1]
     assert len(cond.super_nodes) == 2
-    assert cond.adjacency() == {source: {sink: 2}, sink: {source: 2}}
+    assert crossings(cond) == {source: {sink: 2}, sink: {source: 2}}
 
 
 def test_membership_partitions_nodes():
@@ -138,16 +143,16 @@ def test_growth_can_break_irreducibility():
     after = condense(net, {1: 1, 3: 1})
     grown = super_of(after, 1)
     assert grown.members == {1, 3}
-    assert grown.kind == "source"
+    assert grown.source is True
     assert source_cut_vertices(after) == [after.membership[1]]
 
 
 def networkx_source_cuts(cond):
     g = nx.Graph()
     g.add_nodes_from(cond.super_nodes)
-    g.add_edges_from((a, b) for a, row in cond.adjacency().items() for b in row)
+    g.add_edges_from((a, b) for a, row in crossings(cond).items() for b in row)
     return sorted((a for a in nx.articulation_points(g)
-                   if cond.super_nodes[a].kind == "source"),
+                   if cond.super_nodes[a].source),
                   key=lambda a: min(cond.super_nodes[a].members))
 
 
@@ -165,12 +170,12 @@ def networkx_condensation(net, trees):
 def side_condensation(net, source):
     """Groups, membership and crossing counts as :func:`canonical` gives
     them, from the networkx components of the subgraph of edges whose ends
-    ``source`` puts on one side; a group's kind is its side."""
+    ``source`` puts on one side; a group's side is its nodes'."""
     same = nx.Graph()
     same.add_nodes_from(range(net.n))
     same.add_edges_from((u, v) for u, v, _ in net.edges if source[u] == source[v])
     groups = {tuple(sorted(c)): (math.fsum(net.injections[v] for v in c),
-                                 "source" if source[min(c)] else "sink")
+                                 source[min(c)])
               for c in nx.connected_components(same)}
     membership = {v: members for members in groups for v in members}
     crossing = Counter()
@@ -223,27 +228,27 @@ def test_source_cut_vertices_match_networkx_on_grown_states():
 
 
 def test_net_concad_matches_networkx_on_grown_states():
-    # groups are the components of same-side nodes, with their kinds, exact
+    # groups are the components of same-side nodes, with their sides, exact
     # residuals and crossing counts; ids follow each group's smallest member
-    kinds = Counter()
+    sides = Counter()
     for net, trees in grown_states():
         cond = condense(net, trees)
         assert canonical(cond) == networkx_condensation(net, trees)
         mins = [min(g.members) for _, g in sorted(cond.super_nodes.items())]
         assert mins == sorted(mins)
-        kinds.update(g.kind for g in cond.super_nodes.values()
+        sides.update(g.source for g in cond.super_nodes.values()
                      if len(g.members) > 1)
-    assert kinds["source"] and kinds["sink"]
+    assert sides[True] and sides[False]
 
 
 def canonical(cond):
     """Super nodes, membership and crossing counts keyed by member tuples."""
     names = {gid: tuple(sorted(g.members))
              for gid, g in cond.super_nodes.items()}
-    supers = {names[gid]: (g.residual, g.kind)
+    supers = {names[gid]: (g.total.value, g.source)
               for gid, g in cond.super_nodes.items()}
     crossing = Counter({(names[a], names[b]): count
-                        for a, row in cond.adjacency().items()
+                        for a, row in crossings(cond).items()
                         for b, count in row.items()})
     membership = {v: names[gid] for v, gid in cond.membership.items()}
     return supers, membership, crossing
@@ -261,14 +266,14 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
     def rebuilt():
         state = step["state"]
         for t, members in state.members.items():
-            assert state.residuals[t] == math.fsum(
+            assert state.sums[t].value == math.fsum(
                 step["injections"][v] for v in members)
         return canonical(net_concad(step["view"], step["injections"],
                                     state.membership))
 
     def checked_sample(view, injections, state, h, frontier):
         step.update(view=view, injections=injections, state=state,
-                    trees=len(state.residuals))
+                    trees=len(state.sums))
         step["before"] = rebuilt()
         assert canonical(frontier.cond) == step["before"]
         return real_sample(view, injections, state, h, frontier)
@@ -276,18 +281,18 @@ def test_incremental_condensation_matches_rebuild(monkeypatch):
     def checked_move(cond, nodes, source):
         # the whole tree is passed when it merged or changed side
         nodes = list(nodes)
-        seen["flip"] += len(nodes) > 1 and any(cond.source[v] != source
-                                               for v in nodes)
+        seen["flip"] += len(nodes) > 1 and any(
+            super_of(cond, v).source != source for v in nodes)
         relabelled = real_move(cond, nodes, source)
         after = rebuilt()
         assert canonical(cond) == after
-        merged = len(step["state"].residuals) < step["trees"]
+        merged = len(step["state"].sums) < step["trees"]
         seen["merge" if merged else "absorb"] += 1
         supers, membership, _ = after
-        for members, (_, kind) in step["before"][0].items():
-            if kind == "sink":
+        for members, (_, supply) in step["before"][0].items():
+            if not supply:
                 pieces = {membership[v] for v in members
-                          if supers[membership[v]][1] == "sink"}
+                          if not supers[membership[v]][1]}
                 seen["sink split"] += len(pieces) > 1
         return relabelled
 
@@ -335,7 +340,7 @@ def test_random_moves_match_the_side_map(net, seed):
     # rest stays in one piece splits nothing
     rng = random.Random(seed)
     cond = condense(net, {})
-    source = dict(cond.source)
+    source = {v: super_of(cond, v).source for v in cond.membership}
     for _ in range(30):
         moved = rng.sample(range(net.n), rng.randint(0, net.n))
         side = rng.random() < 0.5

@@ -1,5 +1,6 @@
 """End-to-end construction: regressions, invariants, merging, fallbacks."""
 
+import hashlib
 import json
 import math
 import random
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (data_path, full_view, random_tree_network, small_instances,
                       small_networks, ws_instance)
-from radialflow import (Infeasible, InfeasibleSplit, InvalidSpec, NoCandidate,
-                        build_network, config_to_json, load_network, solve,
-                        solve_forest, validate_radial)
+from radialflow import (GenSpec, Infeasible, InfeasibleSplit, InvalidSpec,
+                        NoCandidate, build_network, config_to_json, generate,
+                        load_network, solve, solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
 from radialflow.forward_engine import (HUB_LINK, SolveReport,
@@ -359,6 +360,30 @@ def test_probe_handles_trivial_sizes():
             complexity_probe(sizes, seeds=seeds)
 
 
+def test_probe_times_the_best_of_three_and_digests_once(monkeypatch):
+    # every instance is solved three times, and its solution goes into the
+    # digest once, so the digest reads as one solve per instance would
+    solved = []
+    real = forward_engine.solve
+
+    def counted(net, **kwargs):
+        solved.append(net)
+        return real(net, **kwargs)
+
+    monkeypatch.setattr(forward_engine, "solve", counted)
+    digest = hashlib.sha256()
+    points = complexity_probe([8, 12], seeds=2, k=2, n_sources=2, digest=digest)
+    assert [n for n, *_ in points] == [8, 12]
+    assert len(solved) == 3 * 2 * 2
+    want = hashlib.sha256()
+    for n in (8, 12):
+        for seed in range(2):
+            net = generate(GenSpec(n=n, k=2, beta=0.2, n_sources=2, seed=seed))
+            assert solved.count(net) == 3
+            want.update(config_to_json(net, real(net)[0]).encode())
+    assert digest.hexdigest() == want.hexdigest()
+
+
 def test_fit_exponent_recovers_slope():
     rows = [(10.0, 0, 1e-3, 5.0), (100.0, 0, 1e-1, 9.0)]
     assert fit_exponent(rows) == pytest.approx(2.0, rel=1e-9)
@@ -471,7 +496,7 @@ def check_sides(record, sides):
         rebuilt = net_concad(GraphView(side.net, want), inj, state.membership)
         assert cond.mismatch(rebuilt) is None
         for t, members in state.members.items():
-            assert state.residuals[t] == math.fsum(inj[v] for v in members)
+            assert state.sums[t].value == math.fsum(inj[v] for v in members)
         assert state.membership.keys() <= adj.keys()
         pool = [e for e in record.pool if e[1] in own or e[2] in own]
         assert pool_of(side.frontier) == pool
@@ -490,7 +515,7 @@ def split_once(sub):
     assert len(cuts) == 1
     group = cond.super_nodes[cuts[0]]
     # the kept side updates the hub's group in place
-    hub = SimpleNamespace(members=set(group.members), residual=group.residual)
+    hub = SimpleNamespace(members=set(group.members), residual=group.total.value)
     record = SplitRecord(sub, cuts[0])
     report = SolveReport()
     sides = split_at_cut(sub, cuts[0], report,
@@ -550,7 +575,7 @@ def test_split_gives_each_side_its_need():
     assert [uncovered(side) for side in sides] == [{0}, {2}]
     for side in sides:
         assert math.fsum(side.frontier.cond.injections.values()) == 0.0
-        assert side.frontier.state.residuals == {1: 1.0}
+        assert {t: s.value for t, s in side.frontier.state.sums.items()} == {1: 1.0}
         assert side.frontier.replicas == {1}
     assert report.edge_indices == [] and report.splits == 1
 
@@ -567,9 +592,9 @@ def test_surplus_side_replica_is_a_demand():
     assert math.fsum(shares) == pytest.approx(hub.residual)
     surplus = sides[1]
     assert set(surplus.graph.nodes) == {1, 2, 3, 4}
-    assert surplus.frontier.state.residuals[1] < 0.0
+    assert surplus.frontier.state.sums[1].value < 0.0
     cond = surplus.frontier.cond
-    assert cond.super_nodes[cond.membership[1]].kind == "sink"
+    assert cond.super_nodes[cond.membership[1]].source is False
 
 
 def two_sided_hub(p, a_side):
@@ -598,8 +623,8 @@ def test_small_side_rim_is_a_sink(p, a_side, absorbed, share, members):
     rim = cond.membership[1]
     assert kept is sub and set(small.graph.nodes) == {1, 2, 3, 4}
     assert cond.injections[1] == share
-    assert (cond.super_nodes[rim].kind, cond.super_nodes[rim].members) == (
-        "sink", members)
+    assert (cond.super_nodes[rim].source, cond.super_nodes[rim].members) == (
+        False, members)
     assert {cls.group for cls in small.frontier.classes[4].values()} == {rim}
 
 

@@ -223,8 +223,33 @@ def test_load_names_the_first_fault_deep_in_a_document(faults, error, message):
      "negative or non-finite cost coefficient on edge ('n1501', 'n1500')"),
     (lambda names, edges, p: edges.insert(1700, (1201, 1200, 1.0)),
      "duplicate edge ('n1200', 'n1201')"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1500, 1501.0, 1.0)),
+     "edge (1500, 1501.0) has a node id that is not an integer"),
+    (lambda names, edges, p: edges.__setitem__(1500, ("n1500", 1501, 1.0)),
+     "edge ('n1500', 1501) has a node id that is not an integer"),
+    (lambda names, edges, p: edges.insert(1500, (True, 1500, 1.0)),
+     "edge (True, 1500) has a node id that is not an integer"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1500, 1501, "1.0")),
+     "cost coefficient must be a number on edge ('n1500', 'n1501')"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1500, 1501, True)),
+     "cost coefficient must be a number on edge ('n1500', 'n1501')"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1500, 1501, 10 ** 400)),
+     "negative or non-finite cost coefficient on edge ('n1500', 'n1501')"),
+    (lambda names, edges, p: p.__setitem__(1200, "-1.0"),
+     "injection must be a number at node 'n1200'"),
+    (lambda names, edges, p: p.__setitem__(1200, True),
+     "injection must be a number at node 'n1200'"),
+    (lambda names, edges, p: p.__setitem__(1200, -10 ** 400),
+     "non-finite injection at node 'n1200'"),
+    (lambda names, edges, p: edges.__setitem__(1500, (1500, 1501)),
+     "edge (1500, 1501) is not a (u, v, cost) triple"),
+    (lambda names, edges, p: names.__setitem__(1500, 1500),
+     "node name must be a string: 1500"),
 ], ids=["unknown id", "duplicate name", "short injections", "negative cost",
-        "duplicate edge reversed"])
+        "duplicate edge reversed", "float endpoint", "string endpoint",
+        "bool endpoint", "string cost", "bool cost", "huge int cost",
+        "string injection", "bool injection", "huge int injection",
+        "pair edge", "int name"])
 def test_build_names_the_first_fault_deep_in_its_input(change, message):
     names = [f"n{i:04d}" for i in range(DEEP)]
     edges = [(i - 1, i, 1.0) for i in range(1, DEEP)]

@@ -216,6 +216,11 @@ def forest_cases(draw):
     return net, draw(st.lists(st.sampled_from(range(net.m)), unique=True))
 
 
+def orientation(steps):
+    """The ``(tail, head)`` each step of a peel gives its edge."""
+    return tuple((i, j) if x >= 0 else (j, i) for i, j, _, x in steps)
+
+
 def outcome(net, edges, **kwargs):
     """The solution, or the type and message of the error."""
     try:
@@ -230,7 +235,7 @@ def test_forest_solve_from_the_steps_of_a_peel(case):
     net, edges = case
     p = list(net.injections)
     steps, _ = peel(net, edges, p)
-    got = outcome(net, edges, peeled=(steps, p))
+    got = outcome(net, edges, peeled=(steps, p, orientation(steps)))
     assert got == outcome(net, edges)
 
     # the error names the first edge in the input that peeling left, or the
@@ -258,14 +263,14 @@ def test_forest_solve_from_the_steps_of_a_peel(case):
 
 
 def test_forest_solve_keeps_the_given_orientation_only_in_peel_order():
-    # solve hands over the orientation preprocess built from the same steps;
-    # edges in another order are oriented afresh
+    # solve hands over the orientation preprocess built from the same steps,
+    # with the steps; edges in another order are oriented afresh
     net = random_tree_network(random.Random(3), 12)
     p = list(net.injections)
     steps, _ = peel(net, range(net.m), p)
-    oriented = tuple((i, j) if x >= 0 else (j, i) for i, j, _, x in steps)
+    oriented = orientation(steps)
     order = [idx for _, _, idx, _ in steps]
     for edges in (order, order[::-1]):
-        got = solve_forest(net, edges, peeled=(steps, p), oriented=oriented)
+        got = solve_forest(net, edges, peeled=(steps, p, oriented))
         assert got == solve_forest(net, edges)
         assert (got.oriented_edges is oriented) == (edges == order)
