@@ -22,7 +22,15 @@ import itertools
 import math
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .network_model import ExactSum, GraphView, find
+from .network_model import ExactSum, GraphView
+
+
+def find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float],

@@ -16,7 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from itertools import repeat
+from operator import eq, ge, index, itemgetter, sub
 from sys import float_info
 from typing import IO, Any, Iterable, Mapping, Sequence
 
@@ -35,14 +36,6 @@ COST_RTOL = 1e-9
 def balance_tolerance(values: Iterable[float]) -> float:
     """Absolute balance tolerance for a collection of injections."""
     return BALANCE_RTOL * max(1.0, math.fsum(map(abs, values)))
-
-
-def find(parent: list[int], x: int) -> int:
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class ExactSum:
@@ -86,23 +79,54 @@ class ExactSum:
         return self.value
 
 
+def quadratic_cost(coeffs: Iterable[float], flows: Iterable[float]) -> float:
+    """``math.fsum`` of ``c * (x * x)`` over paired coefficients (none
+    negative) and flows, with two exceptions.
+
+    A zero coefficient adds 0.0 whatever its flow, as ``0 * inf`` is NaN.
+    Terms that are each finite but sum beyond the float range give inf where
+    ``fsum`` raises ``OverflowError``.  ``x * x`` rather than ``x ** 2``: a
+    square too large for a float is inf, where the power raises.
+    """
+    terms = [c * (x * x) if c else 0.0 for c, x in zip(coeffs, flows)]
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.nan if any(map(math.isnan, terms)) else math.inf
+
+
+def unjoined(n: int, us: Iterable[int], vs: Iterable[int]) -> list[int]:
+    """Positions of the pairs ``(us[i], vs[i])`` that join nothing.
+
+    A union-find forest over nodes ``0..n-1`` (path halving) takes the
+    pairs in turn, and a pair joins nothing when its ends are already in one
+    tree: a repeat, a self-loop or a cycle's last edge.  So m pairs form a
+    forest exactly when none is returned (Tarjan 1975), and they join the n
+    nodes into one component exactly when ``m - (n - 1)`` are.
+    """
+    parent = list(range(n))
+    missed: list[int] = []
+    joined = 0
+    for u, v in zip(us, vs):
+        while (w := parent[u]) != u:
+            parent[u] = u = parent[w]
+        while (w := parent[v]) != v:
+            parent[v] = v = parent[w]
+        if u == v:
+            missed.append(joined + len(missed))
+        else:
+            # under the first end's root, which keeps paths short on edges
+            # listed outward from a root, as sorted and solved lists mostly are
+            parent[v] = u
+            joined += 1
+    return missed
+
+
 def connected(n: int, edges: Iterable[Sequence[int]]) -> bool:
     """Whether edges ``(u, v, ...)`` join nodes ``0..n-1`` into one component."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
-    seen = [False] * n
-    seen[0] = True
-    count = 1
-    stack = [0]
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
+    edges = list(edges)
+    return len(edges) - len(unjoined(n, map(itemgetter(0), edges),
+                                      map(itemgetter(1), edges))) == n - 1
 
 
 @dataclass(frozen=True)
@@ -205,8 +229,13 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
                 raise ValidationError(f"non-finite injection at node {name!r}")
     if len(set(names)) != n:
         raise ValidationError("duplicate node name")
+    return _network(names, _normalized(names, edges), injections, metadata)
 
-    normalized = _normalized(names, edges)
+
+def _network(names: Sequence[str], edges: list[tuple[int, int, float]],
+             injections: Sequence[float], metadata: dict | None) -> DistributionNetwork:
+    """The network of checked names, injections and normalized edges, once
+    the injections balance and the edges join every node."""
     try:
         total, tol = math.fsum(injections), balance_tolerance(injections)
     except OverflowError:
@@ -215,9 +244,9 @@ def build_network(names: Sequence[str], edges: Sequence[tuple[int, int, float]],
     if abs(total) > tol:
         raise ValidationError(f"injection imbalance: sum(p) = {total!r}")
 
-    if not connected(n, normalized):
+    if not connected(len(names), edges):
         raise ValidationError("disconnected network")
-    return DistributionNetwork(tuple(names), tuple(normalized),
+    return DistributionNetwork(tuple(names), tuple(edges),
                                tuple(map(float, injections)), metadata)
 
 
@@ -284,16 +313,18 @@ def load_network(source: str | bytes | IO) -> DistributionNetwork:
     for key in ("nodes", "edges"):
         if key not in doc or not isinstance(doc[key], list):
             raise ParseError(f"missing or non-list {key!r} entry")
-    names, injections, edges = _parse(doc["nodes"], doc["edges"])
+    parsed = _parse(doc["nodes"], doc["edges"])
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ParseError("'meta' entry must be an object")
-    return build_network(names, edges, injections, meta)
+    del doc  # the parsed lists hold all that is left to check
+    return _parsed_network(*parsed, meta)
 
 
-def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
-    """Sorted names, and injections and edges by id.  C-level passes check
-    the entries; only if one fails are they walked, to raise on the first."""
+def _parse(nodes: list, edge_items: list) -> tuple[list, list, list, list, list]:
+    """Sorted names, injections by id, and each edge's end ids and float cost.
+    C-level passes check the entries; only if one fails are they walked, to
+    raise on the first."""
     try:
         names, ps = (list(map(itemgetter(key), nodes)) for key in ("name", "p"))
         us, vs, cs = (list(map(itemgetter(key), edge_items)) for key in "uvc")
@@ -303,8 +334,8 @@ def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
             ids = {name: i for i, name in enumerate(sorted(raw_p))}
             if len(ids) == len(names):
                 return (list(ids), list(map(raw_p.__getitem__, ids)),
-                        list(zip(map(ids.__getitem__, us),
-                                 map(ids.__getitem__, vs), map(float, cs))))
+                        list(map(ids.__getitem__, us)), list(map(ids.__getitem__, vs)),
+                        list(map(float, cs)))
     except (LookupError, TypeError, OverflowError):
         pass
 
@@ -331,6 +362,26 @@ def _parse(nodes: list, edge_items: list) -> tuple[list, list, list]:
             missing = u if u not in raw_p else v
             raise ValidationError(f"unknown node {missing!r} in edge list")
     raise ParseError("malformed network document")
+
+
+def _parsed_network(names: list[str], injections: list[float], us: list[int],
+                    vs: list[int], cs: list[float], metadata: dict | None) -> DistributionNetwork:
+    """:func:`build_network` of what :func:`_parse` returns.  ``_parse`` has
+    checked the types, the names and the ends, so only the checks it does not
+    make run here, and with the same outcome: finite injections, edges that
+    are no self-loop or repeat and whose costs are finite and not negative,
+    balance and connectivity."""
+    n = len(names)
+    if n == 0:
+        raise ValidationError("empty network: at least one node is required")
+    if not all(map(math.isfinite, injections)):
+        bad = next(name for name, p in zip(names, injections) if not math.isfinite(p))
+        raise ValidationError(f"non-finite injection at node {bad!r}")
+    edges = [(u, v, c) if u < v else (v, u, c) for u, v, c in zip(us, vs, cs)]
+    if (any(map(eq, us, vs)) or not all(map(math.isfinite, cs))
+            or min(cs, default=0.0) < 0 or len({u * n + v for u, v, _ in edges}) < len(edges)):
+        _normalized(names, list(zip(us, vs, cs)))  # raises on the first fault
+    return _network(names, edges, injections, metadata)
 
 
 def _read_json(source: str | bytes | IO, what: str) -> Any:
@@ -542,96 +593,146 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
     non-negative injection, per-node conservation holds within
     ``max(FLOW_ATOL, FLOW_RTOL * sum(|p|))``, all flows are non-negative and
     finite, and the declared ``total_cost`` matches ``sum(C * x**2)`` within
-    ``COST_RTOL``.
+    ``COST_RTOL`` (a sum beyond the float range is inf).
+
+    The structural checks run as C-level passes over flat lists and one
+    union-find pass; only if one of them fails are the edges walked one by
+    one to name the faults in ``messages``, in edge order.  An edge with an
+    id that is no node fails ``edge_subset``; its flow counts in conservation
+    at the end that is a node.  A NaN residual gives ``max_residual`` NaN.
     """
-    messages: list[str] = []
     n = net.n
-    cost_of = {(u, v): c for u, v, c in net.edges}
-
-    edge_subset = True
-    seen: set[tuple[int, int]] = set()
-    acyclic = True
-    parent = list(range(n))
-    coeffs: list[float] = []
-    covered: set[int] = set()
-    indeg = [0] * n
-
-    for tail, head in cfg.directed_edges:
-        if not (0 <= tail < n and 0 <= head < n):
-            edge_subset = False
-            coeffs.append(math.nan)
-            messages.append(f"edge ({tail}, {head}) references an unknown node")
-            continue
-        covered.add(tail)
-        covered.add(head)
-        indeg[head] += 1
-        key = (min(tail, head), max(tail, head))
-        coeffs.append(cost_of.get(key, math.nan))
-        if key not in cost_of:
-            edge_subset = False
-            messages.append(
-                f"edge ({net.names[key[0]]}, {net.names[key[1]]}) is not a network edge")
-        if key in seen:
-            acyclic = False
-            messages.append(
-                f"duplicate undirected edge ({net.names[key[0]]}, {net.names[key[1]]})")
-            continue
-        seen.add(key)
-        ru, rv = find(parent, key[0]), find(parent, key[1])
-        if ru == rv:
-            acyclic = False
-            messages.append(
-                f"edge ({net.names[key[0]]}, {net.names[key[1]]}) closes a cycle")
-        else:
-            parent[ru] = rv
-
-    if n == 1:
-        spanning = len(cfg.directed_edges) == 0
+    directed = cfg.directed_edges
+    m = len(directed)
+    cost_of = {u * n + v: c for u, v, c in net.edges}
+    tails = list(map(itemgetter(0), directed))
+    heads = list(map(itemgetter(1), directed))
+    try:
+        # -1 marks a self-loop or an id out of range; a non-int id fails the
+        # comparisons or the union-find's list indexing
+        keys = [t * n + h if 0 <= t < h < n else h * n + t if 0 <= h < t < n else -1
+                for t, h in directed]
+        coeffs = list(map(cost_of.__getitem__, keys))
+        del keys
+        forest = not unjoined(n, tails, heads)  # of network edges
+    except (KeyError, TypeError):
+        forest = False
+    if forest:
+        sinks = set(heads)
+        # a forest of n - 1 edges spans the n nodes
+        spanning = m == n - 1 or len(sinks.union(tails)) == n
+        root_source = min(map(net.injections.__getitem__, set(tails) - sinks),
+                          default=0.0) >= 0
+        del sinks
+    messages: list[str] = []
+    if not (forest and spanning and root_source):
+        acyclic, edge_subset, spanning, root_source, coeffs, ends = \
+            _structure_faults(net, directed, cost_of, messages)
+        # the flows between the walked ends, where an id that is no node
+        # reads as node n, which has no injection
+        cfg = RadialConfiguration(ends, cfg.flows, cfg.total_cost)
     else:
-        spanning = len(covered) == n
-    if not spanning:
-        missing = sorted(set(range(n)) - covered)
-        messages.append(
-            "uncovered nodes: " + ", ".join(net.names[v] for v in missing[:5]))
-
-    root_source = True
-    for v in covered:
-        if indeg[v] == 0 and net.injections[v] < 0:
-            root_source = False
-            messages.append(
-                f"root {net.names[v]} has negative injection {net.injections[v]!r}")
+        acyclic = edge_subset = True
+    del cost_of, tails, heads
+    flows = cfg.flows
 
     try:
-        residual = incidence_apply(cfg, cfg.flows, n)
+        residual = incidence_apply(cfg, flows, n + 1)
     except DimensionMismatch as exc:
         messages.append(str(exc))
         return ValidationReport(acyclic, edge_subset, spanning, root_source,
                                 False, False, False, False, math.inf, (),
                                 tuple(messages))
-    max_residual = max((abs(r - p) for r, p in zip(residual, net.injections)),
-                       default=0.0)
-    tol = max(FLOW_ATOL, FLOW_RTOL * math.fsum(abs(p) for p in net.injections))
+    residual = list(map(abs, map(sub, residual, net.injections)))
+    # max skips a NaN that is not first; a sum of non-negative terms is NaN
+    # exactly when one of them is
+    max_residual = max(residual) if sum(residual) == sum(residual) else math.nan
+    del residual
+    tol = max(FLOW_ATOL, FLOW_RTOL * math.fsum(map(abs, net.injections)))
     kirchhoff = max_residual <= tol
     if not kirchhoff:
         messages.append(f"conservation residual {max_residual:.3e} exceeds {tol:.3e}")
 
-    nonnegative = all(f >= 0 for f in cfg.flows)
+    nonnegative = all(map(ge, flows, repeat(0)))
     if not nonnegative:
         messages.append("negative flow present")
-    finite = all(math.isfinite(f) for f in cfg.flows)
+    finite = all(map(math.isfinite, flows))
     if not finite:
         messages.append("non-finite flow present")
-    cost = math.fsum(c * (x * x) if c else 0.0
-                     for c, x in zip(coeffs, cfg.flows))
+    cost = quadratic_cost(coeffs, flows)
     cost_consistent = math.isclose(cfg.total_cost, cost, rel_tol=COST_RTOL)
     if not cost_consistent:
         messages.append(
             f"declared cost {cfg.total_cost!r} differs from sum(C x^2) = {cost!r}")
-    zero_flow = tuple(i for i, f in enumerate(cfg.flows) if f == 0.0)
+    zero_flow = tuple(i for i, f in enumerate(flows) if f == 0.0)
 
     return ValidationReport(acyclic, edge_subset, spanning, root_source,
                             kirchhoff, nonnegative, finite, cost_consistent,
                             max_residual, zero_flow, tuple(messages))
+
+
+def _structure_faults(net: DistributionNetwork, directed: Sequence[tuple[int, int]],
+                      cost_of: dict[int, float], messages: list[str]) -> tuple:
+    """:func:`validate_radial`'s structural checks, edge by edge.
+
+    Appends a message per fault to ``messages``, in edge order, and returns
+    the four flags, each edge's cost coefficient (NaN off the network) and
+    each edge's ends, with ``net.n`` for an id that is no node.
+    """
+    n, names, injections = net.n, net.names, net.injections
+    ends = tuple((_node(tail, n), _node(head, n)) for tail, head in directed)
+    inner = [e for e in ends if n not in e]
+    cycles = set(unjoined(n, map(itemgetter(0), inner), map(itemgetter(1), inner)))
+    acyclic = edge_subset = True
+    coeffs: list[float] = []
+    seen: set[int] = set()
+    covered: set[int] = set()  # filled in edge order: roots are named in its order
+    indeg = [0] * n
+    j = 0  # position among the edges between nodes
+    for (tail, head), (t, h) in zip(directed, ends):
+        if n in (t, h):
+            edge_subset = False
+            coeffs.append(math.nan)
+            messages.append(f"edge ({tail}, {head}) references an unknown node")
+            continue
+        covered.add(t)
+        covered.add(h)
+        indeg[h] += 1
+        lo, hi = min(t, h), max(t, h)
+        key = lo * n + hi
+        pair = f"({names[lo]}, {names[hi]})"
+        coeffs.append(cost_of.get(key, math.nan))
+        if key not in cost_of:
+            edge_subset = False
+            messages.append(f"edge {pair} is not a network edge")
+        if key in seen:
+            acyclic = False
+            messages.append(f"duplicate undirected edge {pair}")
+        elif j in cycles:
+            acyclic = False
+            messages.append(f"edge {pair} closes a cycle")
+        seen.add(key)
+        j += 1
+
+    spanning = not ends if n == 1 else len(covered) == n
+    if not spanning:
+        missing = sorted(set(range(n)) - covered)
+        messages.append("uncovered nodes: " + ", ".join(names[v] for v in missing[:5]))
+    root_source = True
+    for v in covered:
+        if indeg[v] == 0 and injections[v] < 0:
+            root_source = False
+            messages.append(f"root {names[v]} has negative injection {injections[v]!r}")
+    return acyclic, edge_subset, spanning, root_source, coeffs, ends
+
+
+def _node(x: Any, n: int) -> int:
+    """``x`` as a node id below ``n``, or ``n`` if it is none."""
+    try:
+        x = index(x)
+    except TypeError:
+        return n
+    return x if 0 <= x < n else n
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ sign of that value, so the solved flow is always non-negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
 from .exceptions import CycleError, ImbalanceError
 from .network_model import (BALANCE_RTOL, DistributionNetwork,
-                            balance_tolerance)
+                            balance_tolerance, quadratic_cost)
 from .preprocessor import peel
 
 
@@ -83,10 +82,6 @@ def solve_forest(net: DistributionNetwork, forest_edges: Iterable[int], *,
     flows = tuple([x if x >= 0 else -x for _, _, _, x in steps])
     if oriented is None:
         oriented = tuple([(i, j) if x >= 0 else (j, i) for i, j, _, x in steps])
-    # x * x rather than x ** 2: a square too large for a float is inf, where
-    # the power raises OverflowError; a zero coefficient skips the square, as
-    # 0 * inf is nan
-    coeffs = [net.edges[idx][2] for idx in edge_list]
-    cost = math.fsum([c * (x * x) if c else 0.0 for c, x in zip(coeffs, flows)])
+    cost = quadratic_cost([net.edges[idx][2] for idx in edge_list], flows)
     zero = tuple(i for i, x in enumerate(flows) if x == 0.0)
     return ForestFlowSolution(oriented, flows, tuple(edge_list), cost, zero)

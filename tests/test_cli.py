@@ -187,16 +187,19 @@ def test_bench_rejects_bad_sizes_and_seeds(option, capsys):
 
 
 def test_overflowing_cost_exit_code(tmp_path, capsys):
-    doc = {"nodes": [{"name": "a", "p": 1e200}, {"name": "b", "p": -1e200}],
-           "edges": [{"u": "a", "v": "b", "c": 1.0}]}
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
-    assert main(["solve", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("infeasible:")
-    assert "overflow" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+    # a square beyond the float range, then two finite squares whose sum is
+    for ps in ([1e200, -1e200], [1.2e154, 0.0, -1.2e154]):
+        names = "abc"[:len(ps)]
+        doc = {"nodes": [{"name": name, "p": p} for name, p in zip(names, ps)],
+               "edges": [{"u": u, "v": v, "c": 1.0} for u, v in zip(names, names[1:])]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("infeasible:")
+        assert "overflow" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_export_dot(tmp_path):

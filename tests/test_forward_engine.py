@@ -239,10 +239,13 @@ def test_trace_deleted_counts_match_the_pool_scan():
     build_network(["a", "b"], [(0, 1, 1.0)], [1e200, -1e200]),
     build_network(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
                   [2e200, -1e200, -1e200]),
-], ids=["forced edge", "grown ring"])
+    build_network(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)],
+                  [1.2e154, 0.0, -1.2e154]),
+], ids=["forced edge", "grown ring", "sum of finite squares"])
 def test_overflowing_cost_is_infeasible(net):
-    # squares of 1e200 overflow: solve must fail with the typed error, not
-    # the OverflowError that x ** 2 raises
+    # squares of 1e200 overflow, and so does the sum of two squares of
+    # 1.2e154: solve must fail with the typed error, not the OverflowError
+    # that x ** 2 or math.fsum raises
     with pytest.raises(Infeasible, match="overflow") as info:
         solve(net)
     assert info.value.iteration is None

@@ -5,6 +5,7 @@ import math
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,12 @@ from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
                         config_to_json, export_dot, load_network,
                         serialize_network, solve, solve_forest,
                         validate_radial)
-from radialflow.network_model import (FLOW_ATOL, DistributionNetwork, ExactSum,
-                                      balance_tolerance, incidence_apply)
+from radialflow.network_model import (COST_RTOL, FLOW_ATOL, FLOW_RTOL,
+                                      DistributionNetwork, ExactSum,
+                                      balance_tolerance, connected,
+                                      incidence_apply, quadratic_cost)
 
-from conftest import DATA_DIR, random_tree_network, ws_instance
+from conftest import DATA_DIR, random_tree_network, small_networks, ws_instance
 
 
 def path3(b_injection=-1.0):
@@ -456,6 +459,30 @@ def test_validate_cost_overflow_counts_as_infinite():
     assert not report.cost_consistent
     free = build_network(["a", "b"], [(0, 1, 0.0)], [1e200, -1e200])
     assert validate_radial(free, RadialConfiguration(edges, flows, 0.0)).passed
+    # each square is finite, but their sum is not, and fsum raises on it
+    path = build_network(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)],
+                         [1.2e154, 0.0, -1.2e154])
+    edges, flows = ((0, 1), (1, 2)), (1.2e154, 1.2e154)
+    assert validate_radial(path, RadialConfiguration(edges, flows,
+                                                     math.inf)).passed
+    report = validate_radial(path, RadialConfiguration(edges, flows, 5.0))
+    assert not report.cost_consistent
+    assert report.messages == ("declared cost 5.0 differs from sum(C x^2) = inf",)
+
+
+@pytest.mark.parametrize("edges, flows", [
+    (((1, 2), (0, 1)), (math.nan, 2.0)),
+    (((0, 1), (1, 2)), (2.0, math.nan)),
+    (((1, 2), (0, 1)), (1.0, math.nan)),
+], ids=["nan second", "nan last", "nan first"])
+def test_validate_nan_residual_fails_conservation(edges, flows):
+    # max() skips a NaN that is not its first item, and a's residual is 0.0
+    # in the first two cases
+    net = load_network(path3())
+    report = validate_radial(net, RadialConfiguration(edges, flows, 4.0))
+    assert math.isnan(report.max_residual)
+    assert not report.kirchhoff
+    assert "conservation residual nan exceeds 1.000e-08" in report.messages
 
 
 def test_conservation_tolerance_scales_with_injections():
@@ -631,3 +658,159 @@ def test_exact_sum_overflows_where_fsum_does():
     total = ExactSum([1e308] + [0.0] * 20)
     with pytest.raises(OverflowError):
         total.add([1e308] * 20)
+
+
+def test_validate_names_each_fault_in_edge_order():
+    # the messages as they read before the checks ran as flat passes: faults
+    # edge by edge, then coverage, roots, conservation and cost
+    net = build_network(list("abcdefg"),
+                        [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 2.0),
+                         (3, 4, 1.0), (4, 5, 0.5), (5, 6, 1.0)],
+                        [3.0, -1.0, -1.0, 0.0, -0.5, -0.5, 0.0])
+    cfg = RadialConfiguration(((0, 1), (1, 2), (2, 3), (3, 0), (2, 1), (1, 3), (5, 4)),
+                              (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.5), 3.0)
+    report = validate_radial(net, cfg)
+    assert report.messages == (
+        "edge (a, d) closes a cycle", "duplicate undirected edge (b, c)",
+        "edge (b, d) is not a network edge", "edge (b, d) closes a cycle",
+        "uncovered nodes: g", "root f has negative injection -0.5",
+        "conservation residual 2.000e+00 exceeds 1.000e-08",
+        "declared cost 3.0 differs from sum(C x^2) = nan")
+    assert report.zero_flow_edges == (3,)
+    far = RadialConfiguration(((0, 1), (9, 2), (1, "c")), (1.0, 1.0, 1.0), 3.0)
+    assert validate_radial(net, far).messages[:2] == (
+        "edge (9, 2) references an unknown node",
+        "edge (1, c) references an unknown node")
+
+
+def test_quadratic_cost_reads_an_overflowing_sum_as_inf():
+    assert quadratic_cost([1.0, 1.0], [1.2e154, 1.2e154]) == math.inf
+    assert quadratic_cost([0.0, 2.0], [math.inf, 3.0]) == 18.0
+    assert quadratic_cost([0.0, 1.0], [math.nan, 1e200]) == math.inf
+    # fsum raises on the overflow after the NaN, which the sum keeps
+    assert math.isnan(quadratic_cost([math.nan, 1.0, 1.0], [1.0, 1.2e154, 1.2e154]))
+
+
+def reference_report(net: DistributionNetwork, cfg: RadialConfiguration) -> dict:
+    """Every :class:`ValidationReport` field but the messages, computed
+    without the module: ``networkx.is_forest`` on the skeleton and
+    ``math.fsum`` per node.  An id is a node when it is an int in range; an
+    edge with an end that is none counts only at the end that is one."""
+    n, p = net.n, net.injections
+
+    def is_node(x):
+        return type(x) is int and 0 <= x < n
+
+    inner = [e for e in cfg.directed_edges if is_node(e[0]) and is_node(e[1])]
+    skeleton = nx.MultiGraph(inner)
+    pairs = {(u, v): c for u, v, c in net.edges}
+    coeffs = [pairs.get((min(e), max(e)), math.nan)
+              if is_node(e[0]) and is_node(e[1]) else math.nan
+              for e in cfg.directed_edges]
+    covered = set(skeleton)
+    heads = {h for _, h in inner}
+    terms: list[list[float]] = [[-x] for x in p]
+    for (tail, head), x in zip(cfg.directed_edges, cfg.flows):
+        for end, sign in ((tail, 1), (head, -1)):
+            if is_node(end):
+                terms[end].append(sign * x)
+    residuals = []
+    for t in terms:
+        try:
+            residuals.append(abs(math.fsum(t)))
+        except ValueError:  # inf - inf
+            residuals.append(math.nan)
+        except OverflowError:
+            residuals.append(math.inf)
+    cost_terms = [c * x * x if c else 0.0 for c, x in zip(coeffs, cfg.flows)]
+    try:
+        cost = math.fsum(cost_terms)
+    except OverflowError:
+        cost = math.nan if any(map(math.isnan, cost_terms)) else math.inf
+    aligned = len(cfg.flows) == len(cfg.directed_edges)
+    return {
+        "acyclic": not inner or nx.is_forest(skeleton),
+        "edge_subset": len(inner) == len(cfg.directed_edges)
+                       and all((min(e), max(e)) in pairs for e in inner),
+        "spanning": (not cfg.directed_edges if n == 1
+                     else covered == set(range(n))),
+        "root_source": all(p[v] >= 0 for v in covered - heads),
+        "max_residual": (math.inf if not aligned else math.nan
+                         if any(map(math.isnan, residuals)) else max(residuals)),
+        "nonnegative_flows": aligned and all(x >= 0 for x in cfg.flows),
+        "finite_flows": aligned and all(map(math.isfinite, cfg.flows)),
+        "cost": cost if aligned else math.nan,
+        "zero_flow_edges": tuple(i for i, x in enumerate(cfg.flows)
+                                 if x == 0.0) if aligned else (),
+    }
+
+
+MUTATIONS = ("drop", "repeat", "reverse", "replace", "chord", "far id",
+             "non-int id", "negate", "nan", "inf", "cost", "long flows")
+
+
+@st.composite
+def mutated_configurations(draw):
+    """A solved configuration of a small network with a few mutations."""
+    net = draw(small_networks())
+    cfg, _ = solve(net)
+    edges, flows, cost = list(cfg.directed_edges), list(cfg.flows), cfg.total_cost
+    node = st.integers(0, net.n - 1)
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(edges) - 1)) if edges else None
+        if kind == "chord":
+            edges.append((draw(node), draw(node)))
+            flows.append(draw(st.sampled_from([0.0, 1.0, 2.5])))
+        elif kind == "cost":
+            cost = draw(st.sampled_from([0.0, -1.0, cost * 2 + 1, math.inf]))
+        elif kind == "long flows":
+            flows.append(1.0)
+        elif i is None:
+            continue
+        elif kind == "drop":
+            del edges[i], flows[i % len(flows)]
+        elif kind == "repeat":
+            edges.append(edges[i])
+            flows.append(flows[i % len(flows)])
+        elif kind == "reverse":
+            edges[i] = edges[i][::-1]
+        elif kind == "replace":
+            edges[i] = (edges[i][0], draw(node))
+        elif kind == "far id":
+            edges[i] = (draw(st.sampled_from([-1, net.n, net.n + 3])), edges[i][1])
+        elif kind == "non-int id":
+            edges[i] = (edges[i][0], draw(st.sampled_from([1.0, "v1", None])))
+        elif i < len(flows):
+            flows[i] = {"negate": -flows[i], "nan": math.nan, "inf": math.inf}[kind]
+    return net, RadialConfiguration(tuple(edges), tuple(flows), cost)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(mutated_configurations())
+def test_validate_matches_an_independent_reference(case):
+    net, cfg = case
+    report = validate_radial(net, cfg)
+    want = reference_report(net, cfg)
+    for name in ("acyclic", "edge_subset", "spanning", "root_source",
+                 "nonnegative_flows", "finite_flows", "zero_flow_edges"):
+        assert getattr(report, name) == want[name], name
+    got = report.max_residual
+    assert (math.isnan(got) and math.isnan(want["max_residual"])
+            or math.isclose(got, want["max_residual"], rel_tol=1e-9, abs_tol=1e-12))
+    tol = max(FLOW_ATOL, FLOW_RTOL * math.fsum(map(abs, net.injections)))
+    assert report.kirchhoff == (len(cfg.flows) == len(cfg.directed_edges)
+                                and got <= tol)
+    assert report.cost_consistent == math.isclose(cfg.total_cost, want["cost"],
+                                                  rel_tol=COST_RTOL)
+    assert bool(report.messages) == (not report.passed)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+def test_connected_matches_networkx(case):
+    n, edges = case
+    graph = nx.Graph(edges)
+    graph.add_nodes_from(range(n))
+    assert connected(n, edges) == nx.is_connected(graph)
