@@ -399,7 +399,8 @@ def lowpoint(roots: Iterable[int],
 
     Iterative Tarjan lowpoint walk from each node of ``roots`` (every node)
     not yet reached, in order; ``adj`` gives each node's distinct neighbors,
-    visited in ascending order.
+    visited in stored order, which the set of articulation points does not
+    depend on.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -412,7 +413,7 @@ def lowpoint(roots: Iterable[int],
         disc[start] = low[start] = clock
         clock += 1
         root_children = 0
-        stack = [(start, -1, iter(sorted(adj[start])))]
+        stack = [(start, -1, iter(adj[start]))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:
@@ -421,7 +422,7 @@ def lowpoint(roots: Iterable[int],
                 if w not in disc:
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, v, iter(sorted(adj[w]))))
+                    stack.append((w, v, iter(adj[w])))
                     break
                 low[v] = min(low[v], disc[w])
             else:

@@ -237,20 +237,18 @@ def run_partition(view: GraphView, injections: dict[int, float],
                   collect_trace: bool = False) -> None:
     """Grow polytrees over the peeled graph until covered and drained.
 
-    Before every step the condensation is searched for supply super nodes
-    that are cut vertices.  At the first one the subproblem is split and the
-    sides are grown one after another, smallest node id first.  The sampler
-    therefore only ever consults irreducible condensations.  The chosen
-    edges, counts and seconds go straight into ``report``; growth adds at
-    most n - 1 edges.  Growth cuts ``view.adj`` and ``injections`` down in
-    place.  ``tol`` is the balance tolerance, the whole network's.
+    A tree grows from each supply; a graph without supply grows one tree
+    from its smallest node, which is then that tree's id.  Before every step
+    the condensation is searched for supply super nodes that are cut
+    vertices.  At the first one the subproblem is split and the sides are
+    grown one after another, smallest node id first.  The sampler therefore
+    only ever consults irreducible condensations.  The chosen edges, counts
+    and seconds go straight into ``report``; growth adds at most n - 1
+    edges.  Growth cuts ``view.adj`` and ``injections`` down in place.
+    ``tol`` is the balance tolerance, the whole network's.
     """
     net, adj, inj = view.net, view.adj, injections
-    sources = sorted(v for v, p in inj.items() if p > 0)
-
-    if not sources:
-        return _spanning_fallback(view, inj, tol, report)
-
+    sources = sorted(v for v, p in inj.items() if p > 0) or [min(adj)]
     pool = [(idx, *net.edges[idx])
             for idx in sorted({i for links in adj.values() for _, i in links})]
     cap = len(report.edge_indices) + len(adj) - 1
@@ -638,31 +636,6 @@ def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
     for v in held:
         heapq.heappush(order, v)
     return low
-
-
-def _spanning_fallback(view: GraphView, injections: dict[int, float],
-                       tol: float, report: SolveReport) -> None:
-    """Cover a peeled graph without supply, appending to ``report``.
-
-    Only legal when every injection is (numerically) zero; any spanning tree
-    then carries zero flow.  A demand node with no supply is infeasible.
-    """
-    adj = view.adj
-    start = min(adj)
-    if any(abs(p) > tol for p in injections.values()):
-        raise Infeasible(f"the subproblem of node {start} has demand but no "
-                         f"supply", iteration=0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x = heapq.heappop(frontier)
-        for y, eidx in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                heapq.heappush(frontier, y)
-                report.sampled.append((x, y))
-                report.edge_indices.append(eidx)
-                report.iterations += 1
 
 
 def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,

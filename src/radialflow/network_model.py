@@ -79,16 +79,23 @@ class ExactSum:
         return self.value
 
 
-def quadratic_cost(coeffs: Iterable[float], flows: Iterable[float]) -> float:
+def quadratic_cost(coeffs: Sequence[float], flows: Sequence[float]) -> float:
     """``math.fsum`` of ``c * (x * x)`` over paired coefficients (none
-    negative) and flows, with two exceptions.
+    negative) and flows, with three exceptions.
 
     A zero coefficient adds 0.0 whatever its flow, as ``0 * inf`` is NaN.
-    Terms that are each finite but sum beyond the float range give inf where
-    ``fsum`` raises ``OverflowError``.  ``x * x`` rather than ``x ** 2``: a
-    square too large for a float is inf, where the power raises.
+    A square beyond the float range is inf even where ``c`` is small enough
+    to keep the term finite, so a term that is inf is computed again as
+    ``(c * x) * x``, which is inf only where the term truly is (or ``c`` or
+    ``x`` is); a finite term keeps its bits.  Terms that are each finite but
+    sum beyond the float range give inf where ``fsum`` raises
+    ``OverflowError``.  ``x * x`` rather than ``x ** 2``: a square too large
+    for a float is inf, where the power raises.
     """
     terms = [c * (x * x) if c else 0.0 for c, x in zip(coeffs, flows)]
+    if math.inf in terms:
+        terms = [t if t != math.inf else (c * x) * x
+                 for t, c, x in zip(terms, coeffs, flows)]
     try:
         return math.fsum(terms)
     except OverflowError:

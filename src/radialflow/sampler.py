@@ -54,11 +54,13 @@ class PathCostAccumulator(dict):
 class ForestState:
     """Mutable record of the polytrees grown so far in one subproblem.
 
-    Tree ids are the node ids of the supplies they grew from; a merge keeps
-    the absorbing tree's id.  ``sums`` holds each tree's exact running sum
-    (:class:`~radialflow.network_model.ExactSum`), whose ``value`` is its
-    residual: an absorb or a merge adds to it instead of re-summing the
-    tree, and it equals ``math.fsum`` over the members, so it never drifts.
+    Tree ids are the node ids of the supplies they grew from, or of the
+    smallest node of a subproblem without supply, which grows one tree from
+    there; a merge keeps the absorbing tree's id.  ``sums`` holds each
+    tree's exact running sum (:class:`~radialflow.network_model.ExactSum`),
+    whose ``value`` is its residual: an absorb or a merge adds to it instead
+    of re-summing the tree, and it equals ``math.fsum`` over the members, so
+    it never drifts.
     """
 
     def __init__(self, sources: Sequence[int],

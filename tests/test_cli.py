@@ -36,6 +36,18 @@ def test_validate_solved_config(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_validate_notes_zero_flow_edges(tmp_path, capsys):
+    # c injects nothing, so the edge to it carries no flow; that is legal
+    doc = {"nodes": [{"name": "a", "p": 1.0}, {"name": "b", "p": -1.0},
+                     {"name": "c", "p": 0.0}],
+           "edges": [{"u": "a", "v": "b", "c": 1.0}, {"u": "b", "v": "c", "c": 1.0}]}
+    net, sol = tmp_path / "net.json", tmp_path / "sol.json"
+    net.write_text(json.dumps(doc))
+    assert main(["solve", str(net), "-o", str(sol)]) == 0
+    assert main(["validate", str(net), "--config", str(sol)]) == 0
+    assert capsys.readouterr().err == "  note: 1 zero-flow edge(s)\n"
+
+
 def test_validate_rejects_reversed_edge(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     main(["solve", GAP_RING, "-o", str(sol)])

@@ -1,9 +1,12 @@
-"""End-to-end construction: regressions, invariants, merging, fallbacks."""
+"""End-to-end construction: regressions, invariants, merging, scale, cores
+without supply."""
 
 import hashlib
 import json
 import math
 import random
+import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,15 +16,16 @@ from hypothesis import strategies as st
 from conftest import (data_path, full_view, random_tree_network, small_instances,
                       small_networks, ws_instance)
 from radialflow import (GenSpec, Infeasible, InfeasibleSplit, InvalidSpec,
-                        NoCandidate, build_network, config_to_json, generate,
-                        load_network, solve, solve_forest, validate_radial)
+                        NoCandidate, ValidationError, build_network,
+                        config_to_json, generate, load_network, solve,
+                        solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
-from radialflow.forward_engine import (HUB_LINK, SolveReport,
-                                       _spanning_fallback, _subproblem,
+from radialflow.forward_engine import (HUB_LINK, SolveReport, _subproblem,
                                        complexity_probe, default_source_count,
                                        fit_exponent, split_at_cut)
-from radialflow.network_model import GraphView, balance_tolerance
+from radialflow.network_model import (DistributionNetwork, GraphView,
+                                      balance_tolerance)
 from radialflow.preprocessor import preprocess
 from radialflow.sampler import ForestState, Frontier, PathCostAccumulator
 
@@ -127,36 +131,42 @@ def test_all_zero_network_spans_for_free():
     assert validate_radial(net, cfg).passed
 
 
-def test_fallback_rejects_unserved_demand():
-    net = build_network(["a", "b"], [(0, 1, 1.0)], [1.0, -1.0])
-    with pytest.raises(Infeasible, match="subproblem of node 0 has demand "
-                                         "but no supply") as info:
-        _spanning_fallback(full_view(net), {0: 2.0, 1: -2.0},
-                           balance_tolerance([2.0, -2.0]), SolveReport())
-    assert info.value.iteration == 0
+@pytest.mark.parametrize("n, seed", [(30, 0), (120, 1), (300, 2)])
+@pytest.mark.parametrize("pair", [None, (3.0, 1.0, 2.5)],
+                         ids=["all zero", "pendant pair"])
+def test_core_without_supply_grows_from_its_smallest_node(n, seed, pair):
+    # every injection the core keeps is 0, so one tree grows from its
+    # smallest node, every weight is 0 and picks fall to the tie order; the
+    # core carries no flow, so only the pendant pair, peeled into one node,
+    # costs anything
+    mesh = ws_instance(n, seed)
+    names, edges, p, cost = [*mesh.names], [*mesh.edges], [0.0] * n, 0.0
+    if pair:
+        big, cs, ct = pair
+        names += ["s", "t"]
+        edges += [(n, n // 2, cs), (n + 1, n // 2, ct)]
+        p += [big, -big]
+        cost = (cs + ct) * big * big
+    net = build_network(names, edges, p)
+    start = min(preprocess(net).reduced.adj)
+    config, report = solve(net, check_invariants=True, collect_trace=True)
+    assert report.partitions == 1 and report.iterations > 0
+    assert start in net.edges[report.trace[0].edge_index][:2]
+    assert config.total_cost == report.cost == cost
+    assert len(config.directed_edges) == net.n - 1
+    assert validate_radial(net, config).passed
 
 
-def test_fallback_visits_the_smallest_frontier_node_first():
-    # an all-zero mesh; the reference scans the frontier for its minimum
-    mesh = ws_instance(300, seed=2)
-    net = build_network(mesh.names, mesh.edges, [0.0] * mesh.n)
-    view = full_view(net)
-    adj = view.adj
-    seen, frontier, want = {0}, [0], []
-    while frontier:
-        x = min(frontier)
-        frontier.remove(x)
-        for y, idx in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-                want.append((x, y, idx))
-    report = SolveReport()
-    _spanning_fallback(view, dict.fromkeys(adj, 0.0), 1e-9, report)
-    assert len(want) == net.n - 1
-    assert [(*e, idx) for e, idx in zip(report.sampled,
-                                        report.edge_indices)] == want
-    assert report.iterations == len(want)
+def test_demand_without_supply_fails_the_balance_check():
+    # build_network refuses the imbalance, so the network is built directly;
+    # the peeled core fails its balance check before growth starts
+    net = DistributionNetwork(("a", "b", "c"),
+                              ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)),
+                              (0.0, -1.0, 0.0))
+    with pytest.raises(InfeasibleSplit) as info:
+        solve(net)
+    assert str(info.value) == ("the subproblem of node 0 has injections "
+                               "summing to -1.0, expected zero")
 
 
 def three_blocks():
@@ -249,6 +259,76 @@ def test_overflowing_cost_is_infeasible(net):
     with pytest.raises(Infeasible, match="overflow") as info:
         solve(net)
     assert info.value.iteration is None
+
+
+def test_small_coefficient_keeps_a_huge_flow_finite():
+    # 1e200 squared overflows, but the term 1e-300 * 1e200 * 1e200 does not
+    net = build_network(["a", "b"], [(0, 1, 1e-300)], [1e200, -1e200])
+    config, report = solve(net, check_invariants=True)
+    assert config.total_cost == report.cost == 1e100
+    assert validate_radial(net, config).passed
+
+
+#: Cost sets of the scale sweep; the last, all 1, takes injections of -1, 0, 1.
+SCALE_COSTS = [(0.0, 1.0, 2.5), (0.0, 1e-300, 1e-200), (1.0, 1e150, 1e300),
+               (0.0, 1e-300, 1.0, 1e300), (1.0,)]
+SCALED = st.one_of(st.sampled_from([-1.0, 0.0, 2.0]), st.builds(
+    lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+    st.floats(-300.0, 300.0)))
+
+
+@st.composite
+def scaled_networks(draw):
+    """Names, edges and injections of a connected network of 2 to 30 nodes,
+    with costs from one of :data:`SCALE_COSTS` and injections of any scale
+    (±10^U(-300, 300), or -1, 0, 2); one node then balances the others."""
+    n = draw(st.integers(2, 30))
+    costs = draw(st.sampled_from(SCALE_COSTS))
+    cost = st.sampled_from(costs)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(cost) for v in range(1, n)}
+    for u, v, c in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), cost),
+                                 max_size=2 * n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), c)
+    p = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]) if len(costs) == 1
+                      else SCALED, min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    p[k] = 0.0
+    p[k] = -math.fsum(p)
+    return ([f"v{i}" for i in range(n)],
+            [(u, v, c) for (u, v), c in edges.items()], p)
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(scaled_networks())
+def test_any_scale_solves_or_fails_typed(raw):
+    # every accepted network solves to a configuration that validates, or
+    # fails typed; a cost reported to overflow truly does, summed exactly
+    # over the flows of the solved forest
+    try:
+        net = build_network(*raw)
+    except ValidationError:
+        return
+    solved = []
+
+    def capture(*args, **kwargs):
+        solved.append(solve_forest(*args, **kwargs))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward_engine, "solve_forest", capture)
+        try:
+            config, _ = solve(net)
+        except (Infeasible, InfeasibleSplit) as exc:
+            if "overflows" in str(exc):
+                (forest,) = solved
+                exact = sum(Fraction(net.edges[idx][2]) * Fraction(x) ** 2
+                            for idx, x in zip(forest.edge_indices, forest.flows))
+                assert exact > sys.float_info.max
+            return
+    report = validate_radial(net, config)
+    assert report.passed, report.messages
 
 
 def test_huge_supply_peeled_into_a_ring_solves():

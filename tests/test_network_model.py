@@ -6,6 +6,7 @@ import random
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,8 @@ def test_load_rejects_malformed():
         load_network(json.dumps({"edges": []}))
     with pytest.raises(ParseError):
         load_network(json.dumps({"nodes": [{"name": "a"}], "edges": []}))
+    with pytest.raises(ParseError, match="^top-level JSON value must be an object$"):
+        load_network("[]")
     # an integer beyond float range once escaped as an OverflowError
     with pytest.raises(ParseError, match="number"):
         load_network('{"nodes": [{"name": "a", "p": 1%s}], "edges": []}'
@@ -200,6 +203,10 @@ DEEP_FAULTS = {
                   "injection imbalance: sum(p) = -1.0"),
     "disconnected": ([lambda doc: doc["edges"].pop(1500)], ValidationError,
                      "disconnected network"),
+    "meta not an object": ([lambda doc: doc.update(meta=[1])], ParseError,
+                           "'meta' entry must be an object"),
+    "empty": ([lambda doc: doc.update(nodes=[], edges=[])], ValidationError,
+              "empty network: at least one node is required"),
 }
 
 
@@ -248,11 +255,13 @@ def test_load_names_the_first_fault_deep_in_a_document(faults, error, message):
      "edge (1500, 1501) is not a (u, v, cost) triple"),
     (lambda names, edges, p: names.__setitem__(1500, 1500),
      "node name must be a string: 1500"),
+    (lambda names, edges, p: (names.clear(), edges.clear(), p.clear()),
+     "empty network: at least one node is required"),
 ], ids=["unknown id", "duplicate name", "short injections", "negative cost",
         "duplicate edge reversed", "float endpoint", "string endpoint",
         "bool endpoint", "string cost", "bool cost", "huge int cost",
         "string injection", "bool injection", "huge int injection",
-        "pair edge", "int name"])
+        "pair edge", "int name", "empty"])
 def test_build_names_the_first_fault_deep_in_its_input(change, message):
     names = [f"n{i:04d}" for i in range(DEEP)]
     edges = [(i - 1, i, 1.0) for i in range(1, DEEP)]
@@ -261,6 +270,19 @@ def test_build_names_the_first_fault_deep_in_its_input(change, message):
     with pytest.raises(ValidationError) as info:
         build_network(names, edges, p)
     assert str(info.value) == message
+
+
+def test_build_takes_numpy_floats_as_floats():
+    # numpy.float64 is a float subclass, so the C-level type checks fail and
+    # the walk finds no fault; the network is the one plain floats build
+    edges = [(0, 1, 1.5), (2, 1, 0.0), (0, 2, 3.0)]
+    p = [2.0, -1.5, -0.5]
+    plain = build_network(["a", "b", "c"], edges, p)
+    net = build_network(["a", "b", "c"],
+                        [(u, v, np.float64(c)) for u, v, c in edges],
+                        list(map(np.float64, p)))
+    assert net == plain
+    assert {type(c) for *_, c in net.edges} == set(map(type, net.injections)) == {float}
 
 
 def test_round_trip_is_identity(gap_ring):
@@ -531,6 +553,11 @@ def test_config_json_rejects_garbage(gap_ring):
     bad = {"edges": [{"u": "src", "v": "nosuch", "flow": 1.0}], "cost": 0.0}
     with pytest.raises(ValidationError):
         config_from_json(gap_ring, json.dumps(bad))
+    no_flow = {"edges": [{"u": "src", "v": "t1"}], "cost": 0.0}
+    with pytest.raises(ParseError) as info:
+        config_from_json(gap_ring, json.dumps(no_flow))
+    assert str(info.value) == ("edge entry must have 'u', 'v' and 'flow': "
+                               "{'u': 'src', 'v': 't1'}")
 
 
 def test_export_dot(gap_ring):
@@ -685,6 +712,8 @@ def test_validate_names_each_fault_in_edge_order():
 
 def test_quadratic_cost_reads_an_overflowing_sum_as_inf():
     assert quadratic_cost([1.0, 1.0], [1.2e154, 1.2e154]) == math.inf
+    # the square overflows, but a small coefficient keeps the term finite
+    assert quadratic_cost([1e-300, 2.0], [1e200, 3.0]) == 1e100 + 18.0
     assert quadratic_cost([0.0, 2.0], [math.inf, 3.0]) == 18.0
     assert quadratic_cost([0.0, 1.0], [math.nan, 1e200]) == math.inf
     # fsum raises on the overflow after the NaN, which the sum keeps
