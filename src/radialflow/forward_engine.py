@@ -13,7 +13,6 @@ counted.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
@@ -210,17 +209,15 @@ class Subproblem:
     super node that has become a cut vertex of the condensation.  The
     subproblem reaches its polytrees (``frontier.state``), its condensation
     (``frontier.cond``), its adjacency (``frontier.cond.adj``: each node's
-    ``(neighbor, edge index)`` pairs and :data:`HUB_LINK` links) and its
-    injections (``frontier.cond.injections``) only through its frontier; a
-    node is uncovered while no tree holds it.  ``order`` is a heap of the
-    nodes where dropped ones linger, and ``linked`` holds the root, kept hub
-    nodes and smallest hub node of the last split; no edge lies between
-    those nodes.
+    ``(neighbor, edge index)`` pairs and :data:`HUB_LINK` links, nodes in
+    ascending order) and its injections (``frontier.cond.injections``) only
+    through its frontier; a node is uncovered while no tree holds it.
+    ``linked`` holds the root, kept hub nodes and smallest hub node of the
+    last split; no edge lies between those nodes.
     """
 
     net: DistributionNetwork
     frontier: Frontier
-    order: list[int]
     linked: tuple[int, set[int], int] | None = None
 
     @property
@@ -229,7 +226,7 @@ class Subproblem:
 
     def name(self) -> str:
         """The subproblem, named in errors by its smallest node id."""
-        return f"the subproblem of node {min(self.frontier.cond.adj)}"
+        return f"the subproblem of node {next(iter(self.frontier.cond.adj))}"
 
 
 def run_partition(view: GraphView, injections: dict[int, float],
@@ -244,11 +241,13 @@ def run_partition(view: GraphView, injections: dict[int, float],
     grown one after another, smallest node id first.  The sampler therefore
     only ever consults irreducible condensations.  The chosen edges, counts
     and seconds go straight into ``report``; growth adds at most n - 1
-    edges.  Growth cuts ``view.adj`` and ``injections`` down in place.
-    ``tol`` is the balance tolerance, the whole network's.
+    edges.  ``view.adj`` lists its nodes in ascending order, as
+    :func:`preprocess` builds it; growth keeps that order and cuts
+    ``view.adj`` and ``injections`` down in place.  ``tol`` is the balance
+    tolerance, the whole network's.
     """
     net, adj, inj = view.net, view.adj, injections
-    sources = sorted(v for v, p in inj.items() if p > 0) or [min(adj)]
+    sources = sorted(v for v, p in inj.items() if p > 0) or [next(iter(adj))]
     pool = [(idx, *net.edges[idx])
             for idx in sorted({i for links in adj.values() for _, i in links})]
     cap = len(report.edge_indices) + len(adj) - 1
@@ -287,7 +286,7 @@ def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
     start = time.perf_counter()
     cond = net_concad(GraphView(net, adj), state.injections, state.membership)
     report.timings["condense"] += time.perf_counter() - start
-    return Subproblem(net, Frontier(pool, state, cond, h), sorted(adj))
+    return Subproblem(net, Frontier(pool, state, cond, h))
 
 
 def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list[int],
@@ -463,7 +462,10 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     its rim group is new.  Of a hub the last split cut down (``sub.linked``),
     only the nodes added since and those next to them or to a small side are
     looked at.  So a split costs a search over the groups, the small sides
-    and the new hub nodes (Even and Shiloach 1981).
+    and the new hub nodes (Even and Shiloach 1981).  Every side's adjacency
+    lists its nodes in ascending order: a small side's is built so, and the
+    kept side only loses keys or has their lists replaced.  So a side's
+    smallest node of its own is its first key outside the hub.
 
     Args:
         sub: Subproblem to split; it becomes its largest side.
@@ -526,12 +528,12 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     report.splits += 1
     logger.debug("split at tree %d into %d sides", root, len(sides))
 
-    # a small side takes its nodes' edge lists and new ones for its rim; the
-    # kept side's old hub nodes next to no new node or small side keep
-    # their edges into it, and the old smallest node stays if still smallest
-    side_adj, side_inj, hubs, touched = {}, {big: inj}, {}, set()
+    # a small side takes its nodes' edge lists and new ones for its rim, in
+    # ascending node order; the kept side's old hub nodes next to no new
+    # node or small side keep their edges into it, and the old smallest
+    # node stays if still smallest
+    side_adj, side_inj, hubs, touched = {big: adj}, {big: inj}, {}, set()
     for k, own in small.items():
-        side_adj[k] = {v: adj[v] for v in own}
         side_inj[k] = {v: inj[v] for v in own}
         rim: dict[int, list[tuple[int, int]]] = {}
         for v in own:
@@ -541,8 +543,9 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
         touched.update(rim)
         hubs[k] = [*rim, *{root, top}.difference(rim)]
         spokes = [(v, HUB_LINK) for v in hubs[k] if v != root]
-        side_adj[k].update((v, [*rim.get(v, ()), (root, HUB_LINK)]) for v, _ in spokes)
-        side_adj[k][root] = [*rim.get(root, ()), *spokes]
+        links = {v: [*rim.get(v, ()), (root, HUB_LINK)] for v, _ in spokes}
+        links[root] = [*rim.get(root, ()), *spokes]
+        side_adj[k] = {v: links[v] if v in links else adj[v] for v in sorted([*own, *links])}
         side_inj[k].update(dict.fromkeys(hubs[k], 0.0))
     redo = set(new)
     if old:
@@ -560,8 +563,7 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     for v in (*dropped, *gone):
         del adj[v], inj[v]
     inj.update((v, 0.0) for v in new if v in keep)
-    lows = {k: min(own) for k, own in small.items()}
-    lows[big] = _smallest_own(sub.order, adj, hub)
+    lows = {k: next(v for v in sadj if v not in hub) for k, sadj in side_adj.items()}
     ordered = sorted(lows, key=lows.__getitem__)
     terms = {k: [t for g in sides[k] for t in supers[g].total.terms]
              for k in ordered}
@@ -585,7 +587,7 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
         side = frontier.split_off({i for v in own for _, i in sadj[v]}, side_state,
                                   side_cond, set(sides[k]), cut, rim, relabelled)
         side.replicas = frozenset(r for r in replicas if r in sadj)
-        built[k] = Subproblem(sub.net, side, sorted(sadj), (root, set(hubs[k]), top))
+        built[k] = Subproblem(sub.net, side, (root, set(hubs[k]), top))
 
     # the kept side is the subproblem, cut down in place; its hub nodes other
     # than the root hold no injection
@@ -620,22 +622,6 @@ def replica_shares(own: float, subtotals: Sequence[float],
     sum to ``own``.
     """
     return own + math.fsum(subtotals), [-s for s in subtotals]
-
-
-def _smallest_own(order: list[int], adj: dict, hub: set[int]) -> int:
-    """The smallest entry of heap ``order`` in ``adj`` but not in ``hub``.
-
-    Entries no longer in ``adj`` are popped for good, hub nodes put back.
-    """
-    held = []
-    while order[0] not in adj or order[0] in hub:
-        v = heapq.heappop(order)
-        if v in adj:
-            held.append(v)
-    low = order[0]
-    for v in held:
-        heapq.heappush(order, v)
-    return low
 
 
 def complexity_probe(sizes: Sequence[int], seeds: int = 5, k: int = 4,

@@ -19,6 +19,7 @@ benchmark's traced run reads (``perfbench/spans.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
@@ -31,6 +32,16 @@ from .network_model import ExactSum, GraphView
 EPS_DEN = 1e-12
 
 
+def _step_cost(cost_coeff: float, demand: float) -> float:
+    """``c * (d * d)``, 0.0 where ``c`` is; where ``d * d`` is beyond the
+    float range, ``(c * d) * d``, as in
+    :func:`~radialflow.network_model.quadratic_cost`."""
+    if not cost_coeff:
+        return 0.0
+    dd = demand * demand
+    return cost_coeff * dd if dd != math.inf else (cost_coeff * demand) * demand
+
+
 def edge_weight(cost_coeff: float, demand: float, supply: float,
                 h_path: float) -> float:
     """Raw desirability of sending supply across one edge.
@@ -38,8 +49,7 @@ def edge_weight(cost_coeff: float, demand: float, supply: float,
     ``demand`` is the magnitude of the receiving group's deficit and
     ``h_path`` the accumulated quadratic cost estimate of reaching the tail.
     """
-    step = cost_coeff * (demand * demand) if cost_coeff else 0.0
-    return supply / (step + h_path + EPS_DEN)
+    return supply / (_step_cost(cost_coeff, demand) + h_path + EPS_DEN)
 
 
 class PathCostAccumulator(dict):
@@ -47,8 +57,7 @@ class PathCostAccumulator(dict):
 
     def extend(self, tail: int, head: int, cost_coeff: float,
                demand: float) -> None:
-        step = cost_coeff * (demand * demand) if cost_coeff else 0.0
-        self[head] = self.get(tail, 0.0) + step
+        self[head] = self.get(tail, 0.0) + _step_cost(cost_coeff, demand)
 
 
 class ForestState:
@@ -267,9 +276,11 @@ class Frontier:
     def _rescan(self, cls: _Class, residual: float, receiving: float) -> None:
         supply, dd = max(residual, 0.0), receiving * receiving
         entries = list(cls.members.values())
-        # edge_weight, with the demand squared once
-        ws = [supply / ((c * dd if c else 0.0) + hi + EPS_DEN)
-              for _, _, _, c, hi in entries]
+        if dd == math.inf:
+            ws = [edge_weight(c, abs(receiving), supply, hi) for _, _, _, c, hi in entries]
+        else:  # edge_weight, with the demand squared once
+            ws = [supply / ((c * dd if c else 0.0) + hi + EPS_DEN)
+                  for _, _, _, c, hi in entries]
         top = max(ws)
         cls.best = (top, entries[ws.index(top)] if ws.count(top) == 1
                     else min(e for e, w in zip(entries, ws) if w == top))

@@ -547,11 +547,15 @@ def check_sides(record, sides):
     parent's edges inside that set but not inside the hub, plus links from
     the root to the other hub nodes; its condensation, tree residuals,
     live edges, pool and uncovered nodes equal what a fresh build gives.
+    Every side's adjacency, the kept one's included, lists its nodes in
+    ascending order, and the sides come ordered by their smallest own node.
     Returns the own node count of each side.
     """
     hub, parent = record.hub, record.adjacency
-    owns = [set(side.frontier.cond.adj) - hub for side in sides]
-    lows = [min(own) for own in owns]
+    adjs = [side.frontier.cond.adj for side in sides]
+    assert all(list(adj) == sorted(adj) for adj in adjs)
+    owns = [set(adj) - hub for adj in adjs]
+    lows = [min(v for v in adj if v not in hub) for adj in adjs]
     assert lows == sorted(lows)
     assert set().union(*owns) == set(parent) - hub
     kept = [side for side in sides if side is record.sub]

@@ -13,6 +13,7 @@ import random
 
 from conftest import DATA_DIR, random_tree_network, small_instances, ws_instance
 from radialflow import build_network, config_to_json, load_network, solve
+from radialflow.forward_engine import complexity_probe
 
 
 def ring_chain(rings=4, size=5):
@@ -343,3 +344,12 @@ def test_golden_corpus_unchanged():
     assert set(got) == set(GOLDEN)
     changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
     assert not changed, f"{len(changed)} changed: {changed[:10]}"
+
+
+def test_committed_grid_digest_unchanged():
+    # the solutions_sha256 of `radialflow bench --sizes 60,120,240,480,960
+    # --seeds 5`, over meshes that split as they grow
+    digest = hashlib.sha256()
+    complexity_probe([60, 120, 240, 480, 960], seeds=5, digest=digest)
+    assert digest.hexdigest() == (
+        "ddf3f9992b3192632c0c4f3f273a50953c80f96c0d4a84adb707634fd7dca580")

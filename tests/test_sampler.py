@@ -43,6 +43,21 @@ def test_edge_weight_zero_denominator():
     assert h[1] == 0.0
 
 
+def test_step_squares_in_two_steps_past_the_float_range():
+    # 1e200 squared overflows, but the step 1e-300 * 1e200 * 1e200 is 1e100
+    assert edge_weight(1e-300, 1e200, 1e200, 0.0) == 1e200 / (1e100 + EPS_DEN)
+    h = PathCostAccumulator()
+    h.extend(0, 1, 1e-300, 1e200)
+    assert h[1] == 1e100
+    # the frontier's rescoring agrees with the full scan
+    net = build_network(["s", "x", "y"], [(0, 1, 1e-300), (0, 2, 1e-300)],
+                        [2e200, -1e200, -1e200])
+    state = ForestState([0], dict(enumerate(net.injections)))
+    result = pick(net, state)
+    assert result.best[3] == 2e200 / (1e100 + EPS_DEN)
+    assert [r[3] for r in result.ranked] == [result.best[3]] * 2
+
+
 def test_weight_decreases_with_cost_and_path():
     base = edge_weight(1.0, 2.0, 3.0, 0.0)
     assert edge_weight(2.0, 2.0, 3.0, 0.0) < base
