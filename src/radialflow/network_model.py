@@ -182,7 +182,8 @@ class GraphView:
 
     @property
     def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adj))
+        """The keys of ``adj``, which every view lists in ascending order."""
+        return tuple(self.adj)
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,22 @@ The :class:`Frontier` keeps the live orientations in classes by tail tree
 and receiving condensation group.  A class shares supply, demand and both
 priorities; only ``c·d² + h[tail]`` differs inside it.  So a step rescores
 only the classes whose tree residual, group residual or members changed and
-takes the best of the class winners.  :func:`score` is the full scan, kept
-for invariant mode and for :attr:`SampleResult.ranked`, which the
-benchmark's traced run reads (``perfbench/spans.py``).
+whose priorities can still win, and takes the best of the class winners.
+A rescore weighs only the class's staircase: a member whose ``c`` and
+``h[tail]`` are no larger than another's, and which comes first in the tie
+order, outweighs or ties and beats that other at any residuals, so the other
+is set aside (:class:`_Class`).  :func:`score` is the full scan, kept for
+invariant mode and for :attr:`SampleResult.ranked`, which the benchmark's
+traced run reads (``perfbench/spans.py``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .condenser import Condensation
@@ -30,6 +36,7 @@ from .network_model import ExactSum, GraphView
 
 #: Keeps weight denominators strictly positive for free first hops.
 EPS_DEN = 1e-12
+_COST = itemgetter(3)
 
 
 def _step_cost(cost_coeff: float, demand: float) -> float:
@@ -223,8 +230,8 @@ class Frontier:
                 if other is not None:
                     if len(other.members) > len(cls.members):
                         cls, other = other, cls
-                    cls.members.update(other.members)
                     self.where.update(dict.fromkeys(other.members, cls))
+                    cls.merge(other)
                 cls.tree, cls.best = into, None
                 row[g] = cls
         adj = self.cond.adj
@@ -251,41 +258,41 @@ class Frontier:
         """
         sums, supers, member = self.state.sums, self.cond.super_nodes, self.cond.membership
         split_supers = {member[r] for r in self.replicas}
-        best = None
+        best, top = None, (True, True)
         for t, row in self.classes.items():
             residual, st = sums[t].value, member[t]
             pendant = (supers[st].source and len(supers[st].nbrs) == 1
                        and st not in split_supers)
             for g, cls in row.items():
                 receiving = supers[g].total.value
+                flags = (not pendant, not (residual + receiving >= 0.0))
+                if flags > top:
+                    continue  # cannot win, so not weighed
                 if cls.best is None or cls.seen != (residual, receiving):
                     self._rescan(cls, residual, receiving)
                 w, entry = cls.best
-                key = (not pendant, not (residual + receiving >= 0.0), -w,
-                       entry[:3])
-                if best is None or key < best[0]:
-                    best = (key, entry, w, receiving)
+                if best is None or (flags, -w, entry) < best[0]:
+                    best, top = ((flags, -w, entry), entry, w, receiving), flags
         if best is None:
             raise NoCandidate("no remaining edge touches a polytree")
-        (not_pendant, not_balance, _, _), entry, w, receiving = best
+        ((not_pendant, not_balance), _, _), entry, w, receiving = best
         evaluated, self.scored = self.scored, 0
         return SampleResult((entry[0], entry[1], entry[2], w, abs(receiving),
                              not not_balance, not not_pendant),
                             evaluated, self)
 
     def _rescan(self, cls: _Class, residual: float, receiving: float) -> None:
-        supply, dd = max(residual, 0.0), receiving * receiving
-        entries = list(cls.members.values())
-        if dd == math.inf:
-            ws = [edge_weight(c, abs(receiving), supply, hi) for _, _, _, c, hi in entries]
-        else:  # edge_weight, with the demand squared once
-            ws = [supply / ((c * dd if c else 0.0) + hi + EPS_DEN)
-                  for _, _, _, c, hi in entries]
-        top = max(ws)
-        cls.best = (top, entries[ws.index(top)] if ws.count(top) == 1
-                    else min(e for e, w in zip(entries, ws) if w == top))
-        cls.seen = (residual, receiving)
-        self.scored += len(entries)
+        supply, demand, stair = max(residual, 0.0), abs(receiving), cls.stair
+        dd, top, best = demand * demand, -1.0, None
+        finite = dd != math.inf
+        for e in stair:  # edge_weight, with the demand squared once
+            c = e[3]
+            w = (supply / ((c * dd if c else 0.0) + e[4] + EPS_DEN) if finite
+                 else edge_weight(c, demand, supply, e[4]))
+            if w > top or w == top and e < best:
+                top, best = w, e
+        cls.best, cls.seen = (top, best), (residual, receiving)
+        self.scored += len(stair)
 
     def _classify(self, idx: int) -> None:
         _, u, v, c = self.pool[idx]
@@ -303,9 +310,10 @@ class Frontier:
     def _add(self, entry: tuple, tree: int, group: int) -> None:
         row = self.classes.setdefault(tree, {})
         cls = row.get(group) or row.setdefault(group, _Class(tree, group))
-        cls.members[entry[2], entry[0]] = entry
-        cls.best = None
-        self.where[entry[2], entry[0]] = cls
+        key = entry[2], entry[0]
+        cls.members[key] = entry
+        self.where[key] = cls
+        cls.place(key, entry)
 
     def _drop(self, key: tuple[int, int]) -> tuple:
         cls = self.where.pop(key)
@@ -315,8 +323,8 @@ class Frontier:
             del row[cls.group]
             if not row:
                 del self.classes[cls.tree]
-        elif cls.best is not None and cls.best[1] is entry:
-            cls.best = None
+        else:
+            cls.unplace(key, entry)
         return entry
 
     def _unlive(self, idx: int) -> None:
@@ -328,15 +336,66 @@ class Frontier:
 class _Class:
     """Live orientations of one tail tree into one group; ``best`` is
     ``(raw weight, entry)`` of the winner at the residuals in ``seen``, or
-    None after the members changed."""
+    None after the staircase changed.
 
-    __slots__ = ("tree", "group", "members", "best", "seen")
+    Member ``a`` dominates ``b`` when ``c_a <= c_b``, ``h_a <= h_b`` and
+    ``a`` comes first in the tie order.  Float multiply, add and divide are
+    monotone, and so are the weight's ``c == 0`` and ``d * d == inf`` paths,
+    so ``a`` weighs at least as much as ``b`` at any residuals and wins their
+    tie.  ``stair``, by cost, holds every member nothing dominates; any other
+    is in ``aside[k]`` under a member keyed ``k`` that dominates it, and
+    ``up`` maps its key to ``k``.  An entering member leaves those it
+    dominates on ``stair``: setting them aside costs more than weighing them.
+    """
+
+    __slots__ = ("tree", "group", "members", "stair", "aside", "up", "best", "seen")
 
     def __init__(self, tree: int, group: int) -> None:
         self.tree, self.group = tree, group
         self.members: dict[tuple[int, int], tuple] = {}
+        self.stair, self.aside, self.up = [], {}, {}
         self.best: tuple[float, tuple] | None = None
         self.seen: tuple[float, float] | None = None
+
+    def place(self, key: tuple[int, int], entry: tuple) -> None:
+        """Set ``entry`` aside under the costliest staircase entry that
+        dominates it, or else put it on the staircase."""
+        _, _, _, c, h = entry
+        stair = self.stair
+        k = at = bisect_right(stair, c, key=_COST)
+        while k:
+            k -= 1
+            s = stair[k]
+            if s[4] <= h and s < entry:
+                self.up[key] = parent = s[2], s[0]
+                self.aside.setdefault(parent, {})[key] = entry
+                return
+        stair.insert(at, entry)
+        self.best = None
+
+    def merge(self, other: _Class) -> None:
+        """Take in the members of ``other``, placing its staircase."""
+        self.members.update(other.members)
+        self.aside.update(other.aside)
+        self.up.update(other.up)
+        for entry in other.stair:
+            self.place((entry[2], entry[0]), entry)
+
+    def unplace(self, key: tuple[int, int], entry: tuple) -> None:
+        """Take out ``entry``; those set aside under it go to its parent or are placed."""
+        under, parent = self.aside.pop(key, {}), self.up.pop(key, None)
+        if parent is None:
+            self.stair.remove(entry)
+            best = self.best  # none of them outweighs the winner
+            for k, s in under.items():
+                del self.up[k]
+                self.place(k, s)
+            self.best = None if best is None or best[1] is entry else best
+        else:
+            del self.aside[parent][key]
+            if under:
+                self.aside[parent].update(under)
+                self.up.update(dict.fromkeys(under, parent))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library and parses as
+the oldest Python that ``pyproject.toml`` accepts."""
 
 import ast
 import sys
@@ -22,3 +23,11 @@ def test_src_imports_only_the_standard_library():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_src_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

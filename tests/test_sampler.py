@@ -1,18 +1,21 @@
 """Edge scoring, queue overrides, and the loop-erase delete."""
 
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_view, small_networks, ws_instance
 from radialflow import (Infeasible, NoCandidate, build_network,
                         config_to_json, solve, validate_radial)
 from radialflow import forward_engine, sampler
 from radialflow.forward_engine import SolveReport, _subproblem
-from radialflow.sampler import (EPS_DEN, ForestState, PathCostAccumulator,
-                                edge_weight, sample)
+from radialflow.sampler import (EPS_DEN, ForestState, Frontier,
+                                PathCostAccumulator, edge_weight, sample)
 
 
 def pool_of(net):
@@ -221,6 +224,86 @@ def test_index_scores_fewer_orientations_than_a_full_scan(monkeypatch):
     assert len(full) == report.iterations
     assert 0 < report.candidates < sum(full)
     assert "candidates" not in json.loads(report.to_json())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_staircase_picks_hold_at_400_nodes(seed):
+    # at this size classes set many members aside, which the invariant-mode
+    # tests on smaller networks rarely reach; invariant mode holds every pick
+    # to the full scan, and weighing about 89 orientations a step, as a scan
+    # of whole classes does, fails the count
+    net = ws_instance(400, seed)
+    cfg, report = solve(net, check_invariants=True)
+    assert validate_radial(net, cfg).passed
+    assert report.candidates <= 35 * report.iterations
+
+
+#: A member's (tail, head, cost, path cost), from few values, so that equal
+#: costs under different edge indices, and free edges, come up often.
+MEMBERS = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                    st.sampled_from([0.0, 1e-300, 1.0, 2.0]),
+                    st.sampled_from([0.0, 1.0, 2.5]))
+#: Tree residuals of at most 0 give every member weight 0; a demand of
+#: 1.5e154 or 1e200 squares to inf.
+RESIDUALS = st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 3.0]),
+                      st.sampled_from([-2.0, 0.0, 1.0, -1.5e154, -1e200]))
+CLASS_STEPS = st.one_of(
+    st.tuples(st.just("add"), MEMBERS),
+    st.tuples(st.just("drop"), st.integers(0, 63)),
+    st.tuples(st.just("drop winner"), st.none()),
+    st.tuples(st.just("merge"), st.lists(MEMBERS, max_size=6)),
+    st.tuples(st.just("residuals"), RESIDUALS))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(CLASS_STEPS, max_size=60))
+def test_staircase_winner_is_the_best_of_all_members(steps):
+    # one class, tree 1 into group 0, through inserts, removals (the winner's
+    # too), merges of tree 2's class into it and residual changes; after each
+    # step its winner is the brute-force argmax over every member, first in
+    # the tie order among equals, and each member set aside hangs under one
+    # that dominates it
+    frontier = Frontier((), SimpleNamespace(tree_of={2: 1}.get),
+                        SimpleNamespace(adj={}), PathCostAccumulator())
+    index = itertools.count()
+    residual, receiving = 1.0, -2.0
+    for kind, arg in steps:
+        cls = frontier.classes.get(1, {}).get(0)
+        if kind == "add":
+            tail, head, c, h = arg
+            frontier._add((tail, head, next(index), c, h), 1, 0)
+        elif kind == "merge":
+            for tail, head, c, h in arg:
+                frontier._add((tail, head, next(index), c, h), 2, 0)
+            frontier.grown((), merged=2)
+        elif kind == "residuals":
+            residual, receiving = arg
+        elif cls is not None and kind == "drop":
+            frontier._drop(list(cls.members)[arg % len(cls.members)])
+        elif cls is not None:
+            frontier._rescan(cls, residual, receiving)
+            winner = cls.best[1]
+            frontier._drop((winner[2], winner[0]))
+        cls = frontier.classes.get(1, {}).get(0)
+        if cls is None:
+            continue
+        supply, demand = max(residual, 0.0), abs(receiving)
+
+        def weight(e):
+            return edge_weight(e[3], demand, supply, e[4])
+
+        want = min(cls.members.values(), key=lambda e: (-weight(e), e[:3]))
+        if cls.best is not None and cls.seen == (residual, receiving):
+            assert cls.best == (weight(want), want)  # the kept winner holds
+        frontier._rescan(cls, residual, receiving)
+        assert cls.best == (weight(want), want)
+        aside = [e for kin in cls.aside.values() for e in kin.values()]
+        assert sorted(cls.stair + aside) == sorted(cls.members.values())
+        assert cls.aside.keys() <= cls.members.keys()
+        for key, parent in cls.up.items():
+            a, b = cls.members[parent], cls.members[key]
+            assert a[3] <= b[3] and a[4] <= b[4] and a[:3] < b[:3]
+            assert cls.aside[parent][key] is b
 
 
 def test_traced_solve_runs_no_full_scan(monkeypatch):
