@@ -10,10 +10,13 @@ crossing counts and the exact sum of its injections, whose value is its
 residual, and the :class:`Condensation` maps nodes and ids to groups.
 
 :func:`net_concad` builds a :class:`Condensation` from scratch once per
-solve; each growth step updates it, and a growth split hands each small
-side its groups, so that only the side's rim group is new.  Invariant mode
-rebuilds it with :func:`net_concad`, which keeps its own side per node,
-before every step and compares the two; they share no grouping code.
+solve; each growth step updates it in one pass over the edges of the nodes
+that change side, and a growth split hands each small side its groups, so
+that only the side's rim group is new.  :func:`source_cut_vertices` walks
+the condensation only when a group or a crossing pair came or went since
+its last search found none.  Invariant mode rebuilds it with
+:func:`net_concad`, which keeps its own side per node, before every step
+and compares the two; they share no grouping code.
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ class Condensation:
     :func:`net_concad` builds it once per solve; then :meth:`move` changes it
     where a step moves nodes across sides, and a growth split hands each
     small side its groups (:meth:`split_off`) and cuts the hub down
-    (:meth:`cut_down`).
+    (:meth:`cut_down`).  Every update that adds or removes a group or a
+    crossing pair, or turns a group, sets ``reshaped``; a search by
+    :func:`source_cut_vertices` that finds no cut vertex clears it.
 
     Args:
         adjacency: Adjacency of the graph, kept and read by every update.
@@ -126,6 +131,7 @@ class Condensation:
         self.super_nodes: dict[int, Group] = {}
         self._ids = itertools.count()
         self._relabelled: list[int] = []
+        self.reshaped = True
 
     def move(self, nodes: Iterable[int], source: bool) -> list[int]:
         """Put ``nodes`` on the supply side (``source``) or the demand side.
@@ -136,26 +142,60 @@ class Condensation:
         A whole group that moves, such as a drained tree, keeps its members
         and merges with all its neighbors, which are on its new side.
 
+        One pass over each moved node's edges takes it out of its group and
+        its crossing counts and sorts its neighbors: moved ones, which make
+        up the pieces that move together; the new side's groups it joins;
+        and the group mates it leaves, which seed the split and then end its
+        new crossings.  A move of one node is the smallest case.  Only a
+        group that comes, goes or turns marks it ``reshaped``: a crossing
+        pair the pass drops comes back otherwise, as the piece joins the one
+        group it crossed into and its old group mates cross into that.
+
         Returns the nodes whose group id changed, with repeats: the moved
         ones and the smaller side of every split and merge.
         """
         supers, member, adj = self.super_nodes, self.membership, self.adj
-        self._relabelled = []
+        self._relabelled = relabelled = []
         moved = [v for v in nodes if supers[member[v]].source != source]
         if not moved:
-            return self._relabelled
+            return relabelled
         gid = member[moved[0]]
         if (len(supers[gid].members) == len(moved)
                 and all(member[v] == gid for v in moved)):
             self._turn(gid, source)
-            return self._relabelled
-        self._detach(moved)
+            return relabelled
+        inj = self.injections
         left = set(moved)
+        ends: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        by_group: dict[int, list[int]] = {}
         seeds: dict[int, list[int]] = {}
         for v in moved:
+            gid = member.pop(v)
+            row = supers[gid].nbrs
+            near, touch, stay = ends[v] = [], [], []
             for y, _ in adj[v]:
-                if y not in left and supers[member[y]].source != source:
-                    seeds.setdefault(member[y], []).append(y)
+                if y in left:
+                    near.append(y)
+                elif (other := member[y]) == gid:
+                    stay.append(y)
+                else:  # an edge of the old side into the new one
+                    touch.append(y)
+                    count = row[other] - 1
+                    if count:
+                        row[other] = supers[other].nbrs[gid] = count
+                    else:
+                        del row[other], supers[other].nbrs[gid]
+            by_group.setdefault(gid, []).append(v)
+            if stay:
+                seeds.setdefault(gid, []).extend(stay)
+        for gid, vs in by_group.items():
+            group = supers[gid]
+            group.members.difference_update(vs)
+            if group.members:
+                group.total.add([-inj[v] for v in vs])
+            else:
+                del supers[gid]
+                self.reshaped = True
         for gid, ys in seeds.items():
             if len(ys) > 1:
                 self._split(gid, ys)
@@ -164,22 +204,38 @@ class Condensation:
                 continue
             piece = [v]
             left.discard(v)
-            touched: dict[int, None] = {}
+            touched = {}
             for x in piece:
-                for y, _ in adj[x]:
+                near, touch, _ = ends[x]
+                for y in near:
                     if y in left:
                         left.discard(y)
                         piece.append(y)
-                    elif y in member and supers[member[y]].source == source:
-                        touched[member[y]] = None
-            gid = None
+                for y in touch:
+                    touched[member[y]] = None
             if touched:
-                gid = max(touched, key=lambda g: len(supers[g].members))
-                for other in touched:
-                    if other != gid:
-                        self._union(gid, other)
-            self._place(piece, gid, source)
-        return self._relabelled
+                if len(touched) > 1:
+                    gid = max(touched, key=lambda g: len(supers[g].members))
+                    for other in touched:
+                        if other != gid:
+                            self._union(gid, other)
+                else:
+                    gid, = touched
+                group = supers[gid]
+                group.members.update(piece)
+                group.total.add([inj[x] for x in piece])
+            else:
+                gid = next(self._ids)
+                group = supers[gid] = Group(source, piece, inj)
+                self.reshaped = True
+            row = group.nbrs
+            for x in piece:
+                for y in ends[x][2]:
+                    other = member[y]
+                    row[other] = supers[other].nbrs[gid] = row.get(other, 0) + 1
+                member[x] = gid
+            relabelled.extend(piece)
+        return relabelled
 
     def split_off(self, groups: Iterable[int], cut: int,
                   adj: Mapping[int, list[tuple[int, int]]],
@@ -196,6 +252,7 @@ class Condensation:
         """
         out = Condensation(adj, injections)
         out._ids = self._ids
+        self.reshaped = True
         rim = next(self._ids)
         rim_group = Group(True, hub, injections)
         into_cut = self.super_nodes[cut].nbrs
@@ -221,6 +278,7 @@ class Condensation:
         group id changed.
         """
         self._relabelled = []
+        self.reshaped = True
         group = self.super_nodes[gid]
         for v in nodes:
             del self.membership[v]
@@ -259,6 +317,7 @@ class Condensation:
         """
         supers = self.super_nodes
         row = supers[gid].nbrs
+        self.reshaped = True
         for v in nodes:
             for y, _ in self.adj[v]:
                 other = self.membership.get(y)
@@ -270,39 +329,21 @@ class Condensation:
                     else:
                         del row[other], back[gid]
 
-    def _place(self, nodes: list[int], gid: int | None, source: bool) -> None:
-        """Put detached ``nodes`` into group ``gid`` on their side ``source``,
-        or into a new group of theirs if ``gid`` is None."""
-        if gid is None:
-            gid = next(self._ids)
-            self.super_nodes[gid] = Group(source, nodes, self.injections)
-        else:
-            group = self.super_nodes[gid]
-            group.members.update(nodes)
-            group.total.add(self.injections[v] for v in nodes)
-        self._cross(nodes, gid, 1)
+    def _place(self, nodes: list[int], source: bool) -> None:
+        """Put ``nodes``, which have left their group, into a new group of
+        theirs on side ``source``."""
+        gid = next(self._ids)
+        self.super_nodes[gid] = Group(source, nodes, self.injections)
         for v in nodes:
             self.membership[v] = gid
+        self._cross(nodes, gid, 1)
         self._relabelled.extend(nodes)
-
-    def _detach(self, nodes: list[int]) -> None:
-        """Take ``nodes`` out of their groups; emptied groups are dropped."""
-        by_group: dict[int, list[int]] = {}
-        for v in nodes:
-            by_group.setdefault(self.membership.pop(v), []).append(v)
-        for gid, vs in by_group.items():
-            self._cross(vs, gid, -1)
-            group = self.super_nodes[gid]
-            group.members.difference_update(vs)
-            if group.members:
-                group.total.add(-self.injections[v] for v in vs)
-            else:
-                del self.super_nodes[gid]
 
     def _union(self, into: int, gid: int) -> None:
         """Merge group ``gid`` into group ``into`` on the same side."""
         group = self.super_nodes.pop(gid)
         target = self.super_nodes[into]
+        self.reshaped = True
         for v in group.members:
             self.membership[v] = into
         self._relabelled.extend(group.members)
@@ -318,6 +359,7 @@ class Condensation:
         """Move a whole group across; it merges with all its neighbors."""
         group = self.super_nodes[gid]
         group.source = source
+        self.reshaped = True
         row = group.nbrs
         merged = [gid, *row]
         for other in row:
@@ -371,10 +413,12 @@ class Condensation:
             active = [k for k in running if parent[k] == k]
         if not active:
             pieces.remove(max(pieces, key=len))
-        source = self.super_nodes[gid].source
+        group = self.super_nodes[gid]
         for piece in pieces:
-            self._detach(piece)
-            self._place(piece, None, source)
+            self._cross(piece, gid, -1)
+            group.members.difference_update(piece)
+            group.total.add(-self.injections[v] for v in piece)
+            self._place(piece, group.source)
 
 
 def source_cut_vertices(cond: Condensation) -> list[int]:
@@ -382,14 +426,21 @@ def source_cut_vertices(cond: Condensation) -> list[int]:
 
     They are ordered by smallest member.  Such a super node separates the
     condensed graph, so the remaining subproblem can be split there like an
-    articulation supply.
+    articulation supply.  They depend only on the groups, their sides and
+    the keys of their crossing counts, so while ``cond.reshaped`` is clear
+    the last search's empty answer holds and no walk runs.  An empty answer
+    clears it; a non-empty one is not kept, since its order reads members.
     """
     supers = cond.super_nodes
-    if len(supers) <= 2 or all(len(g.nbrs) < 2 for g in supers.values() if g.source):
+    if not cond.reshaped or len(supers) <= 2 or all(
+            len(g.nbrs) < 2 for g in supers.values() if g.source):
+        cond.reshaped = False
         return []
     artics = lowpoint(supers, {gid: g.nbrs for gid, g in supers.items()})
-    return sorted((a for a in artics if supers[a].source),
+    cuts = sorted((a for a in artics if supers[a].source),
                   key=lambda a: min(supers[a].members))
+    cond.reshaped = bool(cuts)
+    return cuts
 
 
 def lowpoint(roots: Iterable[int],

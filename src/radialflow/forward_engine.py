@@ -65,11 +65,14 @@ class SolveReport:
     counts the growth splits.  ``timings`` holds the seconds of the four
     stages (``preprocess``, ``islander``, the balance check, ``loop``,
     ``solve_flow``, only building the result if peeling settles every edge)
-    and, inside the loop, the seconds spent building condensations, keeping
-    them current and searching them for cut vertices (``condense``) and in
-    the sampler's selection (``sample``; keeping the frontier's classes
-    current counts as loop time).  ``candidates`` counts the orientations
-    whose weight the sampler computed; it is not in the JSON document yet.
+    and two parts of the loop: building condensations, keeping them current
+    and searching them for cut vertices (``condense``), and each step's
+    selection with the upkeep of the frontier's pool and classes
+    (``sample``: ``Frontier.flush``, ``select``, ``remove``, ``grown`` and
+    ``regroup``).  The rest of ``loop`` is the loop's own, such as the tree
+    updates and a growth split's frontier hand-over.  ``candidates`` counts
+    the orientations whose weight the sampler computed; it is not in the
+    JSON document yet.
     ``sampled`` holds the ``(tail, head)`` each chosen edge was given before
     the forest solve, settled edges first, and ``edge_indices`` the edges in
     the same order.  Growth counts into the report as it goes, and
@@ -331,48 +334,50 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list
                              sub.name(), step)
             expected = _reference_pick(sub, step)
 
-        deleted = frontier.flush()
         start = time.perf_counter()
+        deleted = frontier.flush()
         try:
             result = sample(view, cond.injections, state, h, frontier)
         except NoCandidate as exc:
             raise Infeasible(f"{sub.name()} is stuck at iteration {step}: "
                              f"{exc}", iteration=step) from exc
+        i, j, eidx, w, demand, balance, pendant = result.best
+        frontier.remove(eidx)
         timings["sample"] += time.perf_counter() - start
         report.candidates += result.evaluated
         if check_invariants and expected != result.best[:3]:
             raise InvariantViolation(
                 f"selection in {sub.name()} at iteration {step} picked "
-                f"edge {result.best[2]} ({result.best[0]} > "
-                f"{result.best[1]}), the full scan edge {expected[2]} "
+                f"edge {eidx} ({i} > {j}), the full scan edge {expected[2]} "
                 f"({expected[0]} > {expected[1]})")
-        i, j, eidx, w, demand, balance, pendant = result.best
         if collect_trace:
             trace.append(TraceRow(len(trace) + 1, eidx, w, balance, pendant,
                                   deleted))
 
-        frontier.remove(eidx)
         ti = state.tree_of(i)
         tj = state.tree_of(j)
         was_source = cond.super_nodes[cond.membership[i]].source
         if tj is None:
             h.extend(i, j, net.edges[eidx][2], demand)
             state.absorb(ti, j)
-            frontier.grown((j,))
+            grown = [j]
         else:
-            smaller = list(min(state.members[ti], state.members[tj], key=len))
+            grown = list(min(state.members[ti], state.members[tj], key=len))
             state.merge(ti, tj)
             report.merges += 1
-            frontier.grown(smaller, merged=tj)
         start = time.perf_counter()
+        frontier.grown(grown, merged=tj)
+        moving = time.perf_counter()
         source = state.sums[ti].value > 0
         if tj is None and source == was_source:
-            relabelled = cond.move((j,), source)
+            relabelled = cond.move(grown, source)
         else:
             # a tree changed side, or two trees merged
             relabelled = cond.move(state.members[ti], source)
-        timings["condense"] += time.perf_counter() - start
+        moved = time.perf_counter()
         frontier.regroup(relabelled)
+        timings["condense"] += moved - moving
+        timings["sample"] += moving - start + time.perf_counter() - moved
 
         report.sampled.append((i, j))
         report.edge_indices.append(eidx)

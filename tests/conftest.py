@@ -56,6 +56,45 @@ def ws_instance(n, seed, n_sources=None, k=4, beta=0.2):
     return generate(GenSpec(n=n, k=k, beta=beta, n_sources=count, seed=seed))
 
 
+def feeder_instance(n, seed):
+    """Seeded chain-heavy feeder of ``n`` buses with tie lines.
+
+    A substation per 60 buses, joined in a row.  Each other bus hangs off a
+    random substation's tree: nine times in ten it continues the tree's
+    latest chain, else it starts a lateral at a random bus of that tree.
+    Then ``n / 20`` tie lines each join a bus to the end of a random walk of
+    three to eight hops along the tree.  Demands are uniform in
+    [0.5, 1.5] and the substations share the supply equally.
+    """
+    rng = random.Random(seed)
+    subs = max(2, n // 60)
+    trees = [[s] for s in range(subs)]
+    edges = [(s, s + 1) for s in range(subs - 1)]
+    for v in range(subs, n):
+        tree = rng.choice(trees)
+        edges.append((tree[-1] if rng.random() < 0.9 else rng.choice(tree), v))
+        tree.append(v)
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    pairs = {frozenset(e) for e in edges}
+    for _ in range(n // 20):
+        walk = [rng.randrange(n)]
+        for _ in range(rng.randint(3, 8)):
+            walk.append(rng.choice([y for y in adj[walk[-1]] if y not in walk] or [walk[-1]]))
+        if frozenset((walk[0], walk[-1])) not in pairs and walk[0] != walk[-1]:
+            pairs.add(frozenset((walk[0], walk[-1])))
+            edges.append((walk[0], walk[-1]))
+    demands = [rng.uniform(0.5, 1.5) for _ in range(n - subs)]
+    supply = math.fsum(demands) / subs
+    injections = [supply] * subs + [-d for d in demands]
+    injections[0] -= math.fsum(injections)
+    return build_network([f"b{v:04d}" for v in range(n)],
+                         [(u, v, round(rng.uniform(0.1, 2.0), 6)) for u, v in edges],
+                         injections)
+
+
 def random_tree_network(rng, n):
     """Random spanning tree with balanced random injections, one supply."""
     names = [f"v{i:02d}" for i in range(n)]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialflow import (Infeasible, InvariantViolation, build_network,
-                        forward_engine, solve)
+                        condenser, forward_engine, solve)
 from radialflow.condenser import (Condensation, net_concad,
                                   source_cut_vertices)
 from radialflow.network_model import balance_tolerance
@@ -145,6 +145,28 @@ def test_growth_can_break_irreducibility():
     assert grown.members == {1, 3}
     assert grown.source is True
     assert source_cut_vertices(after) == [after.membership[1]]
+
+
+def test_cut_search_walks_only_after_a_reshape(monkeypatch):
+    # a ring of three supplies between three demands has no cut vertex: a
+    # search that found none is not walked again until a group comes or
+    # goes, and a search that finds one is walked every time
+    walks = []
+    real = condenser.lowpoint
+    monkeypatch.setattr(condenser, "lowpoint", lambda *args: walks.append(1) or real(*args))
+    net = build_network(["s1", "a", "s2", "b", "s3", "c"],
+                        [(v, (v + 1) % 6, 1.0) for v in range(6)],
+                        [1.0, -1.0] * 3)
+    cond = condense(net, {})
+    assert [source_cut_vertices(cond) for _ in range(2)] == [[], []]
+    assert len(walks) == 1
+    cond.move([1], True)  # a joins both its supplies: a ring of four groups
+    assert [source_cut_vertices(cond) for _ in range(2)] == [[], []]
+    assert len(walks) == 2
+    path = condense(build_network(["a", "s", "b"], [(0, 1, 1.0), (1, 2, 1.0)],
+                                  [-1.0, 2.0, -1.0]), {})
+    assert [source_cut_vertices(path) for _ in range(2)] == [[path.membership[1]]] * 2
+    assert len(walks) == 4
 
 
 def networkx_source_cuts(cond):
@@ -331,19 +353,39 @@ def test_reducible_count_reads_the_rebuild(monkeypatch):
     assert reducible > 0
 
 
+def shape(cond):
+    """What supply cut vertices depend on: each group's side and neighbors."""
+    return {gid: (g.source, set(g.nbrs)) for gid, g in cond.super_nodes.items()}
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(small_networks(), st.integers(0, 2**32))
 def test_random_moves_match_the_side_map(net, seed):
-    # any node subset, moved to either side in any order, leaves the
-    # condensation a fresh build would give for the new sides; moving two
-    # whole groups at once empties both, and moving part of a group whose
-    # rest stays in one piece splits nothing
+    # any node subset, or a single node, moved to either side in any order,
+    # leaves the condensation a fresh build would give for the new sides;
+    # moving two whole groups at once empties both, and moving part of a
+    # group whose rest stays in one piece splits nothing.  Every node whose
+    # group id changed is returned, and the condensation is marked reshaped
+    # whenever its shape differs from that of the last search that found no
+    # cut vertex, so a search that skips its walk answers as a full one
     rng = random.Random(seed)
     cond = condense(net, {})
     source = {v: super_of(cond, v).source for v in cond.membership}
+    cleared = None
     for _ in range(30):
-        moved = rng.sample(range(net.n), rng.randint(0, net.n))
+        if rng.random() < 0.3:
+            moved = [rng.randrange(net.n)]
+        else:
+            moved = rng.sample(range(net.n), rng.randint(0, net.n))
         side = rng.random() < 0.5
-        cond.move(moved, side)
+        before = dict(cond.membership)
+        relabelled = set(cond.move(moved, side))
         source.update(dict.fromkeys(moved, side))
         assert canonical(cond) == side_condensation(net, source)
+        assert {v for v, gid in cond.membership.items() if gid != before[v]} <= relabelled
+        assert cond.reshaped or shape(cond) == cleared
+        if rng.random() < 0.5:
+            cuts = source_cut_vertices(cond)
+            assert cuts == networkx_source_cuts(cond)
+            if not cuts:
+                cleared = shape(cond)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (data_path, full_view, random_tree_network, small_instances,
-                      small_networks, ws_instance)
+from conftest import (data_path, feeder_instance, full_view, random_tree_network,
+                      small_instances, small_networks, ws_instance)
 from radialflow import (GenSpec, Infeasible, InfeasibleSplit, InvalidSpec,
                         NoCandidate, ValidationError, build_network,
                         config_to_json, generate, load_network, solve,
@@ -642,6 +642,17 @@ def test_every_growth_split_matches_a_fresh_build(monkeypatch):
 def test_ring_with_chord_solves_irreducibly():
     net = ring_with_chord()
     cfg, report = solve(net, check_invariants=True)
+    assert report.reducible_condensations == 0
+    assert validate_radial(net, cfg).passed
+
+
+@pytest.mark.parametrize("n, seed", [(300, 0), (300, 1), (400, 2), (400, 3)])
+def test_chain_heavy_feeder_solves_irreducibly(n, seed):
+    # long radial chains closed by a few tie lines: many growth splits, at
+    # articulation supplies and where growth makes a supply group a cut vertex
+    net = feeder_instance(n, seed)
+    cfg, report = solve(net, check_invariants=True)
+    assert report.splits >= 5
     assert report.reducible_condensations == 0
     assert validate_radial(net, cfg).passed
 
