@@ -1,9 +1,9 @@
 """Feasible low-cost radial flow configurations on distribution networks."""
 
-from .exceptions import (CycleError, DimensionMismatch, ImbalanceError,
-                         Infeasible, InfeasibleSplit, InvalidSpec,
-                         InvariantViolation, NoCandidate, ParseError,
-                         RadialFlowError, TooLarge, ValidationError)
+from .exceptions import (CycleError, ImbalanceError, Infeasible,
+                         InfeasibleSplit, InvalidSpec, InvariantViolation,
+                         NoCandidate, ParseError, RadialFlowError, TooLarge,
+                         ValidationError)
 from .forward_engine import SolveReport, complexity_probe, fit_exponent, solve
 from .generator import GenSpec, generate
 from .network_model import (DistributionNetwork, RadialConfiguration,
@@ -16,7 +16,7 @@ from .tree_flow import ForestFlowSolution, solve_forest
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycleError", "DimensionMismatch", "DistributionNetwork",
+    "CycleError", "DistributionNetwork",
     "ForestFlowSolution", "GenSpec", "ImbalanceError", "Infeasible",
     "InfeasibleSplit", "InvalidSpec", "InvariantViolation", "NoCandidate",
     "OracleResult", "ParseError", "RadialConfiguration", "RadialFlowError",

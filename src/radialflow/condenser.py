@@ -309,36 +309,6 @@ class Condensation:
                     for b, count in g.nbrs.items()}
         return groups, membership, crossing
 
-    def _cross(self, nodes: list[int], gid: int, delta: int) -> None:
-        """Add ``delta`` to the crossing counts of ``nodes`` as members of ``gid``.
-
-        Only edges to nodes in another group count: all through an update,
-        nodes of two groups that an edge joins are on opposite sides.
-        """
-        supers = self.super_nodes
-        row = supers[gid].nbrs
-        self.reshaped = True
-        for v in nodes:
-            for y, _ in self.adj[v]:
-                other = self.membership.get(y)
-                if other is not None and other != gid:
-                    back = supers[other].nbrs
-                    count = row.get(other, 0) + delta
-                    if count:
-                        row[other] = back[gid] = count
-                    else:
-                        del row[other], back[gid]
-
-    def _place(self, nodes: list[int], source: bool) -> None:
-        """Put ``nodes``, which have left their group, into a new group of
-        theirs on side ``source``."""
-        gid = next(self._ids)
-        self.super_nodes[gid] = Group(source, nodes, self.injections)
-        for v in nodes:
-            self.membership[v] = gid
-        self._cross(nodes, gid, 1)
-        self._relabelled.extend(nodes)
-
     def _union(self, into: int, gid: int) -> None:
         """Merge group ``gid`` into group ``into`` on the same side."""
         group = self.super_nodes.pop(gid)
@@ -378,6 +348,10 @@ class Condensation:
         Shiloach 1981); searches that meet continue as one, and once only one
         is left unfinished, it is the largest piece and keeps ``gid``, so the
         work is charged to the smaller pieces.
+
+        Each other piece becomes a new group in one pass over its nodes'
+        edges, which moves each crossing count from ``gid``'s row to the new
+        group's; a piece has no edge into the rest of ``gid``.
         """
         seeds = list(dict.fromkeys(seeds))
         if len(seeds) < 2:
@@ -413,12 +387,29 @@ class Condensation:
             active = [k for k in running if parent[k] == k]
         if not active:
             pieces.remove(max(pieces, key=len))
-        group = self.super_nodes[gid]
+        supers, member, inj = self.super_nodes, self.membership, self.injections
+        group = supers[gid]
+        old = group.nbrs
         for piece in pieces:
-            self._cross(piece, gid, -1)
+            new = next(self._ids)
+            supers[new] = Group(group.source, piece, inj)
+            row = supers[new].nbrs
             group.members.difference_update(piece)
-            group.total.add(-self.injections[v] for v in piece)
-            self._place(piece, group.source)
+            group.total.add(-inj[v] for v in piece)
+            for v in piece:
+                member[v] = new
+                for y, _ in self.adj[v]:
+                    other = member.get(y)
+                    if other is not None and other != gid and other != new:
+                        back = supers[other].nbrs
+                        count = old[other] - 1
+                        if count:
+                            old[other] = back[gid] = count
+                        else:
+                            del old[other], back[gid]
+                        row[other] = back[new] = row.get(other, 0) + 1
+            self._relabelled.extend(piece)
+            self.reshaped = True
 
 
 def source_cut_vertices(cond: Condensation) -> list[int]:

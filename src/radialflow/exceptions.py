@@ -15,10 +15,6 @@ class ValidationError(RadialFlowError):
     """A network violates a model invariant (imbalance, duplicate edge, ...)."""
 
 
-class DimensionMismatch(RadialFlowError):
-    """A flow vector does not match the configuration's edge count."""
-
-
 class CycleError(RadialFlowError):
     """An edge set handed to the forest flow solver contains a cycle."""
 

@@ -204,32 +204,9 @@ def solve(net: DistributionNetwork, *, check_invariants: bool = False,
 HUB_LINK = -1
 
 
-@dataclass
-class Subproblem:
-    """A connected piece of the peeled graph whose polytrees still grow.
-
-    :func:`split_at_cut` replaces a subproblem by one per side of a supply
-    super node that has become a cut vertex of the condensation.  The
-    subproblem reaches its polytrees (``frontier.state``), its condensation
-    (``frontier.cond``), its adjacency (``frontier.cond.adj``: each node's
-    ``(neighbor, edge index)`` pairs and :data:`HUB_LINK` links, nodes in
-    ascending order) and its injections (``frontier.cond.injections``) only
-    through its frontier; a node is uncovered while no tree holds it.
-    ``linked`` holds the root, kept hub nodes and smallest hub node of the
-    last split; no edge lies between those nodes.
-    """
-
-    net: DistributionNetwork
-    frontier: Frontier
-    linked: tuple[int, set[int], int] | None = None
-
-    @property
-    def graph(self) -> GraphView:
-        return GraphView(self.net, self.frontier.cond.adj)
-
-    def name(self) -> str:
-        """The subproblem, named in errors by its smallest node id."""
-        return f"the subproblem of node {next(iter(self.frontier.cond.adj))}"
+def _name(frontier: Frontier) -> str:
+    """The subproblem of ``frontier``, named in errors by its smallest node id."""
+    return f"the subproblem of node {next(iter(frontier.cond.adj))}"
 
 
 def run_partition(view: GraphView, injections: dict[int, float],
@@ -258,7 +235,7 @@ def run_partition(view: GraphView, injections: dict[int, float],
                         PathCostAccumulator(), report)]
     lone: list[int] = []
     while todo:
-        todo.extend(reversed(_grow(todo.pop(), tol, cap, report, lone,
+        todo.extend(reversed(_grow(net, todo.pop(), tol, cap, report, lone,
                                    check_invariants, collect_trace)))
     if lone:
         # a supply within tolerance of zero counts as drained, so growth may
@@ -283,25 +260,27 @@ def run_partition(view: GraphView, injections: dict[int, float],
 
 
 def _subproblem(net: DistributionNetwork, adj: dict, state: ForestState,
-                pool: list, h: PathCostAccumulator, report: SolveReport) -> Subproblem:
-    """The first subproblem, over the peeled graph ``adj``: :func:`net_concad`
-    builds its condensation, and its frontier holds ``pool``."""
+                pool: list, h: PathCostAccumulator, report: SolveReport) -> Frontier:
+    """The frontier of the first subproblem, over the peeled graph ``adj``:
+    :func:`net_concad` builds its condensation, and it holds ``pool``."""
     start = time.perf_counter()
     cond = net_concad(GraphView(net, adj), state.injections, state.membership)
     report.timings["condense"] += time.perf_counter() - start
-    return Subproblem(net, Frontier(pool, state, cond, h))
+    return Frontier(pool, state, cond, h)
 
 
-def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list[int],
-          check_invariants: bool, collect_trace: bool) -> list[Subproblem]:
-    """Grow one subproblem until done (returns ``[]``) or split (its sides).
+def _grow(net: DistributionNetwork, frontier: Frontier, tol: float, cap: int,
+          report: SolveReport, lone: list[int], check_invariants: bool,
+          collect_trace: bool) -> list[Frontier]:
+    """Grow the subproblem of ``frontier`` until done (returns ``[]``) or
+    split (the frontiers of its sides).
 
     The frontier and the condensation are updated by each step where it
     changes them.  ``cap`` bounds the edges in ``report``.  When done, the
     node of every one-node tree goes into ``lone``.
     """
-    net, view, frontier = sub.net, sub.graph, sub.frontier
     state, cond, h = frontier.state, frontier.cond, frontier.h
+    view = GraphView(net, cond.adj)
     timings, trace = report.timings, report.trace
     while True:
         step = report.iterations
@@ -312,34 +291,34 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list
             return []
         if len(report.edge_indices) >= cap:
             raise Infeasible(
-                f"{sub.name()} is still "
+                f"{_name(frontier)} is still "
                 f"{'uncovered' if uncovered else 'imbalanced'} at iteration "
                 f"{step}", iteration=step)
         if not uncovered and not frontier:
             raise Infeasible(
-                f"{sub.name()} has imbalanced trees and no edges left at "
+                f"{_name(frontier)} has imbalanced trees and no edges left at "
                 f"iteration {step}", iteration=step)
 
         start = time.perf_counter()
         cuts = source_cut_vertices(cond)
         timings["condense"] += time.perf_counter() - start
         if cuts:
-            return split_at_cut(sub, cuts[0], report, tol=tol)
+            return split_at_cut(frontier, cuts[0], report, tol=tol)
 
         if check_invariants:
             before = math.fsum(max(s.value, 0.0) for s in state.sums.values())
-            if _reference_is_reducible(sub, step):
+            if _reference_is_reducible(view, frontier, step):
                 report.reducible_condensations += 1
                 logger.debug("reducible condensation in %s at iteration %d",
-                             sub.name(), step)
-            expected = _reference_pick(sub, step)
+                             _name(frontier), step)
+            expected = _reference_pick(frontier, step)
 
         start = time.perf_counter()
         deleted = frontier.flush()
         try:
             result = sample(view, cond.injections, state, h, frontier)
         except NoCandidate as exc:
-            raise Infeasible(f"{sub.name()} is stuck at iteration {step}: "
+            raise Infeasible(f"{_name(frontier)} is stuck at iteration {step}: "
                              f"{exc}", iteration=step) from exc
         i, j, eidx, w, demand, balance, pendant = result.best
         frontier.remove(eidx)
@@ -347,7 +326,7 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list
         report.candidates += result.evaluated
         if check_invariants and expected != result.best[:3]:
             raise InvariantViolation(
-                f"selection in {sub.name()} at iteration {step} picked "
+                f"selection in {_name(frontier)} at iteration {step} picked "
                 f"edge {eidx} ({i} > {j}), the full scan edge {expected[2]} "
                 f"({expected[0]} > {expected[1]})")
         if collect_trace:
@@ -393,17 +372,16 @@ def _grow(sub: Subproblem, tol: float, cap: int, report: SolveReport, lone: list
             if after > before + tol:
                 raise InvariantViolation(
                     f"surplus grew from {before!r} to {after!r} in "
-                    f"{sub.name()} at iteration {step + 1}")
+                    f"{_name(frontier)} at iteration {step + 1}")
 
 
-def _reference_pick(sub: Subproblem, iteration: int) -> tuple:
+def _reference_pick(f: Frontier, iteration: int) -> tuple:
     """``(tail, head, edge index)`` a full scan of the remaining pool picks,
     all None when no orientation is live.
 
     Raises :class:`InvariantViolation` unless the frontier's classes hold
     exactly the live orientations the scan finds, by tail tree and head group.
     """
-    f = sub.frontier
     raw = score(f.pool.values(), f)
     want = {(r[2], r[0]): (f.state.tree_of(r[0]), f.cond.membership[r[1]])
             for r in raw}
@@ -414,14 +392,15 @@ def _reference_pick(sub: Subproblem, iteration: int) -> tuple:
         key = min(k for k in f.where.keys() | want.keys()
                   if have.get(k) != want.get(k))
         raise InvariantViolation(
-            f"frontier of {sub.name()} at iteration {iteration}: the "
+            f"frontier of {_name(f)} at iteration {iteration}: the "
             f"orientation (edge index, tail) {key} is in class "
             f"{have.get(key)}, not {want.get(key)}")
     return min(raw, key=lambda r: (not r[6], not r[5], -r[3], r[0], r[1]),
                default=(None, None, None))[:3]
 
 
-def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
+def _reference_is_reducible(view: GraphView, frontier: Frontier,
+                            iteration: int) -> bool:
     """Check the incremental state against a rebuild from scratch.
 
     Raises :class:`InvariantViolation` if the condensation or a tree residual
@@ -430,8 +409,8 @@ def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
     goes through the condenser module, not this module's name, so replacing
     the latter to switch the growth split off leaves the count intact.
     """
-    state, cond = sub.frontier.state, sub.frontier.cond
-    ref = net_concad(sub.graph, cond.injections, state.membership)
+    state, cond = frontier.state, frontier.cond
+    ref = net_concad(view, cond.injections, state.membership)
     problem = cond.mismatch(ref)
     for t, members in state.members.items():
         exact = math.fsum(cond.injections[v] for v in members)
@@ -439,13 +418,13 @@ def _reference_is_reducible(sub: Subproblem, iteration: int) -> bool:
             problem = f"tree {t} has residual {state.sums[t].value!r}, not {exact!r}"
     if problem is not None:
         raise InvariantViolation(
-            f"incremental condensation of {sub.name()} at iteration "
+            f"incremental condensation of {_name(frontier)} at iteration "
             f"{iteration}: {problem}")
     return bool(condenser.source_cut_vertices(ref))
 
 
-def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
-                 tol: float) -> list[Subproblem]:
+def split_at_cut(frontier: Frontier, cut: int, report: SolveReport, *,
+                 tol: float) -> list[Frontier]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
     This is the only partitioning: before the first step it splits at
@@ -461,10 +440,10 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     A side keeps of the hub its rim (the nodes with an edge into it), the
     root and the hub's smallest node, which keeps cuts and sides in order;
     :data:`HUB_LINK` links from the root hold them together.  The side with
-    the most nodes of its own keeps ``sub``, its frontier and everything the
-    frontier holds, cut down in place.  Every other side is handed its
-    trees, groups, pool edges and classes (the ``split_off`` methods); only
-    its rim group is new.  Of a hub the last split cut down (``sub.linked``),
+    the most nodes of its own keeps ``frontier`` and everything it holds,
+    cut down in place.  Every other side is handed its trees, groups, pool
+    edges and classes (the ``split_off`` methods); only its rim group is
+    new.  Of a hub the last split cut down (``frontier.linked``),
     only the nodes added since and those next to them or to a small side are
     looked at.  So a split costs a search over the groups, the small sides
     and the new hub nodes (Even and Shiloach 1981).  Every side's adjacency
@@ -473,21 +452,21 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     smallest node of its own is its first key outside the hub.
 
     Args:
-        sub: Subproblem to split; it becomes its largest side.
-        cut: Id in ``sub.frontier.cond`` of a supply super node that is a
-            cut vertex.
+        frontier: Frontier of the subproblem to split; it becomes its
+            largest side's.
+        cut: Id in ``frontier.cond`` of a supply super node that is a cut
+            vertex.
         report: Report receiving the joining edges and the seconds spent
             handing the sides their condensations.
         tol: Balance tolerance of the peeled graph, the floor for the side
             checks.
 
     Returns:
-        One subproblem per side, ordered by smallest node of its own.
+        One frontier per side, ordered by smallest node of its own.
 
     Raises:
         InfeasibleSplit: If a side's injections fail to balance.
     """
-    frontier = sub.frontier
     state, cond = frontier.state, frontier.cond
     adj, inj = cond.adj, cond.injections
     supers = cond.super_nodes
@@ -510,8 +489,8 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     # no edge lies between the hub nodes the last split kept, so every edge
     # inside the hub has an end among the new ones
     old: set[int] = set()
-    if sub.linked is not None:
-        last_root, last_kept, last_top = sub.linked
+    if frontier.linked is not None:
+        last_root, last_kept, last_top = frontier.linked
         if (last_top in hub and state.tree_of(last_top) == last_root
                 and len(state.members[last_root]) == len(hub)):
             old = last_kept
@@ -580,7 +559,7 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
         _check_balance(side_inj[k], floor=tol,
                        total=math.fsum([share[k], *terms[k]]))
 
-    built = {big: sub}
+    built = {big: frontier}
     for k, own in small.items():
         sadj = side_adj[k]
         side_state = state.split_off(
@@ -592,7 +571,8 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
         side = frontier.split_off({i for v in own for _, i in sadj[v]}, side_state,
                                   side_cond, set(sides[k]), cut, rim, relabelled)
         side.replicas = frozenset(r for r in replicas if r in sadj)
-        built[k] = Subproblem(sub.net, side, (root, set(hubs[k]), top))
+        side.linked = (root, set(hubs[k]), top)
+        built[k] = side
 
     # the kept side is the subproblem, cut down in place; its hub nodes other
     # than the root hold no injection
@@ -611,7 +591,7 @@ def split_at_cut(sub: Subproblem, cut: int, report: SolveReport, *,
     frontier.regroup(cond.cut_down(cut, gone, share[big]))
     report.timings["condense"] += time.perf_counter() - start
     frontier.replicas = frozenset(r for r in replicas if r in adj)
-    sub.linked = (root, keep, top)
+    frontier.linked = (root, keep, top)
     return [built[k] for k in ordered]
 
 

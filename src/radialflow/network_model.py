@@ -21,7 +21,7 @@ from operator import eq, ge, index, itemgetter, sub
 from sys import float_info
 from typing import IO, Any, Iterable, Mapping, Sequence
 
-from .exceptions import DimensionMismatch, ParseError, ValidationError
+from .exceptions import ParseError, ValidationError
 
 #: Relative tolerance for injection balance checks, scaled by total |p|.
 BALANCE_RTOL = 1e-9
@@ -482,27 +482,6 @@ def _json_document(fields: list[tuple[str, str]]) -> str:
 # Radial configurations
 # ---------------------------------------------------------------------------
 
-def incidence_apply(cfg: RadialConfiguration, x: Sequence[float],
-                    n_nodes: int) -> list[float]:
-    """Apply the oriented incidence matrix of ``cfg`` to a flow vector.
-
-    Entry ``i`` of the result is the net outflow of node ``i``: each edge
-    ``(tail, head)`` contributes ``+x`` at its tail and ``-x`` at its head.
-    For a conservative flow the result equals the injection vector.
-
-    Raises:
-        DimensionMismatch: If ``x`` has a different length than the edge list.
-    """
-    if len(x) != len(cfg.directed_edges):
-        raise DimensionMismatch(
-            f"flow vector has {len(x)} entries for {len(cfg.directed_edges)} edges")
-    out = [0.0] * n_nodes
-    for (tail, head), flow in zip(cfg.directed_edges, x):
-        out[tail] += flow
-        out[head] -= flow
-    return out
-
-
 def config_to_json(net: DistributionNetwork, cfg: RadialConfiguration) -> str:
     """Serialize a configuration as ``{"edges": [{u, v, flow}...], "cost": c}``.
 
@@ -644,13 +623,16 @@ def validate_radial(net: DistributionNetwork, cfg: RadialConfiguration) -> Valid
     del cost_of, tails, heads
     flows = cfg.flows
 
-    try:
-        residual = incidence_apply(cfg, flows, n + 1)
-    except DimensionMismatch as exc:
-        messages.append(str(exc))
+    if len(flows) != m:
+        messages.append(f"flow vector has {len(flows)} entries for {m} edges")
         return ValidationReport(acyclic, edge_subset, spanning, root_source,
                                 False, False, False, False, math.inf, (),
                                 tuple(messages))
+    # each node's net outflow; node n takes the flow at an id that is no node
+    residual = [0.0] * (n + 1)
+    for (tail, head), flow in zip(cfg.directed_edges, flows):
+        residual[tail] += flow
+        residual[head] -= flow
     residual = list(map(abs, map(sub, residual, net.injections)))
     # max skips a NaN that is not first; a sum of non-negative terms is NaN
     # exactly when one of them is

@@ -126,7 +126,11 @@ class ForestState:
 
 
 class Frontier:
-    """The remaining pool of one subproblem, its live orientations by class.
+    """One subproblem of growth: its remaining pool, live orientations by class.
+
+    A subproblem is a connected piece of the peeled graph whose polytrees
+    still grow; a growth split replaces it by one per side.  Its frontier
+    holds all of it (see Args); a node is uncovered while no tree holds it.
 
     Each live orientation is stored once, as ``(i, j, edge index, cost,
     h[i])``: the cost and ``h[i]`` never change while it is live.  The
@@ -134,16 +138,22 @@ class Frontier:
     absorb or a tree merge, :meth:`regroup` with the nodes a condensation
     update relabelled, and :meth:`remove`, :meth:`take` and :meth:`split_off`.
     An edge that becomes internal to a tree leaves its classes at once and
-    the pool at the next :meth:`flush`.  ``replicas`` holds the id nodes of
-    trees standing in for supply super nodes split during growth; such a
-    group has other ways out, so it never takes the single-way-out priority.
+    the pool at the next :meth:`flush`.  A growth split leaves two facts
+    here.  ``replicas`` holds the id nodes of trees standing in for supply
+    super nodes split during growth; such a group has other ways out, so it
+    never takes the single-way-out priority.  ``linked`` holds the root,
+    kept hub nodes and smallest hub node of the last split; no edge lies
+    between those nodes.
 
     Args:
         pool: Remaining edges as ``(edge_index, u, v, cost)``, in ascending
             edge index order.
         state: Polytrees of the subproblem.
-        cond: Condensation of the subproblem around ``state``; its ``adj``
-            and ``injections`` are the subproblem's.
+        cond: Condensation of the subproblem around ``state``; its
+            ``injections`` and its ``adj`` are the subproblem's, each
+            node's ``(neighbor, edge index)`` pairs and
+            :data:`~radialflow.forward_engine.HUB_LINK` links, nodes in
+            ascending order.
         h: Path cost accumulator of the peeled graph.
     """
 
@@ -156,6 +166,7 @@ class Frontier:
         self.cond = cond
         self.h = h
         self.replicas: frozenset[int] = frozenset()
+        self.linked: tuple[int, set[int], int] | None = None
         self.internal: set[int] = set()
         #: tail tree -> receiving group -> class
         self.classes: dict[int, dict[int, _Class]] = {}

@@ -68,12 +68,12 @@ def sweep():
     out = SimpleNamespace(failures=[], offenders=[], splits=0, sides=0)
     instance = None
 
-    def checked_split(sub, cut, report, **kwargs):
-        sides = real_split(sub, cut, report, **kwargs)
+    def checked_split(frontier, cut, report, **kwargs):
+        sides = real_split(frontier, cut, report, **kwargs)
         out.splits += 1
         for k, side in enumerate(sides):
             out.sides += 1
-            injections = side.frontier.cond.injections.values()
+            injections = side.cond.injections.values()
             tol = balance_tolerance(injections)
             drift = math.fsum(injections)
             if abs(drift) > tol:

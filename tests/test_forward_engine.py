@@ -501,9 +501,9 @@ def subproblem_of(net, sources, absorbed=()):
                        PathCostAccumulator(), SolveReport())
 
 
-def uncovered(sub):
+def uncovered(frontier):
     """The nodes of a subproblem that no tree holds yet."""
-    return set(sub.frontier.cond.adj) - set(sub.frontier.state.membership)
+    return set(frontier.cond.adj) - set(frontier.state.membership)
 
 
 def pool_of(frontier):
@@ -529,14 +529,14 @@ def index_of(frontier):
 class SplitRecord:
     """What a subproblem looked like just before :func:`split_at_cut`."""
 
-    def __init__(self, sub, cut):
-        self.sub = sub
-        self.frontier = sub.frontier
-        self.hub = set(sub.frontier.cond.super_nodes[cut].members)
-        self.pool = pool_of(sub.frontier)
-        self.uncovered = uncovered(sub)
+    def __init__(self, net, frontier, cut):
+        self.net = net
+        self.frontier = frontier
+        self.hub = set(frontier.cond.super_nodes[cut].members)
+        self.pool = pool_of(frontier)
+        self.uncovered = uncovered(frontier)
         self.adjacency = {v: list(links)
-                          for v, links in sub.frontier.cond.adj.items()}
+                          for v, links in frontier.cond.adj.items()}
 
 
 def check_sides(record, sides):
@@ -552,18 +552,18 @@ def check_sides(record, sides):
     Returns the own node count of each side.
     """
     hub, parent = record.hub, record.adjacency
-    adjs = [side.frontier.cond.adj for side in sides]
+    adjs = [side.cond.adj for side in sides]
     assert all(list(adj) == sorted(adj) for adj in adjs)
     owns = [set(adj) - hub for adj in adjs]
     lows = [min(v for v in adj if v not in hub) for adj in adjs]
     assert lows == sorted(lows)
     assert set().union(*owns) == set(parent) - hub
-    kept = [side for side in sides if side is record.sub]
+    kept = [side for side in sides if side is record.frontier]
     assert len(kept) == 1
     assert max(map(len, owns)) == len(owns[sides.index(kept[0])])
-    assert kept[0].frontier is record.frontier
+    assert kept[0] is record.frontier
     for side, own in zip(sides, owns):
-        state, cond = side.frontier.state, side.frontier.cond
+        state, cond = side.state, side.cond
         adj, inj = cond.adj, cond.injections
         root = state.tree_of(min(hub))
         rim = {y for v in own for y, _ in parent[v] if y in hub}
@@ -581,33 +581,33 @@ def check_sides(record, sides):
         assert inj.keys() == adj.keys()
         assert all(inj[h] == 0.0 for h in adj if h in hub and h != root)
         # a view lists its nodes in ascending order (GraphView.nodes)
-        rebuilt = net_concad(GraphView(side.net, dict(sorted(want.items()))), inj,
+        rebuilt = net_concad(GraphView(record.net, dict(sorted(want.items()))), inj,
                              state.membership)
         assert cond.mismatch(rebuilt) is None
         for t, members in state.members.items():
             assert state.sums[t].value == math.fsum(inj[v] for v in members)
         assert state.membership.keys() <= adj.keys()
         pool = [e for e in record.pool if e[1] in own or e[2] in own]
-        assert pool_of(side.frontier) == pool
-        fresh = Frontier(pool, state, rebuilt, side.frontier.h)
-        assert index_of(side.frontier) == index_of(fresh)
-        assert side.frontier.internal == fresh.internal
+        assert pool_of(side) == pool
+        fresh = Frontier(pool, state, rebuilt, side.h)
+        assert index_of(side) == index_of(fresh)
+        assert side.internal == fresh.internal
         assert uncovered(side) == record.uncovered & own
-        replicas = side.frontier.replicas
+        replicas = side.replicas
         assert replicas <= adj.keys() and root in replicas
     return [len(own) for own in owns]
 
 
-def split_once(sub):
-    cond = sub.frontier.cond
+def split_once(net, frontier):
+    cond = frontier.cond
     cuts = source_cut_vertices(cond)
     assert len(cuts) == 1
     group = cond.super_nodes[cuts[0]]
     # the kept side updates the hub's group in place
     hub = SimpleNamespace(members=set(group.members), residual=group.total.value)
-    record = SplitRecord(sub, cuts[0])
+    record = SplitRecord(net, frontier, cuts[0])
     report = SolveReport()
-    sides = split_at_cut(sub, cuts[0], report,
+    sides = split_at_cut(frontier, cuts[0], report,
                          tol=balance_tolerance(cond.injections.values()))
     check_sides(record, sides)
     return hub, sides, report
@@ -619,9 +619,9 @@ def test_every_growth_split_matches_a_fresh_build(monkeypatch):
     real_split = forward_engine.split_at_cut
     seen = {"splits": 0, "one-node sides": 0}
 
-    def checked_split(sub, cut, report, **kwargs):
-        record = SplitRecord(sub, cut)
-        sides = real_split(sub, cut, report, **kwargs)
+    def checked_split(frontier, cut, report, **kwargs):
+        record = SplitRecord(net, frontier, cut)
+        sides = real_split(frontier, cut, report, **kwargs)
         owns = check_sides(record, sides)
         seen["splits"] += 1
         seen["one-node sides"] += owns.count(1)
@@ -657,6 +657,37 @@ def test_chain_heavy_feeder_solves_irreducibly(n, seed):
     assert validate_radial(net, cfg).passed
 
 
+def tiny_supply_mesh(n, seed):
+    """``ws_instance(n, seed)`` with every third demand node turned into a
+    supply of 1e-12, within the balance tolerance of zero; the real supplies
+    give up what those demands took."""
+    net = ws_instance(n, seed)
+    p = list(net.injections)
+    for v in [v for v in range(net.n) if p[v] < 0][::3]:
+        p[v] = 1e-12
+    supplies = [v for v in range(net.n) if p[v] > 1e-9]
+    excess = math.fsum(p)
+    for v in supplies:
+        p[v] -= excess / len(supplies)
+    p[supplies[0]] -= math.fsum(p)
+    return build_network(net.names, net.edges, p)
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (160, 240) for seed in range(3)])
+@pytest.mark.parametrize("build", [
+    lambda n, seed: ws_instance(n, seed, n_sources=n // 8), tiny_supply_mesh],
+    ids=["many_sources", "tiny_supplies"])
+def test_many_supply_mesh_solves_irreducibly(build, n, seed):
+    # many supply groups, most of them cut vertices at some point: growth
+    # splits again and again, and every condensation it hands on must match
+    # a rebuild and have no supply cut vertex
+    net = build(n, seed)
+    cfg, report = solve(net, check_invariants=True)
+    assert report.splits >= 10
+    assert report.reducible_condensations == 0
+    assert validate_radial(net, cfg).passed
+
+
 def test_growth_splits_ring_with_chord():
     # a cheaper chord makes s absorb t first, which cuts a off from b
     net = ring_with_chord(chord_cost=0.5)
@@ -667,16 +698,17 @@ def test_growth_splits_ring_with_chord():
 
 
 def test_split_gives_each_side_its_need():
-    hub, sides, report = split_once(
-        subproblem_of(ring_with_chord(), [1], [(1, 3)]))
+    net = ring_with_chord()
+    hub, sides, report = split_once(net, subproblem_of(net, [1], [(1, 3)]))
     assert hub.members == {1, 3}
-    assert [side.graph.nodes for side in sides] == [(0, 1, 3), (1, 2, 3)]
-    assert [side.frontier.cond.injections[1] for side in sides] == [1.0, 1.0]
+    assert [GraphView(net, side.cond.adj).nodes for side in sides] == [
+        (0, 1, 3), (1, 2, 3)]
+    assert [side.cond.injections[1] for side in sides] == [1.0, 1.0]
     assert [uncovered(side) for side in sides] == [{0}, {2}]
     for side in sides:
-        assert math.fsum(side.frontier.cond.injections.values()) == 0.0
-        assert {t: s.value for t, s in side.frontier.state.sums.items()} == {1: 1.0}
-        assert side.frontier.replicas == {1}
+        assert math.fsum(side.cond.injections.values()) == 0.0
+        assert {t: s.value for t, s in side.state.sums.items()} == {1: 1.0}
+        assert side.replicas == {1}
     assert report.edge_indices == [] and report.splits == 1
 
 
@@ -686,14 +718,14 @@ def test_surplus_side_replica_is_a_demand():
     edges = [(0, 1, 1.0), (0, 3, 1.0), (1, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0),
              (2, 4, 1.0)]
     net = build_network(names, edges, [-3.0, 1.0, -1.0, 0.0, 3.0])
-    hub, sides, _ = split_once(subproblem_of(net, [1, 4], [(1, 3)]))
-    shares = [side.frontier.cond.injections[1] for side in sides]
+    hub, sides, _ = split_once(net, subproblem_of(net, [1, 4], [(1, 3)]))
+    shares = [side.cond.injections[1] for side in sides]
     assert shares == [pytest.approx(3.0), pytest.approx(-2.0)]
     assert math.fsum(shares) == pytest.approx(hub.residual)
     surplus = sides[1]
-    assert set(surplus.graph.nodes) == {1, 2, 3, 4}
-    assert surplus.frontier.state.sums[1].value < 0.0
-    cond = surplus.frontier.cond
+    assert set(GraphView(net, surplus.cond.adj).nodes) == {1, 2, 3, 4}
+    assert surplus.state.sums[1].value < 0.0
+    cond = surplus.cond
     assert cond.super_nodes[cond.membership[1]].source is False
 
 
@@ -717,15 +749,16 @@ def two_sided_hub(p, a_side):
 def test_small_side_rim_is_a_sink(p, a_side, absorbed, share, members):
     # a handed-over side whose share is not positive has a sink rim, which
     # merges with the groups it touches; every class of p's tree is re-keyed
-    sub = subproblem_of(two_sided_hub(p, a_side), [1, 4], absorbed)
-    _, (kept, small), _ = split_once(sub)
-    cond = small.frontier.cond
+    net = two_sided_hub(p, a_side)
+    sub = subproblem_of(net, [1, 4], absorbed)
+    _, (kept, small), _ = split_once(net, sub)
+    cond = small.cond
     rim = cond.membership[1]
-    assert kept is sub and set(small.graph.nodes) == {1, 2, 3, 4}
+    assert kept is sub and set(GraphView(net, small.cond.adj).nodes) == {1, 2, 3, 4}
     assert cond.injections[1] == share
     assert (cond.super_nodes[rim].source, cond.super_nodes[rim].members) == (
         False, members)
-    assert {cls.group for cls in small.frontier.classes[4].values()} == {rim}
+    assert {cls.group for cls in small.classes[4].values()} == {rim}
 
 
 @pytest.mark.parametrize("net", [ws_instance(400, 0), ring_chain()],
@@ -750,27 +783,27 @@ def test_split_joins_a_multi_tree_hub():
     names = ["a", "s1", "s2", "b"]
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]
     net = build_network(names, edges, [-1.0, 1.0, 1.0, -1.0])
-    hub, sides, report = split_once(subproblem_of(net, [1, 2]))
+    hub, sides, report = split_once(net, subproblem_of(net, [1, 2]))
     assert hub.members == {1, 2}
     assert report.sampled == [(1, 2)]
     assert report.edge_indices == [2] and report.merges == 1
     for side in sides:
-        assert side.frontier.state.members[1] == [1, 2]
-        assert side.frontier.cond.injections[1] == pytest.approx(1.0)
-        assert side.frontier.cond.injections[2] == 0.0
-        assert all(e[0] != 2 for e in pool_of(side.frontier))
+        assert side.state.members[1] == [1, 2]
+        assert side.cond.injections[1] == pytest.approx(1.0)
+        assert side.cond.injections[2] == 0.0
+        assert all(e[0] != 2 for e in pool_of(side))
 
 
 def test_unbalanced_split_raises():
     net = ring_with_chord()
     sub = subproblem_of(net, [1], [(1, 3)])
-    inj = sub.frontier.cond.injections
+    inj = sub.cond.injections
     inj[1] = 2.5
-    sub.frontier.cond = net_concad(sub.graph, inj,
-                                   sub.frontier.state.membership)
+    sub.cond = net_concad(GraphView(net, sub.cond.adj), inj,
+                          sub.state.membership)
     with pytest.raises(InfeasibleSplit, match="subproblem of node 0 has "
                                               "injections summing to 0.5"):
-        split_once(sub)
+        split_once(net, sub)
 
 
 def test_stuck_side_names_partition_and_iteration(monkeypatch):

@@ -30,13 +30,13 @@ def record_splits(monkeypatch):
     real_split = forward_engine.split_at_cut
     splits = []
 
-    def recording_split(sub, cut, report, **kwargs):
-        hub = set(sub.frontier.cond.super_nodes[cut].members)
+    def recording_split(frontier, cut, report, **kwargs):
+        hub = set(frontier.cond.super_nodes[cut].members)
         before = len(report.edge_indices)
-        sides = real_split(sub, cut, report, **kwargs)
-        conds = [side.frontier.cond for side in sides]
+        sides = real_split(frontier, cut, report, **kwargs)
+        conds = [side.cond for side in sides]
         splits.append(SimpleNamespace(
-            hub=hub, root=sides[0].frontier.state.tree_of(min(hub)),
+            hub=hub, root=sides[0].state.tree_of(min(hub)),
             joins=report.edge_indices[before:],
             sides=[SimpleNamespace(
                 nodes=set(cond.adj), injections=dict(cond.injections),

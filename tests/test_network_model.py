@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialflow import (DimensionMismatch, ParseError, RadialConfiguration,
-                        ValidationError, build_network, config_from_json,
-                        config_to_json, export_dot, load_network,
-                        serialize_network, solve, solve_forest,
-                        validate_radial)
+from radialflow import (ParseError, RadialConfiguration, ValidationError,
+                        build_network, config_from_json, config_to_json,
+                        export_dot, load_network, serialize_network, solve,
+                        solve_forest, validate_radial)
 from radialflow.network_model import (COST_RTOL, FLOW_ATOL, FLOW_RTOL,
                                       DistributionNetwork, ExactSum,
                                       balance_tolerance, connected,
-                                      incidence_apply, quadratic_cost)
+                                      quadratic_cost)
 
 from conftest import DATA_DIR, random_tree_network, small_networks, ws_instance
 
@@ -377,30 +376,33 @@ def test_balance_tolerance_scales():
     assert balance_tolerance([1e6, -1e6]) == pytest.approx(2e-3, rel=1e-6)
 
 
-def test_incidence_single_edge():
-    cfg = RadialConfiguration(((0, 1),), (2.0,), 0.0)
-    assert incidence_apply(cfg, [2.0], n_nodes=2) == [2.0, -2.0]
+def test_validate_flow_count_mismatch():
+    # the structure is judged; flows that match no edge are not
+    net = build_network(["a", "b"], [(0, 1, 1.0)], [2.0, -2.0])
+    cfg = RadialConfiguration(((0, 1),), (2.0, 1.0), 2.0)
+    report = validate_radial(net, cfg)
+    assert report.messages == ("flow vector has 2 entries for 1 edges",)
+    assert (report.acyclic, report.edge_subset, report.spanning,
+            report.root_source) == (True, True, True, True)
+    assert not (report.kirchhoff or report.nonnegative_flows
+                or report.finite_flows or report.cost_consistent)
+    assert report.max_residual == math.inf and report.zero_flow_edges == ()
 
 
-def test_incidence_empty():
-    cfg = RadialConfiguration((), (), 0.0)
-    assert incidence_apply(cfg, [], n_nodes=3) == [0.0, 0.0, 0.0]
-
-
-def test_incidence_dimension_mismatch():
-    cfg = RadialConfiguration(((0, 1),), (2.0,), 0.0)
-    with pytest.raises(DimensionMismatch):
-        incidence_apply(cfg, [1.0, 2.0], n_nodes=2)
-
-
-def test_incidence_matches_forest_solve():
+def test_validate_conservation_on_a_solved_random_forest():
     rng = random.Random(5)
     net = random_tree_network(rng, 6)
     sol = solve_forest(net, range(net.m))
     cfg = RadialConfiguration(sol.oriented_edges, sol.flows, sol.cost)
-    out = incidence_apply(cfg, sol.flows, n_nodes=net.n)
-    for got, want in zip(out, net.injections):
-        assert abs(got - want) <= FLOW_ATOL
+    report = validate_radial(net, cfg)
+    assert report.passed and report.max_residual <= FLOW_ATOL
+    # a flow counts out of its tail and into its head: turning an edge
+    # around leaves twice its flow at each end
+    (tail, head), *rest = sol.oriented_edges
+    turned = RadialConfiguration(((head, tail), *rest), sol.flows, sol.cost)
+    report = validate_radial(net, turned)
+    assert not report.kirchhoff
+    assert report.max_residual == pytest.approx(2 * sol.flows[0])
 
 
 def star4():

@@ -14,6 +14,7 @@ from radialflow import (Infeasible, NoCandidate, build_network,
                         config_to_json, solve, validate_radial)
 from radialflow import forward_engine, sampler
 from radialflow.forward_engine import SolveReport, _subproblem
+from radialflow.network_model import GraphView
 from radialflow.sampler import (EPS_DEN, ForestState, Frontier,
                                 PathCostAccumulator, edge_weight, sample)
 
@@ -25,9 +26,10 @@ def pool_of(net):
 def pick(net, state, pool=None, h=None):
     """``sample`` over a new subproblem of ``pool`` (default: every edge)."""
     h = PathCostAccumulator() if h is None else h
-    sub = _subproblem(net, full_view(net).adj, state,
-                      pool_of(net) if pool is None else pool, h, SolveReport())
-    return sample(sub.graph, state.injections, state, h, sub.frontier)
+    frontier = _subproblem(net, full_view(net).adj, state,
+                           pool_of(net) if pool is None else pool, h, SolveReport())
+    return sample(GraphView(net, frontier.cond.adj), state.injections, state, h,
+                  frontier)
 
 
 def test_edge_weight_direct():
@@ -123,9 +125,8 @@ def test_interior_edges_are_deleted():
     inj = dict(enumerate(injections))
     state = ForestState([0], inj)
     h = PathCostAccumulator()
-    sub = _subproblem(net, full_view(net).adj, state,
-                      [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, SolveReport())
-    frontier = sub.frontier
+    frontier = _subproblem(net, full_view(net).adj, state,
+                           [(2, 1, 2, 1.0), (3, 2, 3, 1.0)], h, SolveReport())
     assert frontier.classes == {}
     h.extend(0, 1, 1.0, 2.0)
     h.extend(0, 2, 1.0, 2.0)
@@ -135,7 +136,7 @@ def test_interior_edges_are_deleted():
     frontier.regroup(frontier.cond.move((1, 2), True))
     assert frontier.flush() == 1
     assert list(frontier.pool) == [3]
-    result = sample(sub.graph, inj, state, h, frontier)
+    result = sample(GraphView(net, frontier.cond.adj), inj, state, h, frontier)
     assert result.best[:2] == (2, 3)
     assert result.best[5]
     assert all(c[2] != 2 for c in result.ranked)
