@@ -7,7 +7,9 @@ nodes; only edges crossing sides survive, counted per pair of super nodes.
 
 Each fact is stored once: a :class:`Group` holds its members, its side, its
 crossing counts and the exact sum of its injections, whose value is its
-residual, and the :class:`Condensation` maps nodes and ids to groups.
+residual, and the :class:`Condensation` maps nodes to groups.  A group is its
+own key, in the condensation and in the sampler's classes alike, so no id
+names it.
 
 :func:`net_concad` builds a :class:`Condensation` from scratch once per
 solve; each growth step updates it in one pass over the edges of the nodes
@@ -21,9 +23,8 @@ and compares the two; they share no grouping code.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .network_model import ExactSum, GraphView
 
@@ -47,9 +48,9 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
             are treated as singleton trees of themselves.
 
     Returns:
-        A :class:`Condensation` whose group ids follow ``view.nodes`` order,
-        so they follow each group's smallest member.  It keeps ``view.adj``
-        and reads it on every update.
+        A :class:`Condensation` whose ``groups`` follow ``view.nodes`` order,
+        so they come by smallest member.  It keeps ``view.adj`` and reads it
+        on every update.
     """
     adj = view.adj
     nodes = view.nodes
@@ -59,26 +60,27 @@ def net_concad(view: GraphView, injections: Mapping[int, float] | Sequence[float
             trees.setdefault(polytrees[v], []).append(injections[v])
     residual = {t: math.fsum(terms) for t, terms in trees.items()}
     out = Condensation(adj, injections)
-    membership, supers = out.membership, out.super_nodes
+    membership = out.membership
     source = {v: residual.get(polytrees.get(v), injections[v]) > 0 for v in nodes}
     for start in nodes:
         if start in membership:
             continue
-        gid = next(out._ids)
         side = source[start]
-        membership[start] = gid
+        membership[start] = None  # reached; the group is made once whole
         found = [start]
         stack = [start]
         while stack:
             for y, _ in adj[stack.pop()]:
                 if y not in membership and source[y] == side:
-                    membership[y] = gid
+                    membership[y] = None
                     found.append(y)
                     stack.append(y)
-        supers[gid] = Group(side, found, injections)
+        group = Group(side, found, injections)
+        out.groups[group] = None
+        membership.update(dict.fromkeys(found, group))
     for v in nodes:
         side = source[v]
-        row = supers[membership[v]].nbrs
+        row = membership[v].nbrs
         for y, _ in adj[v]:
             if source[y] != side:
                 other = membership[y]
@@ -90,9 +92,11 @@ class Group:
     """A super node of a :class:`Condensation`, updated in place.
 
     It holds its ``members``, its side (``source``: True on the supply side),
-    its crossing counts (``nbrs``: ``{neighbor id: crossing edge count}``)
+    its crossing counts (``nbrs``: ``{neighbor group: crossing edge count}``)
     and the exact sum of its injections (``total``), whose ``value`` is its
-    residual.
+    residual.  The object is its own key: it hashes by identity, so dicts
+    keyed by groups iterate in insertion order and no set of groups is ever
+    iterated.  A message names a group by its smallest member.
     """
 
     __slots__ = ("members", "source", "nbrs", "total")
@@ -101,15 +105,16 @@ class Group:
                  injections: Mapping[int, float] | Sequence[float]) -> None:
         self.members = set(members)
         self.source = source
-        self.nbrs: dict[int, int] = {}
+        self.nbrs: dict[Group, int] = {}
         self.total = ExactSum(injections[v] for v in members)
 
 
 class Condensation:
     """The condensation of a growing forest, kept current step by step.
 
-    Its super nodes are :class:`Group` objects under ids that carry no order:
-    ``super_nodes`` maps id to group and ``membership`` maps node to id.
+    Its super nodes are :class:`Group` objects: ``membership`` maps node to
+    group, and ``groups`` holds the live ones in insertion order (a dict of
+    None values), read only by the cut search and invariant mode.
     Everything else, a node's side included, is its group's.
     :func:`net_concad` builds it once per solve; then :meth:`move` changes it
     where a step moves nodes across sides, and a growth split hands each
@@ -127,9 +132,8 @@ class Condensation:
                  injections: Mapping[int, float] | Sequence[float]) -> None:
         self.adj = adjacency
         self.injections = injections
-        self.membership: dict[int, int] = {}
-        self.super_nodes: dict[int, Group] = {}
-        self._ids = itertools.count()
+        self.membership: dict[int, Group] = {}
+        self.groups: dict[Group, None] = {}
         self._relabelled: list[int] = []
         self.reshaped = True
 
@@ -151,54 +155,53 @@ class Condensation:
         pair the pass drops comes back otherwise, as the piece joins the one
         group it crossed into and its old group mates cross into that.
 
-        Returns the nodes whose group id changed, with repeats: the moved
-        ones and the smaller side of every split and merge.
+        Returns the nodes whose group changed, with repeats: the moved ones
+        and the smaller side of every split and merge.
         """
-        supers, member, adj = self.super_nodes, self.membership, self.adj
+        groups, member, adj = self.groups, self.membership, self.adj
         self._relabelled = relabelled = []
-        moved = [v for v in nodes if supers[member[v]].source != source]
+        moved = [v for v in nodes if member[v].source != source]
         if not moved:
             return relabelled
-        gid = member[moved[0]]
-        if (len(supers[gid].members) == len(moved)
-                and all(member[v] == gid for v in moved)):
-            self._turn(gid, source)
+        group = member[moved[0]]
+        if (len(group.members) == len(moved)
+                and all(member[v] is group for v in moved)):
+            self._turn(group, source)
             return relabelled
         inj = self.injections
         left = set(moved)
         ends: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        by_group: dict[int, list[int]] = {}
-        seeds: dict[int, list[int]] = {}
+        by_group: dict[Group, list[int]] = {}
+        seeds: dict[Group, list[int]] = {}
         for v in moved:
-            gid = member.pop(v)
-            row = supers[gid].nbrs
+            group = member.pop(v)
+            row = group.nbrs
             near, touch, stay = ends[v] = [], [], []
             for y, _ in adj[v]:
                 if y in left:
                     near.append(y)
-                elif (other := member[y]) == gid:
+                elif (other := member[y]) is group:
                     stay.append(y)
                 else:  # an edge of the old side into the new one
                     touch.append(y)
                     count = row[other] - 1
                     if count:
-                        row[other] = supers[other].nbrs[gid] = count
+                        row[other] = other.nbrs[group] = count
                     else:
-                        del row[other], supers[other].nbrs[gid]
-            by_group.setdefault(gid, []).append(v)
+                        del row[other], other.nbrs[group]
+            by_group.setdefault(group, []).append(v)
             if stay:
-                seeds.setdefault(gid, []).extend(stay)
-        for gid, vs in by_group.items():
-            group = supers[gid]
+                seeds.setdefault(group, []).extend(stay)
+        for group, vs in by_group.items():
             group.members.difference_update(vs)
             if group.members:
                 group.total.add([-inj[v] for v in vs])
             else:
-                del supers[gid]
+                del groups[group]
                 self.reshaped = True
-        for gid, ys in seeds.items():
+        for group, ys in seeds.items():
             if len(ys) > 1:
-                self._split(gid, ys)
+                self._split(group, ys)
         for v in moved:
             if v in member:
                 continue
@@ -214,78 +217,70 @@ class Condensation:
                 for y in touch:
                     touched[member[y]] = None
             if touched:
-                if len(touched) > 1:
-                    gid = max(touched, key=lambda g: len(supers[g].members))
-                    for other in touched:
-                        if other != gid:
-                            self._union(gid, other)
-                else:
-                    gid, = touched
-                group = supers[gid]
+                group = max(touched, key=lambda g: len(g.members))
+                for other in touched:
+                    if other is not group:
+                        self._union(group, other)
                 group.members.update(piece)
                 group.total.add([inj[x] for x in piece])
             else:
-                gid = next(self._ids)
-                group = supers[gid] = Group(source, piece, inj)
+                group = Group(source, piece, inj)
+                groups[group] = None
                 self.reshaped = True
             row = group.nbrs
             for x in piece:
                 for y in ends[x][2]:
                     other = member[y]
-                    row[other] = supers[other].nbrs[gid] = row.get(other, 0) + 1
-                member[x] = gid
+                    row[other] = other.nbrs[group] = row.get(other, 0) + 1
+                member[x] = group
             relabelled.extend(piece)
         return relabelled
 
-    def split_off(self, groups: Iterable[int], cut: int,
+    def split_off(self, groups: Iterable[Group], cut: Group,
                   adj: Mapping[int, list[tuple[int, int]]],
                   injections: Mapping[int, float], hub: list[int],
-                  ) -> tuple[Condensation, int, list[int]]:
+                  ) -> tuple[Condensation, Group, list[int]]:
         """Move ``groups``, a side of supply group ``cut``, into a condensation
-        over the side's ``adj`` and ``injections`` that shares the id counter.
+        over the side's ``adj`` and ``injections``.
 
-        The groups keep their ids, members, totals and crossing counts.  The
+        The groups keep their members, totals and crossing counts.  The
         ``hub`` nodes form a new rim group with the groups' counts into
         ``cut``; if its injections sum to zero or less, it is a sink and
-        merges with its neighbors.  Returns the condensation, the rim's id and
-        the nodes whose group id that merge changed.
+        merges with its neighbors.  Returns the condensation, the rim and the
+        nodes whose group that merge changed.
         """
         out = Condensation(adj, injections)
-        out._ids = self._ids
         self.reshaped = True
-        rim = next(self._ids)
-        rim_group = Group(True, hub, injections)
-        into_cut = self.super_nodes[cut].nbrs
-        for gid in groups:
-            group = out.super_nodes[gid] = self.super_nodes.pop(gid)
+        rim = Group(True, hub, injections)
+        for group in groups:
+            out.groups[group] = self.groups.pop(group)
             for v in group.members:
                 out.membership[v] = self.membership.pop(v)
-            if gid in into_cut:
-                del into_cut[gid]
-                group.nbrs[rim] = rim_group.nbrs[gid] = group.nbrs.pop(cut)
-        out.super_nodes[rim] = rim_group
+            if group in cut.nbrs:
+                del cut.nbrs[group]
+                group.nbrs[rim] = rim.nbrs[group] = group.nbrs.pop(cut)
+        out.groups[rim] = None
         out.membership.update(dict.fromkeys(hub, rim))
-        if rim_group.total.value <= 0:
+        if rim.total.value <= 0:
             out._turn(rim, False)
         return out, rim, out._relabelled
 
-    def cut_down(self, gid: int, nodes: Collection[int],
+    def cut_down(self, group: Group, nodes: Collection[int],
                  residual: float) -> list[int]:
-        """Drop ``nodes``, which have no edge out of group ``gid``, from it.
+        """Drop ``nodes``, which have no edge out of ``group``, from it.
 
         The group's injections now sum to ``residual``; if that puts it on
         the other side, it turns (see :meth:`move`).  Returns the nodes whose
-        group id changed.
+        group changed.
         """
         self._relabelled = []
         self.reshaped = True
-        group = self.super_nodes[gid]
         for v in nodes:
             del self.membership[v]
         group.members.difference_update(nodes)
         group.total = ExactSum((residual,))
         if (group.total.value > 0) != group.source:
-            self._turn(gid, not group.source)
+            self._turn(group, not group.source)
         return self._relabelled
 
     def mismatch(self, ref: Condensation) -> str | None:
@@ -300,58 +295,54 @@ class Condensation:
 
     def _keyed(self) -> tuple[dict, dict, dict]:
         """Groups, membership and crossing counts, keyed by sorted members."""
-        names = {gid: tuple(sorted(g.members))
-                 for gid, g in self.super_nodes.items()}
-        groups = {names[gid]: (g.total.value, "supply" if g.source else "demand")
-                  for gid, g in self.super_nodes.items()}
-        membership = {v: names[gid] for v, gid in self.membership.items()}
-        crossing = {(names[a], names[b]): count for a, g in self.super_nodes.items()
-                    for b, count in g.nbrs.items()}
+        names = {g: tuple(sorted(g.members)) for g in self.groups}
+        groups = {names[g]: (g.total.value, "supply" if g.source else "demand")
+                  for g in self.groups}
+        membership = {v: names[g] for v, g in self.membership.items()}
+        crossing = {(names[a], names[b]): count for a in self.groups
+                    for b, count in a.nbrs.items()}
         return groups, membership, crossing
 
-    def _union(self, into: int, gid: int) -> None:
-        """Merge group ``gid`` into group ``into`` on the same side."""
-        group = self.super_nodes.pop(gid)
-        target = self.super_nodes[into]
+    def _union(self, into: Group, group: Group) -> None:
+        """Merge ``group`` into ``into``, on the same side."""
+        del self.groups[group]
         self.reshaped = True
         for v in group.members:
             self.membership[v] = into
         self._relabelled.extend(group.members)
-        target.members |= group.members
-        target.total.add(group.total.terms)
-        row = target.nbrs
+        into.members |= group.members
+        into.total.add(group.total.terms)
+        row = into.nbrs
         for other, count in group.nbrs.items():
-            back = self.super_nodes[other].nbrs
-            del back[gid]
-            row[other] = back[into] = row.get(other, 0) + count
+            del other.nbrs[group]
+            row[other] = other.nbrs[into] = row.get(other, 0) + count
 
-    def _turn(self, gid: int, source: bool) -> None:
+    def _turn(self, group: Group, source: bool) -> None:
         """Move a whole group across; it merges with all its neighbors."""
-        group = self.super_nodes[gid]
         group.source = source
         self.reshaped = True
         row = group.nbrs
-        merged = [gid, *row]
+        merged = [group, *row]
         for other in row:
-            del self.super_nodes[other].nbrs[gid]
+            del other.nbrs[group]
         row.clear()
-        target = max(merged, key=lambda g: len(self.super_nodes[g].members))
+        target = max(merged, key=lambda g: len(g.members))
         for other in merged:
-            if other != target:
+            if other is not target:
                 self._union(target, other)
 
-    def _split(self, gid: int, seeds: list[int]) -> None:
-        """Split group ``gid`` into its connected pieces after it lost nodes.
+    def _split(self, group: Group, seeds: list[int]) -> None:
+        """Split ``group`` into its connected pieces after it lost nodes.
 
         Every piece holds one of ``seeds``, the group's neighbors of the nodes
         it lost.  One search per seed runs in turn, a node at a time (Even and
         Shiloach 1981); searches that meet continue as one, and once only one
-        is left unfinished, it is the largest piece and keeps ``gid``, so the
-        work is charged to the smaller pieces.
+        is left unfinished, it is the largest piece and stays ``group``, so
+        the work is charged to the smaller pieces.
 
         Each other piece becomes a new group in one pass over its nodes'
-        edges, which moves each crossing count from ``gid``'s row to the new
-        group's; a piece has no edge into the rest of ``gid``.
+        edges, which moves each crossing count from ``group``'s row to the
+        new group's; a piece has no edge into the rest of ``group``.
         """
         seeds = list(dict.fromkeys(seeds))
         if len(seeds) < 2:
@@ -372,7 +363,7 @@ class Condensation:
                     pieces.append(found[k])
                     continue
                 for y, _ in self.adj[stack.pop()]:
-                    if self.membership.get(y) != gid:
+                    if self.membership.get(y) is not group:
                         continue
                     o = owner.get(y)
                     if o is None:
@@ -387,33 +378,31 @@ class Condensation:
             active = [k for k in running if parent[k] == k]
         if not active:
             pieces.remove(max(pieces, key=len))
-        supers, member, inj = self.super_nodes, self.membership, self.injections
-        group = supers[gid]
+        member, inj = self.membership, self.injections
         old = group.nbrs
         for piece in pieces:
-            new = next(self._ids)
-            supers[new] = Group(group.source, piece, inj)
-            row = supers[new].nbrs
+            new = Group(group.source, piece, inj)
+            self.groups[new] = None
+            row = new.nbrs
             group.members.difference_update(piece)
             group.total.add(-inj[v] for v in piece)
             for v in piece:
                 member[v] = new
                 for y, _ in self.adj[v]:
                     other = member.get(y)
-                    if other is not None and other != gid and other != new:
-                        back = supers[other].nbrs
+                    if other is not None and other is not group and other is not new:
                         count = old[other] - 1
                         if count:
-                            old[other] = back[gid] = count
+                            old[other] = other.nbrs[group] = count
                         else:
-                            del old[other], back[gid]
-                        row[other] = back[new] = row.get(other, 0) + 1
+                            del old[other], other.nbrs[group]
+                        row[other] = other.nbrs[new] = row.get(other, 0) + 1
             self._relabelled.extend(piece)
             self.reshaped = True
 
 
-def source_cut_vertices(cond: Condensation) -> list[int]:
-    """Ids of the supply super nodes that are cut vertices.
+def source_cut_vertices(cond: Condensation) -> list[Group]:
+    """The supply super nodes that are cut vertices.
 
     They are ordered by smallest member.  Such a super node separates the
     condensed graph, so the remaining subproblem can be split there like an
@@ -422,21 +411,21 @@ def source_cut_vertices(cond: Condensation) -> list[int]:
     the last search's empty answer holds and no walk runs.  An empty answer
     clears it; a non-empty one is not kept, since its order reads members.
     """
-    supers = cond.super_nodes
-    if not cond.reshaped or len(supers) <= 2 or all(
-            len(g.nbrs) < 2 for g in supers.values() if g.source):
+    groups = cond.groups
+    if not cond.reshaped or len(groups) <= 2 or all(
+            len(g.nbrs) < 2 for g in groups if g.source):
         cond.reshaped = False
         return []
-    artics = lowpoint(supers, {gid: g.nbrs for gid, g in supers.items()})
-    cuts = sorted((a for a in artics if supers[a].source),
-                  key=lambda a: min(supers[a].members))
+    artics = lowpoint(groups, {g: g.nbrs for g in groups})
+    cuts = sorted((g for g in groups if g.source and g in artics),
+                  key=lambda g: min(g.members))
     cond.reshaped = bool(cuts)
     return cuts
 
 
-def lowpoint(roots: Iterable[int],
-             adj: Mapping[int, Collection[int]] | Sequence[Collection[int]],
-             ) -> set[int]:
+def lowpoint(roots: Iterable[Hashable],
+             adj: Mapping[Hashable, Collection[Hashable]] | Sequence[Collection[int]],
+             ) -> set[Hashable]:
     """Articulation points of a simple graph.
 
     Iterative Tarjan lowpoint walk from each node of ``roots`` (every node)
@@ -444,9 +433,9 @@ def lowpoint(roots: Iterable[int],
     visited in stored order, which the set of articulation points does not
     depend on.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    artics: set[int] = set()
+    disc: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    artics: set[Hashable] = set()
     clock = 0
 
     for start in roots:
@@ -455,7 +444,7 @@ def lowpoint(roots: Iterable[int],
         disc[start] = low[start] = clock
         clock += 1
         root_children = 0
-        stack = [(start, -1, iter(adj[start]))]
+        stack = [(start, None, iter(adj[start]))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:

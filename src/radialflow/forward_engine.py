@@ -26,7 +26,7 @@ from .exceptions import (Infeasible, InvalidSpec, InvariantViolation,
                          NoCandidate)
 from .islander import _check_balance, islander
 from . import condenser
-from .condenser import net_concad, source_cut_vertices
+from .condenser import Group, net_concad, source_cut_vertices
 from .network_model import (DistributionNetwork, GraphView,
                             RadialConfiguration, balance_tolerance)
 from .preprocessor import preprocess
@@ -294,10 +294,6 @@ def _grow(net: DistributionNetwork, frontier: Frontier, tol: float, cap: int,
                 f"{_name(frontier)} is still "
                 f"{'uncovered' if uncovered else 'imbalanced'} at iteration "
                 f"{step}", iteration=step)
-        if not uncovered and not frontier:
-            raise Infeasible(
-                f"{_name(frontier)} has imbalanced trees and no edges left at "
-                f"iteration {step}", iteration=step)
 
         start = time.perf_counter()
         cuts = source_cut_vertices(cond)
@@ -335,7 +331,7 @@ def _grow(net: DistributionNetwork, frontier: Frontier, tol: float, cap: int,
 
         ti = state.tree_of(i)
         tj = state.tree_of(j)
-        was_source = cond.super_nodes[cond.membership[i]].source
+        was_source = cond.membership[i].source
         if tj is None:
             h.extend(i, j, net.edges[eidx][2], demand)
             state.absorb(ti, j)
@@ -391,10 +387,12 @@ def _reference_pick(f: Frontier, iteration: int) -> tuple:
     if have != want or len(f.where) != len(want):
         key = min(k for k in f.where.keys() | want.keys()
                   if have.get(k) != want.get(k))
+        named = [c and (c[0], min(c[1].members, default=None))
+                 for c in (have.get(key), want.get(key))]
         raise InvariantViolation(
             f"frontier of {_name(f)} at iteration {iteration}: the "
-            f"orientation (edge index, tail) {key} is in class "
-            f"{have.get(key)}, not {want.get(key)}")
+            f"orientation (edge index, tail) {key} is in the class (tail "
+            f"tree, smallest node of the head group) {named[0]}, not {named[1]}")
     return min(raw, key=lambda r: (not r[6], not r[5], -r[3], r[0], r[1]),
                default=(None, None, None))[:3]
 
@@ -423,7 +421,7 @@ def _reference_is_reducible(view: GraphView, frontier: Frontier,
     return bool(condenser.source_cut_vertices(ref))
 
 
-def split_at_cut(frontier: Frontier, cut: int, report: SolveReport, *,
+def split_at_cut(frontier: Frontier, cut: Group, report: SolveReport, *,
                  tol: float) -> list[Frontier]:
     """Split a subproblem at a supply super node that is a cut vertex.
 
@@ -454,8 +452,7 @@ def split_at_cut(frontier: Frontier, cut: int, report: SolveReport, *,
     Args:
         frontier: Frontier of the subproblem to split; it becomes its
             largest side's.
-        cut: Id in ``frontier.cond`` of a supply super node that is a cut
-            vertex.
+        cut: Supply super node of ``frontier.cond`` that is a cut vertex.
         report: Report receiving the joining edges and the seconds spent
             handing the sides their condensations.
         tol: Balance tolerance of the peeled graph, the floor for the side
@@ -469,20 +466,19 @@ def split_at_cut(frontier: Frontier, cut: int, report: SolveReport, *,
     """
     state, cond = frontier.state, frontier.cond
     adj, inj = cond.adj, cond.injections
-    supers = cond.super_nodes
-    hub = supers[cut].members
+    hub = cut.members
     seen, sides = {cut}, []
-    for first in supers[cut].nbrs:
+    for first in cut.nbrs:
         if first not in seen:
             seen.add(first)
             groups = [first]
             for g in groups:
-                groups.extend(y for y in supers[g].nbrs if y not in seen)
-                seen.update(supers[g].nbrs)
+                groups.extend(y for y in g.nbrs if y not in seen)
+                seen.update(g.nbrs)
             sides.append(groups)
-    sizes = [sum(len(supers[g].members) for g in groups) for groups in sides]
+    sizes = [sum(len(g.members) for g in groups) for groups in sides]
     big = sizes.index(max(sizes))
-    small = {k: [v for g in groups for v in supers[g].members]
+    small = {k: [v for g in groups for v in g.members]
              for k, groups in enumerate(sides) if k != big}
     dropped = set().union(*small.values())
 
@@ -549,10 +545,9 @@ def split_at_cut(frontier: Frontier, cut: int, report: SolveReport, *,
     inj.update((v, 0.0) for v in new if v in keep)
     lows = {k: next(v for v in sadj if v not in hub) for k, sadj in side_adj.items()}
     ordered = sorted(lows, key=lows.__getitem__)
-    terms = {k: [t for g in sides[k] for t in supers[g].total.terms]
-             for k in ordered}
+    terms = {k: [t for g in sides[k] for t in g.total.terms] for k in ordered}
     host_share, shares = replica_shares(
-        supers[cut].total.value, [math.fsum(terms[k]) for k in ordered[1:]])
+        cut.total.value, [math.fsum(terms[k]) for k in ordered[1:]])
     share = dict(zip(ordered, [host_share, *shares]))
     for k in ordered:
         side_inj[k][root] = share[k]

@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .condenser import Condensation
+from .condenser import Condensation, Group
 from .exceptions import NoCandidate
 from .network_model import ExactSum, GraphView
 
@@ -169,7 +169,7 @@ class Frontier:
         self.linked: tuple[int, set[int], int] | None = None
         self.internal: set[int] = set()
         #: tail tree -> receiving group -> class
-        self.classes: dict[int, dict[int, _Class]] = {}
+        self.classes: dict[int, dict[Group, _Class]] = {}
         #: (edge index, tail) -> class of that orientation
         self.where: dict[tuple[int, int], _Class] = {}
         self.scored = 0
@@ -177,7 +177,8 @@ class Frontier:
             self._classify(idx)
 
     def __len__(self) -> int:
-        """Edges still in the pool."""
+        """Edges still in the pool; only the benchmark's traced run
+        (``perfbench/spans.py``) reads it, as its pool count."""
         return len(self.pool)
 
     def flush(self) -> int:
@@ -203,8 +204,8 @@ class Frontier:
         return [self.pool.pop(idx) for idx in taken]
 
     def split_off(self, edges: Collection[int], state: ForestState,
-                  cond: Condensation, groups: Collection[int], cut: int,
-                  rim: int, relabelled: Iterable[int]) -> Frontier:
+                  cond: Condensation, groups: Collection[Group], cut: Group,
+                  rim: Group, relabelled: Iterable[int]) -> Frontier:
         """Move a side of a growth split into a frontier over ``state`` and
         ``cond``: its ``edges`` (each index once) in ascending order, their
         internal marks, and the classes of its trees into its ``groups`` or
@@ -217,9 +218,9 @@ class Frontier:
         self.internal -= out.internal
         for t in state.members:
             row = self.classes.get(t, {})
-            for g in [g for g in row if g == cut or g in groups]:
+            for g in [g for g in row if g is cut or g in groups]:
                 cls = row.pop(g)
-                cls.group = rim if g == cut else g
+                cls.group = rim if g is cut else g
                 out.classes.setdefault(t, {})[cls.group] = cls
                 out.where.update((key, self.where.pop(key)) for key in cls.members)
             if not row:
@@ -252,13 +253,13 @@ class Frontier:
                     self._classify(idx)
 
     def regroup(self, nodes: Iterable[int]) -> None:
-        """Re-key the orientations into ``nodes``, whose group ids changed."""
+        """Re-key the orientations into ``nodes``, whose groups changed."""
         member, adj = self.cond.membership, self.cond.adj
         for y in nodes:
             for x, idx in adj[y]:
                 key = (idx, x)
                 cls = self.where.get(key)
-                if cls is not None and cls.group != member[y]:
+                if cls is not None and cls.group is not member[y]:
                     self._add(self._drop(key), cls.tree, member[y])
 
     def select(self) -> SampleResult:
@@ -267,15 +268,14 @@ class Frontier:
         Raises:
             NoCandidate: If no orientation is live.
         """
-        sums, supers, member = self.state.sums, self.cond.super_nodes, self.cond.membership
+        sums, member = self.state.sums, self.cond.membership
         split_supers = {member[r] for r in self.replicas}
         best, top = None, (True, True)
         for t, row in self.classes.items():
             residual, st = sums[t].value, member[t]
-            pendant = (supers[st].source and len(supers[st].nbrs) == 1
-                       and st not in split_supers)
+            pendant = st.source and len(st.nbrs) == 1 and st not in split_supers
             for g, cls in row.items():
-                receiving = supers[g].total.value
+                receiving = g.total.value
                 flags = (not pendant, not (residual + receiving >= 0.0))
                 if flags > top:
                     continue  # cannot win, so not weighed
@@ -318,7 +318,7 @@ class Frontier:
                     self._add((i, j, idx, c, self.h.get(i, 0.0)), ti,
                               self.cond.membership[j])
 
-    def _add(self, entry: tuple, tree: int, group: int) -> None:
+    def _add(self, entry: tuple, tree: int, group: Group) -> None:
         row = self.classes.setdefault(tree, {})
         cls = row.get(group) or row.setdefault(group, _Class(tree, group))
         key = entry[2], entry[0]
@@ -361,7 +361,7 @@ class _Class:
 
     __slots__ = ("tree", "group", "members", "stair", "aside", "up", "best", "seen")
 
-    def __init__(self, tree: int, group: int) -> None:
+    def __init__(self, tree: int, group: Group) -> None:
         self.tree, self.group = tree, group
         self.members: dict[tuple[int, int], tuple] = {}
         self.stair, self.aside, self.up = [], {}, {}
@@ -444,7 +444,6 @@ def score(edges: Iterable[tuple[int, int, int, float]],
     state, h, cond = frontier.state, frontier.h, frontier.cond
     split_supers = {cond.membership[r] for r in frontier.replicas}
     tree_of = state.membership.get
-    supers = cond.super_nodes
     member = cond.membership
     raw: list[tuple] = []
     for eidx, u, v, c in edges:
@@ -453,11 +452,10 @@ def score(edges: Iterable[tuple[int, int, int, float]],
                 continue
             si = member[i]
             residual = state.sums[ti].value
-            receiving = supers[member[j]].total.value
+            receiving = member[j].total.value
             demand = abs(receiving)
             w = edge_weight(c, demand, max(residual, 0.0), h.get(i, 0.0))
-            pendant = (supers[si].source and len(supers[si].nbrs) == 1
-                       and si not in split_supers)
+            pendant = si.source and len(si.nbrs) == 1 and si not in split_supers
             raw.append((i, j, eidx, w, demand, residual + receiving >= 0.0,
                         pendant))
     return raw

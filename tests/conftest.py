@@ -50,6 +50,19 @@ def full_view(net):
     return GraphView(net, adj)
 
 
+def assert_live(cond, frontier=None):
+    """Every group that a node's membership, a crossing count or a class of
+    ``frontier`` names is one of ``cond.groups``, and every group there is
+    some node's.  A stale group, unlike a stale id, raises nothing when it is
+    read, so this check is what catches one."""
+    live = cond.groups.keys()
+    assert live == set(cond.membership.values())
+    assert all(other in live for group in live for other in group.nbrs)
+    if frontier is not None:
+        assert all(cls.group in live for row in frontier.classes.values()
+                   for cls in row.values())
+
+
 def ws_instance(n, seed, n_sources=None, k=4, beta=0.2):
     """Seeded small-world benchmark instance with the default supply rule."""
     count = n_sources if n_sources is not None else default_source_count(n)

@@ -15,7 +15,8 @@ from radialflow.condenser import (Condensation, net_concad,
                                   source_cut_vertices)
 from radialflow.network_model import balance_tolerance
 
-from conftest import full_view, small_instances, small_networks, ws_instance
+from conftest import (assert_live, full_view, small_instances, small_networks,
+                      ws_instance)
 from test_golden import ring_chain
 
 
@@ -32,20 +33,20 @@ def condense(net, trees):
 
 
 def super_of(cond, node):
-    return cond.super_nodes[cond.membership[node]]
+    return cond.membership[node]
 
 
 def crossings(cond):
     """Each group's neighboring groups, with their crossing edge counts."""
-    return {gid: g.nbrs for gid, g in cond.super_nodes.items()}
+    return {g: g.nbrs for g in cond.groups}
 
 
 def test_initial_condensation():
     cond = condense(two_sources_one_sink_chain(), {})
-    sides = [g.source for g in cond.super_nodes.values()]
+    sides = [g.source for g in cond.groups]
     assert sides.count(True) == 2
     assert sides.count(False) == 1
-    members = sorted(tuple(sorted(g.members)) for g in cond.super_nodes.values())
+    members = sorted(tuple(sorted(g.members)) for g in cond.groups)
     assert members == [(0,), (1, 2, 3), (4,)]
     assert super_of(cond, 2).total.value == pytest.approx(-4.0)
     assert super_of(cond, 0).total.value == pytest.approx(2.0)
@@ -80,7 +81,7 @@ def test_cross_edges_only_and_conserved():
     s1, sink, s2 = (cond.membership[v] for v in (0, 2, 4))
     assert crossings(cond) == {s1: {sink: 1}, sink: {s1: 1, s2: 1},
                                s2: {sink: 1}}
-    total = math.fsum(g.total.value for g in cond.super_nodes.values())
+    total = math.fsum(g.total.value for g in cond.groups)
     assert abs(total) <= balance_tolerance(net.injections)
 
 
@@ -91,22 +92,22 @@ def test_parallel_super_edges_kept():
     net = build_network(names, edges, [2.0, -1.0, -1.0])
     cond = condense(net, {})
     source, sink = cond.membership[0], cond.membership[1]
-    assert len(cond.super_nodes) == 2
+    assert len(cond.groups) == 2
     assert crossings(cond) == {source: {sink: 2}, sink: {source: 2}}
 
 
 def test_membership_partitions_nodes():
     cond = condense(two_sources_one_sink_chain(), {0: 0, 1: 0})
-    seen = sorted(v for g in cond.super_nodes.values() for v in g.members)
+    seen = sorted(v for g in cond.groups for v in g.members)
     assert seen == [0, 1, 2, 3, 4]
-    for gid, group in cond.super_nodes.items():
+    for group in cond.groups:
         for v in group.members:
-            assert cond.membership[v] == gid
+            assert cond.membership[v] is group
 
 
 def test_supers_ordered_by_smallest_member():
     cond = condense(two_sources_one_sink_chain(), {})
-    mins = [min(g.members) for _, g in sorted(cond.super_nodes.items())]
+    mins = [min(g.members) for g in cond.groups]
     assert mins == sorted(mins)
 
 
@@ -126,7 +127,7 @@ def test_cut_sink_does_not_count():
     net = build_network(["s", "a", "t"], [(0, 1, 1.0), (1, 2, 1.0)],
                         [1.0, -2.0, 1.0])
     cond = condense(net, {})
-    assert len(cond.super_nodes) == 3
+    assert len(cond.groups) == 3
     assert source_cut_vertices(cond) == []
 
 
@@ -171,11 +172,10 @@ def test_cut_search_walks_only_after_a_reshape(monkeypatch):
 
 def networkx_source_cuts(cond):
     g = nx.Graph()
-    g.add_nodes_from(cond.super_nodes)
+    g.add_nodes_from(cond.groups)
     g.add_edges_from((a, b) for a, row in crossings(cond).items() for b in row)
-    return sorted((a for a in nx.articulation_points(g)
-                   if cond.super_nodes[a].source),
-                  key=lambda a: min(cond.super_nodes[a].members))
+    return sorted((a for a in nx.articulation_points(g) if a.source),
+                  key=lambda a: min(a.members))
 
 
 def networkx_condensation(net, trees):
@@ -251,28 +251,26 @@ def test_source_cut_vertices_match_networkx_on_grown_states():
 
 def test_net_concad_matches_networkx_on_grown_states():
     # groups are the components of same-side nodes, with their sides, exact
-    # residuals and crossing counts; ids follow each group's smallest member
+    # residuals and crossing counts; groups come by smallest member
     sides = Counter()
     for net, trees in grown_states():
         cond = condense(net, trees)
         assert canonical(cond) == networkx_condensation(net, trees)
-        mins = [min(g.members) for _, g in sorted(cond.super_nodes.items())]
+        mins = [min(g.members) for g in cond.groups]
         assert mins == sorted(mins)
-        sides.update(g.source for g in cond.super_nodes.values()
+        sides.update(g.source for g in cond.groups
                      if len(g.members) > 1)
     assert sides[True] and sides[False]
 
 
 def canonical(cond):
     """Super nodes, membership and crossing counts keyed by member tuples."""
-    names = {gid: tuple(sorted(g.members))
-             for gid, g in cond.super_nodes.items()}
-    supers = {names[gid]: (g.total.value, g.source)
-              for gid, g in cond.super_nodes.items()}
+    names = {g: tuple(sorted(g.members)) for g in cond.groups}
+    supers = {names[g]: (g.total.value, g.source) for g in cond.groups}
     crossing = Counter({(names[a], names[b]): count
                         for a, row in crossings(cond).items()
                         for b, count in row.items()})
-    membership = {v: names[gid] for v, gid in cond.membership.items()}
+    membership = {v: names[g] for v, g in cond.membership.items()}
     return supers, membership, crossing
 
 
@@ -355,7 +353,7 @@ def test_reducible_count_reads_the_rebuild(monkeypatch):
 
 def shape(cond):
     """What supply cut vertices depend on: each group's side and neighbors."""
-    return {gid: (g.source, set(g.nbrs)) for gid, g in cond.super_nodes.items()}
+    return {g: (g.source, set(g.nbrs)) for g in cond.groups}
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -365,9 +363,10 @@ def test_random_moves_match_the_side_map(net, seed):
     # leaves the condensation a fresh build would give for the new sides;
     # moving two whole groups at once empties both, and moving part of a
     # group whose rest stays in one piece splits nothing.  Every node whose
-    # group id changed is returned, and the condensation is marked reshaped
-    # whenever its shape differs from that of the last search that found no
-    # cut vertex, so a search that skips its walk answers as a full one
+    # group changed is returned, every group a node or a crossing count
+    # names is live, and the condensation is marked reshaped whenever its
+    # shape differs from that of the last search that found no cut vertex,
+    # so a search that skips its walk answers as a full one
     rng = random.Random(seed)
     cond = condense(net, {})
     source = {v: super_of(cond, v).source for v in cond.membership}
@@ -381,8 +380,9 @@ def test_random_moves_match_the_side_map(net, seed):
         before = dict(cond.membership)
         relabelled = set(cond.move(moved, side))
         source.update(dict.fromkeys(moved, side))
+        assert_live(cond)
         assert canonical(cond) == side_condensation(net, source)
-        assert {v for v, gid in cond.membership.items() if gid != before[v]} <= relabelled
+        assert {v for v, g in cond.membership.items() if g is not before[v]} <= relabelled
         assert cond.reshaped or shape(cond) == cleared
         if rng.random() < 0.5:
             cuts = source_cut_vertices(cond)

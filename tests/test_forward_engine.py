@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (data_path, feeder_instance, full_view, random_tree_network,
-                      small_instances, small_networks, ws_instance)
+from conftest import (assert_live, data_path, feeder_instance, full_view,
+                      random_tree_network, small_instances, small_networks,
+                      ws_instance)
 from radialflow import (GenSpec, Infeasible, InfeasibleSplit, InvalidSpec,
-                        NoCandidate, ValidationError, build_network,
-                        config_to_json, generate, load_network, solve,
-                        solve_forest, validate_radial)
+                        InvariantViolation, NoCandidate, ValidationError,
+                        build_network, config_to_json, generate, load_network,
+                        solve, solve_forest, validate_radial)
 from radialflow import forward_engine
 from radialflow.condenser import net_concad, source_cut_vertices
 from radialflow.forward_engine import (HUB_LINK, SolveReport, _subproblem,
@@ -222,6 +223,19 @@ def test_invariant_mode_counts_and_completes():
     cfg, report = solve(net, check_invariants=True)
     assert report.reducible_condensations >= 0
     assert validate_radial(net, cfg).passed
+
+
+def test_stale_class_is_named_by_its_smallest_nodes(monkeypatch):
+    # a frontier that skips its re-keying leaves orientations in the class of
+    # a group an update replaced; invariant mode names both classes by tail
+    # tree and the smallest node of the receiving group, not by an object
+    monkeypatch.setattr(Frontier, "regroup", lambda self, nodes: None)
+    with pytest.raises(InvariantViolation) as info:
+        solve(ws_instance(40, 0), check_invariants=True)
+    assert str(info.value) == (
+        "frontier of the subproblem of node 0 at iteration 8: the orientation "
+        "(edge index, tail) (58, 26) is in the class (tail tree, smallest node "
+        "of the head group) (26, 0), not (26, 27)")
 
 
 def test_trace_rows_are_sequential(gap_ring):
@@ -514,13 +528,12 @@ def pool_of(frontier):
 def index_of(frontier):
     """The entries of a frontier's classes, keyed by tail tree and the
     receiving group's members."""
-    supers = frontier.cond.super_nodes
     classes = {}
     for t, row in frontier.classes.items():
         for g, cls in row.items():
             assert (cls.tree, cls.group) == (t, g) and cls.members
             assert all(frontier.where[key] is cls for key in cls.members)
-            classes[t, tuple(sorted(supers[g].members))] = sorted(
+            classes[t, tuple(sorted(g.members))] = sorted(
                 cls.members.values())
     assert len(frontier.where) == sum(map(len, classes.values()))
     return classes
@@ -532,7 +545,7 @@ class SplitRecord:
     def __init__(self, net, frontier, cut):
         self.net = net
         self.frontier = frontier
-        self.hub = set(frontier.cond.super_nodes[cut].members)
+        self.hub = set(cut.members)
         self.pool = pool_of(frontier)
         self.uncovered = uncovered(frontier)
         self.adjacency = {v: list(links)
@@ -547,11 +560,17 @@ def check_sides(record, sides):
     parent's edges inside that set but not inside the hub, plus links from
     the root to the other hub nodes; its condensation, tree residuals,
     live edges, pool and uncovered nodes equal what a fresh build gives.
+    Every group its nodes, crossing counts and classes name is live in its
+    condensation, and no group is live in two sides' condensations.
     Every side's adjacency, the kept one's included, lists its nodes in
     ascending order, and the sides come ordered by their smallest own node.
     Returns the own node count of each side.
     """
     hub, parent = record.hub, record.adjacency
+    for side in sides:
+        assert_live(side.cond, side)
+    groups = [group for side in sides for group in side.cond.groups]
+    assert len(set(groups)) == len(groups)
     adjs = [side.cond.adj for side in sides]
     assert all(list(adj) == sorted(adj) for adj in adjs)
     owns = [set(adj) - hub for adj in adjs]
@@ -602,7 +621,7 @@ def split_once(net, frontier):
     cond = frontier.cond
     cuts = source_cut_vertices(cond)
     assert len(cuts) == 1
-    group = cond.super_nodes[cuts[0]]
+    group = cuts[0]
     # the kept side updates the hub's group in place
     hub = SimpleNamespace(members=set(group.members), residual=group.total.value)
     record = SplitRecord(net, frontier, cuts[0])
@@ -726,7 +745,7 @@ def test_surplus_side_replica_is_a_demand():
     assert set(GraphView(net, surplus.cond.adj).nodes) == {1, 2, 3, 4}
     assert surplus.state.sums[1].value < 0.0
     cond = surplus.cond
-    assert cond.super_nodes[cond.membership[1]].source is False
+    assert cond.membership[1].source is False
 
 
 def two_sided_hub(p, a_side):
@@ -756,7 +775,7 @@ def test_small_side_rim_is_a_sink(p, a_side, absorbed, share, members):
     rim = cond.membership[1]
     assert kept is sub and set(GraphView(net, small.cond.adj).nodes) == {1, 2, 3, 4}
     assert cond.injections[1] == share
-    assert (cond.super_nodes[rim].source, cond.super_nodes[rim].members) == (
+    assert (rim.source, rim.members) == (
         False, members)
     assert {cls.group for cls in small.classes[4].values()} == {rim}
 

@@ -31,7 +31,7 @@ def record_splits(monkeypatch):
     splits = []
 
     def recording_split(frontier, cut, report, **kwargs):
-        hub = set(frontier.cond.super_nodes[cut].members)
+        hub = set(cut.members)
         before = len(report.edge_indices)
         sides = real_split(frontier, cut, report, **kwargs)
         conds = [side.cond for side in sides]
