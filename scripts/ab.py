@@ -156,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mesh", action="append", type=int, default=[], metavar="N",
                         help="also a seed-0 mesh of N nodes (repeatable)")
     parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--limit", type=int, help="first LIMIT documents of each set")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workload or WORKLOADS if w != "none"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"base {args.base or package}, change {ROOT / 'src' / 'radialflow'}")
         same = True
         for name, docs in documents(workloads, args.mesh).items():
-            same &= compare(name, docs[:args.limit], base, args.rounds)
+            same &= compare(name, docs, base, args.rounds)
     return 0 if same else 1
 
 

@@ -418,7 +418,10 @@ def _reference_is_reducible(view: GraphView, frontier: Frontier,
         raise InvariantViolation(
             f"incremental condensation of {_name(frontier)} at iteration "
             f"{iteration}: {problem}")
-    return bool(condenser.source_cut_vertices(ref))
+    reducible = bool(condenser.source_cut_vertices(ref))
+    for group in ref.groups:  # the rows form cycles; free them by refcount
+        group.nbrs.clear()
+    return reducible
 
 
 def split_at_cut(frontier: Frontier, cut: Group, report: SolveReport, *,

@@ -19,11 +19,11 @@ def load_ab():
 
 def test_one_round_against_a_copy_of_itself(capsys):
     ab = load_ab()
-    argv = ["--base-src", str(ROOT / "src" / "radialflow"), "--workload", "small_exact",
-            "--mesh", "60", "--rounds", "1", "--limit", "20"]
+    argv = ["--base", "HEAD", "--workload", "small_exact", "--mesh", "60", "--rounds", "1"]
     assert ab.main(argv) == 0
     out = capsys.readouterr().out
-    assert "small_exact: 20 documents, 1 rounds, outputs identical" in out
+    count = len(ab.inputs.plan("small_exact", 1))
+    assert f"small_exact: {count} documents, 1 rounds, outputs identical" in out
     assert "mesh n=60: 1 documents, 1 rounds, outputs identical" in out
     assert all(out.count(f"\n{stage} ") == 2 for stage in ab.STAGES)
     base = sys.modules["radialflow_base"]
